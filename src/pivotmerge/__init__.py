@@ -37,6 +37,7 @@ from .pivot import (
     DecoupledLayer,
     PivotConfig,
     SharedSpaceLayer,
+    decompose_layer,
     decouple,
     filter_residuals,
     joint_decompose,
@@ -68,6 +69,7 @@ from .tensorstore import (
     load_checkpoint,
     read_container,
     save_checkpoint,
+    sorted_experts,
     split,
     write_container,
 )

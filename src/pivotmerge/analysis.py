@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import ZERO_NORM, cosine, principal_angles
-from .pivot import PivotConfig, decouple, filter_residuals, joint_decompose, task_vectors
+from .pivot import PivotConfig, decompose_layer, task_vectors
 from .tensorstore import ProjectorCheckpoint
 
 
@@ -99,54 +99,34 @@ def collect_residuals(experts: Sequence[ProjectorCheckpoint], base: ProjectorChe
     Residual vectors concatenate all layers per model; experts are handled in
     lexicographic id order, matching the merge.
     """
-    ordered = sorted(experts, key=lambda c: c.id)
-    n = len(ordered)
-    raw_parts: list[list[np.ndarray]] = [[] for _ in range(n)]
-    filt_parts: list[list[np.ndarray]] = [[] for _ in range(n)]
-    layer_stats: list[dict] = []
-    for li, deltas in enumerate(task_vectors(ordered, base), start=1):
-        shared = joint_decompose(deltas)
-        dec = decouple(shared.coeffs, config.rank)
-        if n >= 2 and not shared.degenerate:
-            filtered, mask, _, tau = filter_residuals(dec.residuals, config.gamma, config.rho)
-        else:
-            filtered = dec.residuals
-            mask = np.ones(shared.s.size)
-            tau = None
+    raw_layers, filt_layers, layer_stats = [], [], []
+    for li, deltas in enumerate(task_vectors(experts, base), start=1):
+        _, dec = decompose_layer(deltas, config)
+        mask = dec.mask
         layer_stats.append({
             "layer": li,
-            "tau": None if tau is None else float(tau),
+            "tau": None if dec.tau is None else float(dec.tau),
             "mask_mean": float(mask.mean()) if mask.size else None,
             "mask_min": float(mask.min()) if mask.size else None,
             "mask_max": float(mask.max()) if mask.size else None,
         })
-        for i in range(n):
-            raw_parts[i].append(dec.residuals[i].ravel())
-            filt_parts[i].append(filtered[i].ravel())
-    raw = [np.concatenate(parts) for parts in raw_parts]
-    filt = [np.concatenate(parts) for parts in filt_parts]
+        raw_layers.append([b.ravel() for b in dec.residuals])
+        filt_layers.append([b.ravel() for b in dec.filtered])
+    raw = [np.concatenate(parts) for parts in zip(*raw_layers)]
+    filt = [np.concatenate(parts) for parts in zip(*filt_layers)]
     return raw, filt, layer_stats
 
 
 def collect_coefficients(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
                          config: PivotConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-model subspace sources: raw deltas and filtered coefficients (core + residual)."""
-    ordered = sorted(experts, key=lambda c: c.id)
-    n = len(ordered)
-    delta_parts: list[list[np.ndarray]] = [[] for _ in range(n)]
-    coeff_parts: list[list[np.ndarray]] = [[] for _ in range(n)]
-    for deltas in task_vectors(ordered, base):
-        shared = joint_decompose(deltas)
-        dec = decouple(shared.coeffs, config.rank)
-        if n >= 2 and not shared.degenerate:
-            filtered, _, _, _ = filter_residuals(dec.residuals, config.gamma, config.rho)
-        else:
-            filtered = dec.residuals
-        for i in range(n):
-            delta_parts[i].append(deltas[i])
-            coeff_parts[i].append(dec.cores[i] + filtered[i])
-    raw = [model_subspace(parts) for parts in delta_parts]
-    filt = [model_subspace(parts) for parts in coeff_parts]
+    delta_layers = task_vectors(experts, base)
+    coeff_layers = []
+    for deltas in delta_layers:
+        _, dec = decompose_layer(deltas, config)
+        coeff_layers.append([a + b for a, b in zip(dec.cores, dec.filtered)])
+    raw = [model_subspace(parts) for parts in zip(*delta_layers)]
+    filt = [model_subspace(parts) for parts in zip(*coeff_layers)]
     return raw, filt
 
 

@@ -6,17 +6,17 @@ Subcommands::
     pivotmerge merge   --method METHOD --base PATH --expert PATH ... --out PATH [flags]
     pivotmerge analyze --mode MODE --base PATH --expert PATH ... --out DIR [flags]
 
-Exit codes: 0 on success, 1 on computation failure, 2 on usage errors.
-Experts are always processed in lexicographic id order regardless of flag
-order. The PIVOTMERGE_THREADS environment variable caps per-layer
-parallelism (0 or unset means auto).
+Exit codes: 0 on success, 1 on computation failure, 2 on usage errors,
+including an expert set with duplicate ids or a layout that does not match
+the base. Experts are always processed in lexicographic id order regardless
+of flag order. Layers run serially; BLAS threads are the only parallelism,
+and output is byte-identical run to run at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,7 +26,8 @@ from .operators import MergeOperator, merge_checkpoint_deltas
 from .pivot import PivotConfig, pivot_merge
 from .scores import DEFAULT_BETA, ScoreTable, layer_weights, read_scores, score_increments, write_scores
 from .synth import SynthSpec, generate, ground_truth_tensors
-from .tensorstore import ContainerError, load_checkpoint, save_checkpoint, write_container
+from .tensorstore import (ContainerError, load_checkpoint, save_checkpoint, sorted_experts,
+                          write_container)
 
 METHODS = ("average", "task-arithmetic", "ties", "dare-ties", "pivot")
 INNER_METHODS = ("average", "task-arithmetic", "ties", "dare-ties")
@@ -141,23 +142,12 @@ def _operator_for(method: str, args, is_inner: bool) -> MergeOperator:
     return MergeOperator.dare_ties(trim, args.drop, args.seed)
 
 
-def _load_experts(parser: argparse.ArgumentParser, paths) -> list:
+def _load_experts(parser: argparse.ArgumentParser, paths, base) -> list:
     experts = [load_checkpoint(p) for p in paths]
-    ids = [e.id for e in experts]
-    if len(set(ids)) != len(ids):
-        parser.error(f"--expert paths produce duplicate checkpoint ids: {sorted(ids)}")
-    return sorted(experts, key=lambda e: e.id)
-
-
-def _worker_count(num_layers: int) -> int:
-    raw = os.environ.get("PIVOTMERGE_THREADS", "0")
     try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, num_layers))
+        return sorted_experts(experts, base)
+    except ValueError as exc:
+        parser.error(f"--expert: {exc}")
 
 
 def _write_json(path, payload: dict) -> None:
@@ -171,14 +161,13 @@ def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
     if args.method == "pivot" and not args.scores:
         parser.error("--scores is required when --method is pivot")
     base = load_checkpoint(args.base)
-    experts = _load_experts(parser, args.expert)
+    experts = _load_experts(parser, args.expert, base)
 
     if args.method == "pivot":
         table = read_scores(args.scores)
         config = PivotConfig(rank=args.rank, gamma=args.gamma, rho=args.rho, beta=args.beta,
                              inner=_operator_for(args.inner, args, is_inner=True))
-        merged, diagnostics = pivot_merge(experts, base, table, config,
-                                          workers=_worker_count(base.num_layers))
+        merged, diagnostics = pivot_merge(experts, base, table, config)
     else:
         op = _operator_for(args.method, args, is_inner=False)
         merged = merge_checkpoint_deltas(experts, base, op)
@@ -219,7 +208,7 @@ def cmd_analyze(parser: argparse.ArgumentParser, args) -> int:
     if len(args.expert) < 2:
         parser.error(f"--mode {args.mode} needs at least two --expert checkpoints")
     base = load_checkpoint(args.base)
-    experts = _load_experts(parser, args.expert)
+    experts = _load_experts(parser, args.expert, base)
     config = PivotConfig(rank=args.rank, gamma=args.gamma, rho=args.rho,
                          inner=_operator_for(args.inner, args, is_inner=True))
     ids = [e.id for e in experts]

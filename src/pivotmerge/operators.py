@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .rng import philox
-from .tensorstore import AugmentedLayer, ProjectorCheckpoint, augment, split
+from .tensorstore import ProjectorCheckpoint, add_delta, layer_deltas, sorted_experts
 
 KINDS = ("weight_average", "task_arithmetic", "ties", "dare_ties")
 
@@ -226,24 +226,8 @@ def merge_checkpoint_deltas(experts: Sequence[ProjectorCheckpoint],
     Experts are processed in lexicographic id order; biases ride along as the
     last column of each layer matrix. Output dtype follows the base.
     """
-    if not experts:
-        raise ValueError("need at least one expert checkpoint")
-    ordered = sorted(experts, key=lambda c: c.id)
-    ids = [c.id for c in ordered]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate expert ids: {sorted({i for i in ids if ids.count(i) > 1})}")
-    shapes = base.layer_shapes()
-    for ck in ordered:
-        if ck.layer_shapes() != shapes or ck.has_bias != base.has_bias:
-            raise ValueError(f"expert {ck.id!r} does not match the base checkpoint layout")
+    ordered = sorted_experts(experts, base)
     w = [1.0] * len(ordered) if weights is None else list(weights)
-
-    merged_layers = []
-    for li in range(base.num_layers):
-        base_aug = augment(base.layers[li])
-        deltas = [augment(ck.layers[li]).matrix - base_aug.matrix for ck in ordered]
-        merged_delta = merge_weighted(op, deltas, w)
-        merged_aug = AugmentedLayer(matrix=base_aug.matrix + merged_delta,
-                                    had_bias=base_aug.had_bias)
-        merged_layers.append(split(merged_aug))
+    merged_layers = [add_delta(layer, merge_weighted(op, layer_deltas(ordered, base, li), w))
+                     for li, layer in enumerate(base.layers)]
     return ProjectorCheckpoint(id="merged", layers=tuple(merged_layers), dtype=base.dtype)

@@ -25,7 +25,6 @@ scale information lives in the spectrum rather than the coefficients.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -34,7 +33,7 @@ import numpy as np
 from .linalg import RANK_RTOL, ZERO_NORM, sigmoid, thin_svd, truncate_rank
 from .operators import MergeOperator, merge_weighted
 from .scores import ScoreTable, layer_weights, score_increments, threshold_from_ratio
-from .tensorstore import AugmentedLayer, Layer, ProjectorCheckpoint, augment, split
+from .tensorstore import Layer, ProjectorCheckpoint, add_delta, layer_deltas, sorted_experts
 
 # Rows whose singular value falls below this pass through as zero when
 # un-scaling from the spectrum-weighted space.
@@ -69,19 +68,13 @@ class DecoupledLayer:
 
 @dataclass(frozen=True)
 class PivotConfig:
-    """Pipeline hyperparameters.
-
-    beta=None defers to the score table's temperature; magnitude_space=None
-    enables spectrum-space merging exactly for magnitude-based inner
-    operators.
-    """
+    """Pipeline hyperparameters. beta=None defers to the score table's temperature."""
 
     rank: int = 64
     gamma: float = 20.0
     rho: float = 0.5
     beta: float | None = None
     inner: MergeOperator = field(default_factory=lambda: MergeOperator.ties(1.0))
-    magnitude_space: bool | None = None
 
     def __post_init__(self):
         if self.rank < 1:
@@ -95,28 +88,15 @@ class PivotConfig:
 
     @property
     def use_magnitude_space(self) -> bool:
-        if self.magnitude_space is not None:
-            return self.magnitude_space
+        """Spectrum-space merging, exactly for the magnitude-based inner operators."""
         return self.inner.kind in ("ties", "dare_ties")
 
 
 def task_vectors(experts: Sequence[ProjectorCheckpoint],
                  base: ProjectorCheckpoint) -> list[list[np.ndarray]]:
-    """Per-layer lists of augmented deltas (expert minus base), expert order preserved."""
-    if not experts:
-        raise ValueError("need at least one expert checkpoint")
-    shapes = base.layer_shapes()
-    for ck in experts:
-        if ck.layer_shapes() != shapes:
-            raise ValueError(
-                f"expert {ck.id!r} layer shapes {ck.layer_shapes()} do not match base {shapes}")
-        if ck.has_bias != base.has_bias:
-            raise ValueError(f"expert {ck.id!r} bias presence does not match the base")
-    out = []
-    for li in range(base.num_layers):
-        base_mat = augment(base.layers[li]).matrix
-        out.append([augment(ck.layers[li]).matrix - base_mat for ck in experts])
-    return out
+    """Per-layer lists of augmented deltas (expert minus base), experts in id order."""
+    ordered = sorted_experts(experts, base)
+    return [layer_deltas(ordered, base, li) for li in range(base.num_layers)]
 
 
 def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
@@ -218,6 +198,16 @@ def filter_residuals(residuals: Sequence[np.ndarray], gamma: float, rho: float
     return tuple(filtered), mask, consistencies, tau
 
 
+def decompose_layer(deltas: Sequence[np.ndarray], config: PivotConfig
+                    ) -> tuple[SharedSpaceLayer, DecoupledLayer]:
+    """Stages 2-4 for one layer: joint SVD, decoupling, then residual filtering."""
+    shared = joint_decompose(deltas)
+    dec = decouple(shared.coeffs, config.rank)
+    filtered, mask, consistencies, tau = filter_residuals(dec.residuals, config.gamma, config.rho)
+    return shared, replace(dec, filtered=filtered, mask=mask, consistencies=consistencies,
+                           tau=tau)
+
+
 def merge_layer(shared: SharedSpaceLayer, dec: DecoupledLayer, alphas: Sequence[float],
                 op: MergeOperator, magnitude_space: bool) -> np.ndarray:
     """Merge one layer's cores and filtered residuals into a single coefficient block.
@@ -252,37 +242,21 @@ def merge_layer(shared: SharedSpaceLayer, dec: DecoupledLayer, alphas: Sequence[
 def reconstruct(shared: SharedSpaceLayer, merged_coeffs: np.ndarray,
                 base_layer: Layer) -> Layer:
     """Map merged coefficients back through the shared basis onto the base layer."""
-    base_aug = augment(base_layer)
-    delta = (shared.u * shared.s) @ merged_coeffs
-    if delta.shape != base_aug.matrix.shape:
-        raise ValueError(
-            f"reconstructed delta shape {delta.shape} does not match layer {base_aug.matrix.shape}")
-    return split(AugmentedLayer(matrix=base_aug.matrix + delta, had_bias=base_aug.had_bias))
+    return add_delta(base_layer, (shared.u * shared.s) @ merged_coeffs)
 
 
 def _merge_one_layer(layer_index: int, deltas: list[np.ndarray], base_layer: Layer,
                      alphas_col: np.ndarray, config: PivotConfig) -> tuple[Layer, dict]:
-    shared = joint_decompose(deltas)
-    dec = decouple(shared.coeffs, config.rank)
-    if len(deltas) >= 2 and not shared.degenerate:
-        filtered, mask, consistencies, tau = filter_residuals(
-            dec.residuals, config.gamma, config.rho)
-    else:
-        k = shared.s.size
-        filtered = tuple(b.copy() for b in dec.residuals)
-        mask = np.ones(k)
-        consistencies = np.ones(k)
-        tau = None
-    dec = replace(dec, filtered=filtered, mask=mask, consistencies=consistencies, tau=tau)
+    shared, dec = decompose_layer(deltas, config)
     merged_coeffs = merge_layer(shared, dec, alphas_col, config.inner,
                                 config.use_magnitude_space)
     out_layer = reconstruct(shared, merged_coeffs, base_layer)
     record = {
         "layer": layer_index + 1,
         "alpha": [float(a) for a in alphas_col],
-        "tau": None if tau is None else float(tau),
-        "consistency": [float(c) for c in consistencies],
-        "mask": [float(m) for m in mask],
+        "tau": None if dec.tau is None else float(dec.tau),
+        "consistency": [float(c) for c in dec.consistencies],
+        "mask": [float(m) for m in dec.mask],
         "singular_values": [float(v) for v in shared.s],
         "effective_rank": dec.effective_rank,
     }
@@ -290,22 +264,19 @@ def _merge_one_layer(layer_index: int, deltas: list[np.ndarray], base_layer: Lay
 
 
 def pivot_merge(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
-                score_table: ScoreTable, config: PivotConfig | None = None,
-                workers: int = 1) -> tuple[ProjectorCheckpoint, dict]:
+                score_table: ScoreTable, config: PivotConfig | None = None
+                ) -> tuple[ProjectorCheckpoint, dict]:
     """Run the full pipeline and return (merged checkpoint, diagnostics record).
 
     Experts are sorted lexicographically by id; the score table must cover
-    every expert id with one score per layer. Layers are independent, so
-    `workers > 1` fans them out across threads without changing the result.
+    every expert id with one score per layer. Layers run serially, one after
+    another, so BLAS threads are the only parallelism; the result is
+    byte-identical run to run at a fixed BLAS thread count.
     """
     if config is None:
         config = PivotConfig()
-    if not experts:
-        raise ValueError("need at least one expert checkpoint")
-    ordered = sorted(experts, key=lambda c: c.id)
+    ordered = sorted_experts(experts, base)
     ids = [c.id for c in ordered]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate expert ids: {sorted({i for i in ids if ids.count(i) > 1})}")
 
     rows = score_table.rows_for(ids)
     if rows.shape[1] != base.num_layers:
@@ -314,15 +285,8 @@ def pivot_merge(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoin
     beta = config.beta if config.beta is not None else score_table.beta
     alphas = layer_weights(score_increments(rows), beta).alpha  # (N, L)
 
-    deltas_per_layer = task_vectors(ordered, base)
-    jobs = [(li, deltas_per_layer[li], base.layers[li], alphas[:, li], config)
-            for li in range(base.num_layers)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda args: _merge_one_layer(*args), jobs))
-    else:
-        results = [_merge_one_layer(*args) for args in jobs]
-
+    results = [_merge_one_layer(li, layer_deltas(ordered, base, li), layer, alphas[:, li], config)
+               for li, layer in enumerate(base.layers)]
     merged_layers = tuple(layer for layer, _ in results)
     diagnostics = {
         "method": "pivot",

@@ -98,8 +98,17 @@ def read_container(path) -> list[Tensor]:
     body = blob[_HEADER_LEN.size:]
     if header_len > len(body):
         raise ContainerError(f"{path}: truncated file (header length {header_len} exceeds file size)")
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ContainerError(f"{path}: duplicate header key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        header = json.loads(body[:header_len].decode("utf-8"))
+        header = json.loads(body[:header_len].decode("utf-8"), object_pairs_hook=unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"{path}: malformed header: {exc}") from exc
     if not isinstance(header, dict):
@@ -195,6 +204,14 @@ def split(aug: AugmentedLayer) -> Layer:
     return Layer(weight=aug.matrix[:, :-1].copy(), bias=aug.matrix[:, -1].copy())
 
 
+def add_delta(layer: Layer, delta: np.ndarray) -> Layer:
+    """The layer plus an augmented delta (bias as the last column), split back out."""
+    aug = augment(layer)
+    if delta.shape != aug.matrix.shape:
+        raise ValueError(f"delta shape {delta.shape} does not match layer {aug.matrix.shape}")
+    return split(AugmentedLayer(matrix=aug.matrix + delta, had_bias=aug.had_bias))
+
+
 @dataclass(frozen=True)
 class ProjectorCheckpoint:
     """Ordered stack of projector layers plus an identifier and storage dtype."""
@@ -232,6 +249,36 @@ class ProjectorCheckpoint:
 
     def layer_shapes(self) -> tuple[tuple[int, int], ...]:
         return tuple((l.d_out, l.d_in) for l in self.layers)
+
+
+def sorted_experts(experts: Sequence[ProjectorCheckpoint],
+                   base: ProjectorCheckpoint) -> list[ProjectorCheckpoint]:
+    """Experts in id order, checked against the base.
+
+    Rejects an empty list, duplicate ids, and any expert whose layer shapes
+    or bias presence differ from the base.
+    """
+    if not experts:
+        raise ValueError("need at least one expert checkpoint")
+    ordered = sorted(experts, key=lambda c: c.id)
+    dupes = sorted({a.id for a, b in zip(ordered, ordered[1:]) if a.id == b.id})
+    if dupes:
+        raise ValueError(f"duplicate expert ids: {dupes}")
+    shapes = base.layer_shapes()
+    for ck in ordered:
+        if ck.layer_shapes() != shapes:
+            raise ValueError(
+                f"expert {ck.id!r} layer shapes {ck.layer_shapes()} do not match base {shapes}")
+        if ck.has_bias != base.has_bias:
+            raise ValueError(f"expert {ck.id!r} bias presence does not match the base")
+    return ordered
+
+
+def layer_deltas(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
+                 layer_index: int) -> list[np.ndarray]:
+    """Augmented deltas (expert minus base) of one 0-based layer, in the given expert order."""
+    base_mat = augment(base.layers[layer_index]).matrix
+    return [augment(ck.layers[layer_index]).matrix - base_mat for ck in experts]
 
 
 def load_checkpoint(path, checkpoint_id: str | None = None) -> ProjectorCheckpoint:
@@ -278,11 +325,21 @@ def load_checkpoint(path, checkpoint_id: str | None = None) -> ProjectorCheckpoi
 
 
 def save_checkpoint(path, ckpt: ProjectorCheckpoint) -> None:
-    """Write a checkpoint container in the checkpoint's storage dtype."""
+    """Write a checkpoint container in the checkpoint's storage dtype.
+
+    Values that do not fit the storage dtype (they would be stored as Inf)
+    raise ValueError before anything is written.
+    """
     dtype = _DTYPES[ckpt.dtype]
     tensors = []
-    for i, layer in enumerate(ckpt.layers, start=1):
-        tensors.append(Tensor(name=f"layer.{i}.weight", data=layer.weight.astype(dtype)))
-        if layer.bias is not None:
-            tensors.append(Tensor(name=f"layer.{i}.bias", data=layer.bias.astype(dtype)))
+    with np.errstate(over="ignore"):
+        for i, layer in enumerate(ckpt.layers, start=1):
+            for kind, values in (("weight", layer.weight), ("bias", layer.bias)):
+                if values is None:
+                    continue
+                stored = values.astype(dtype)
+                if not np.isfinite(stored).all():
+                    raise ValueError(
+                        f"{path}: layer.{i}.{kind} has values that overflow {ckpt.dtype}")
+                tensors.append(Tensor(name=f"layer.{i}.{kind}", data=stored))
     write_container(path, tensors)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 
 from pivotmerge import (
     PivotConfig,
+    ScoreTable,
     SynthSpec,
     emit_report,
     generate,
     mean_offdiagonal,
     model_subspace,
     pairwise_principal_angles,
+    pivot_merge,
     residual_similarity,
 )
 from pivotmerge.analysis import collect_coefficients, collect_residuals, write_matrix_csv
@@ -91,6 +94,34 @@ def test_crf_reduces_coefficient_angles():
     ang_raw = mean_offdiagonal(pairwise_principal_angles(raw))
     ang_filt = mean_offdiagonal(pairwise_principal_angles(filt))
     assert ang_filt <= ang_raw
+
+
+def test_collect_rejects_duplicate_expert_ids():
+    spec = SynthSpec.from_chain([6, 8], experts=2, core_rank=2, seed=3)
+    base, (a, b), _ = generate(spec)
+    a_dup = dataclasses.replace(b, id=a.id)
+    for collect in (collect_residuals, collect_coefficients):
+        with pytest.raises(ValueError, match=f"duplicate expert ids: \\['{a.id}'\\]"):
+            collect([a, a_dup, b], base, PivotConfig(rank=2))
+
+
+def test_residual_stats_match_merge_diagnostics():
+    # Analysis and merge share one decompose/filter kernel, layer by layer.
+    spec = SynthSpec.from_chain([12, 24, 24], experts=4, core_rank=3, residual_scale=2.0, seed=5)
+    base, experts, _ = generate(spec)
+    config = PivotConfig(rank=3)
+    _, _, layer_stats = collect_residuals(experts, base, config)
+    table = ScoreTable(expert_ids=tuple(e.id for e in experts),
+                       scores=np.zeros((len(experts), base.num_layers)))
+    _, diagnostics = pivot_merge(experts, base, table, config)
+    assert len(layer_stats) == len(diagnostics["layers"]) == base.num_layers
+    for stats, record in zip(layer_stats, diagnostics["layers"]):
+        mask = np.array(record["mask"])
+        assert stats["layer"] == record["layer"]
+        assert stats["tau"] is not None and stats["tau"] == record["tau"]
+        assert stats["mask_mean"] == float(mask.mean())
+        assert stats["mask_min"] == float(mask.min())
+        assert stats["mask_max"] == float(mask.max())
 
 
 def test_emit_report_empty(tmp_path):

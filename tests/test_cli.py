@@ -166,6 +166,19 @@ def test_analyze_duplicate_expert_paths_rejected(synth_dir, tmp_path):
     assert exc.value.code == 2
 
 
+def test_merge_layout_mismatch_is_usage_error(synth_dir, tmp_path, capsys):
+    other = tmp_path / "other"
+    assert main(["synth", "--out", str(other), "--dims", "8,16,12", "--experts", "2"]) == 0
+    out = tmp_path / "x.tensors"
+    with pytest.raises(SystemExit) as exc:
+        main(["merge", "--method", "average", "--base", str(synth_dir / "base.tensors"),
+              "--expert", expert_paths(synth_dir)[0], "--expert", str(other / "expert02.tensors"),
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "'expert02' layer shapes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_residual_sim_identical_experts(synth_dir, tmp_path):
     # same checkpoint content under two ids: residuals agree perfectly
     import shutil
@@ -250,15 +263,3 @@ def test_unknown_method_rejected(tmp_path):
               "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
 
-
-def test_thread_cap_env_does_not_change_output(synth_dir, tmp_path, monkeypatch):
-    experts = expert_paths(synth_dir)
-    args = ["merge", "--method", "pivot", "--base", str(synth_dir / "base.tensors")] \
-        + [arg for p in experts for arg in ("--expert", p)] \
-        + ["--scores", str(synth_dir / "scores.json")]
-    out_serial, out_parallel = tmp_path / "serial.tensors", tmp_path / "parallel.tensors"
-    monkeypatch.setenv("PIVOTMERGE_THREADS", "1")
-    assert main(args + ["--out", str(out_serial)]) == 0
-    monkeypatch.setenv("PIVOTMERGE_THREADS", "4")
-    assert main(args + ["--out", str(out_parallel)]) == 0
-    assert out_serial.read_bytes() == out_parallel.read_bytes()

@@ -126,6 +126,16 @@ def test_range_shape_mismatch(tmp_path):
         read_container(path)
 
 
+def test_duplicate_header_keys_rejected(tmp_path):
+    # json.dumps cannot emit a repeated key, so the header is written by hand.
+    entry = '"layer.1.weight":{{"dtype":"float32","shape":[2,4],"offsets":[{},{}]}}'
+    body = ("{" + entry.format(0, 32) + "," + entry.format(32, 64) + "}").encode()
+    path = tmp_path / "dup.tensors"
+    path.write_bytes(struct.pack("<Q", len(body)) + body + b"\0" * 64)
+    with pytest.raises(ContainerError, match=r"dup\.tensors: duplicate header key 'layer\.1\.weight'"):
+        read_container(path)
+
+
 names = st.text(alphabet="abcdefgxyz._0123456789", min_size=1, max_size=12)
 small_shapes = st.lists(st.integers(min_value=0, max_value=4), min_size=0, max_size=3)
 
@@ -256,6 +266,15 @@ def test_float32_checkpoint_promoted(tmp_path):
     assert ck.layers[0].weight.dtype == np.float64
     save_checkpoint(tmp_path / "back.tensors", ck)
     assert read_container(tmp_path / "back.tensors")[0].dtype == "float32"
+
+
+def test_save_checkpoint_rejects_overflow_before_writing(tmp_path):
+    ck = ProjectorCheckpoint(id="big", dtype="float32", layers=(
+        Layer(weight=np.array([[1.0, 2.0]]), bias=np.array([1e39])),))
+    path = tmp_path / "big.tensors"
+    with pytest.raises(ValueError, match=r"big\.tensors: layer\.1\.bias .*float32"):
+        save_checkpoint(path, ck)
+    assert not path.exists()
 
 
 # --- augment / split ----------------------------------------------------
