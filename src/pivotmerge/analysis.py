@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import ZERO_NORM, cosine, principal_angles
 from .pivot import PivotConfig, decompose_layer, task_vectors
-from .tensorstore import ProjectorCheckpoint
+from .tensorstore import ProjectorCheckpoint, atomic_write
 
 
 def residual_similarity(residuals: Sequence) -> np.ndarray:
@@ -134,15 +134,19 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
     """Plain numeric CSV with full float precision (17 significant digits)."""
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     lines = [",".join(format(v, ".17g") for v in row) for row in m]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def emit_report(diagnostics: dict, matrices: dict[str, np.ndarray], out_dir) -> None:
-    """Write one CSV per named matrix plus a summary.json with the diagnostics."""
+    """Write one CSV per named matrix plus a summary.json with the diagnostics.
+
+    Each file is written atomically; a failure leaves no partial file behind.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, matrix in matrices.items():
         write_matrix_csv(out / f"{name}.csv", matrix)
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "summary.json") as fh:
         json.dump(diagnostics, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -26,8 +26,8 @@ from .operators import MergeOperator, merge_checkpoint_deltas
 from .pivot import PivotConfig, pivot_merge
 from .scores import DEFAULT_BETA, ScoreTable, layer_weights, read_scores, score_increments, write_scores
 from .synth import SynthSpec, generate, ground_truth_tensors
-from .tensorstore import (ContainerError, load_checkpoint, save_checkpoint, sorted_experts,
-                          write_container)
+from .tensorstore import (ContainerError, atomic_write, load_checkpoint, save_checkpoint,
+                          sorted_experts, write_container)
 
 METHODS = ("average", "task-arithmetic", "ties", "dare-ties", "pivot")
 INNER_METHODS = ("average", "task-arithmetic", "ties", "dare-ties")
@@ -151,7 +151,7 @@ def _load_experts(parser: argparse.ArgumentParser, paths, base) -> list:
 
 
 def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import ZERO_NORM
-from .tensorstore import read_container
+from .tensorstore import atomic_write, read_container
 
 DEFAULT_BETA = 0.05
 
@@ -202,7 +202,7 @@ def write_scores(path, table: ScoreTable) -> None:
             for eid, row in zip(table.expert_ids, table.scores)
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

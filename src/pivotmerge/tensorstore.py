@@ -9,20 +9,28 @@ Container layout::
 The header maps each tensor name to ``{"dtype": ..., "shape": [...],
 "offsets": [begin, end]}`` where offsets are byte positions relative to the
 start of the payload. Ranges are non-overlapping, ascending, and densely
-packed. Header keys are serialized in sorted order and the payload is packed
-in that same order, so writing the same tensor set always produces the same
-bytes.
+packed: the payload starts at offset 0, each tensor begins where the previous
+one ends, and nothing follows the last tensor (zero-size tensors have
+``begin == end``). Header keys are serialized in sorted order and the payload
+is packed in that same order, so writing the same tensor set always produces
+the same bytes.
 
 Checkpoints are containers holding ``layer.{i}.weight`` (2-D) and optionally
 ``layer.{i}.bias`` (1-D) tensors with 1-based contiguous layer indices. Bias
 presence must be uniform across layers. Values are promoted to float64 on
 load; the source dtype is recorded and reused when writing results.
+
+Every output file is written through `atomic_write`: a crash or error never
+leaves a partial regular file at the target path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import re
+import secrets
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +45,33 @@ _LAYER_NAME = re.compile(r"^layer\.(\d+)\.(weight|bias)$")
 
 class ContainerError(ValueError):
     """The file does not conform to the container format."""
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a fresh temp file beside `path` for writing; it replaces `path` only on success.
+
+    The temp file is created with mode 0o666 under the umask, like a plain
+    ``open(path, "w")``, and is removed when the body raises. Symlinks are
+    followed, so the link stays and its target is replaced. An existing
+    target that is not a regular file (a pipe or device) cannot be replaced
+    and is written in place.
+    """
+    encoding = None if "b" in mode else "utf-8"
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        with open(target, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    tmp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode, encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -70,23 +105,21 @@ def write_container(path, tensors: Sequence[Tensor]) -> None:
         raise ValueError(f"duplicate tensor names: {dupes}")
     ordered = sorted(tensors, key=lambda t: t.name)
     header: dict[str, dict] = {}
-    chunks: list[bytes] = []
     offset = 0
     for t in ordered:
-        raw = np.ascontiguousarray(t.data, dtype=_DTYPES[t.dtype]).tobytes()
+        size = int(np.prod(t.shape, dtype=np.int64)) * _DTYPES[t.dtype].itemsize
         header[t.name] = {
             "dtype": t.dtype,
             "shape": list(t.shape),
-            "offsets": [offset, offset + len(raw)],
+            "offsets": [offset, offset + size],
         }
-        chunks.append(raw)
-        offset += len(raw)
+        offset += size
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_HEADER_LEN.pack(len(header_bytes)))
         fh.write(header_bytes)
-        for chunk in chunks:
-            fh.write(chunk)
+        for t in ordered:
+            fh.write(np.ascontiguousarray(t.data, dtype=_DTYPES[t.dtype]).data)
 
 
 def read_container(path) -> list[Tensor]:
@@ -138,10 +171,18 @@ def read_container(path) -> list[Tensor]:
             raise ContainerError(f"{path}: truncated file (entry {name!r} ends past payload)")
         entries.append((name, dtype, shape, begin, end))
 
-    by_begin = sorted(entries, key=lambda e: e[3])
+    by_begin = sorted(entries, key=lambda e: (e[3], e[4]))
+    if by_begin and by_begin[0][3] != 0:
+        raise ContainerError(
+            f"{path}: payload does not start at offset 0 ({by_begin[0][0]!r} begins at {by_begin[0][3]})")
     for (na, _, _, _, ea), (nb, _, _, bb, _) in zip(by_begin, by_begin[1:]):
         if bb < ea:
             raise ContainerError(f"{path}: overlapping byte ranges for {na!r} and {nb!r}")
+        if bb > ea:
+            raise ContainerError(f"{path}: gap of {bb - ea} bytes between {na!r} and {nb!r}")
+    used = by_begin[-1][4] if by_begin else 0
+    if used != len(payload):
+        raise ContainerError(f"{path}: {len(payload) - used} trailing bytes after the last tensor")
 
     out = []
     for name, dtype, shape, begin, end in entries:

@@ -148,6 +148,27 @@ def test_emit_report_writes_matrices(tmp_path, rng):
     assert json.loads((tmp_path / "out" / "summary.json").read_text()) == {"note": 1}
 
 
+def _dump_then_fail(obj, fh, **kwargs):
+    fh.write('{"partial": ')
+    raise OSError("disk full")
+
+
+def test_emit_report_failed_summary_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    monkeypatch.setattr(json, "dump", _dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        emit_report({"note": 1}, {"a": np.eye(2)}, out)
+    assert sorted(p.name for p in out.iterdir()) == ["a.csv"]
+    monkeypatch.undo()
+    emit_report({"note": 1}, {"a": np.eye(2)}, out)
+    before = (out / "summary.json").read_bytes()
+    monkeypatch.setattr(json, "dump", _dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        emit_report({"note": 2}, {"a": np.eye(2)}, out)
+    assert (out / "summary.json").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["a.csv", "summary.json"]
+
+
 def test_layer_weight_table_columns_sum_to_one():
     from pivotmerge import layer_weights, score_increments
     scores = np.random.default_rng(5).uniform(0.0, 1.0, size=(5, 2))

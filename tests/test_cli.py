@@ -72,6 +72,30 @@ def test_merge_baselines_run(synth_dir, tmp_path, method):
     assert len(record["expert_ids"]) == 5
 
 
+def _dump_then_fail(obj, fh, **kwargs):
+    fh.write('{"partial": ')
+    raise OSError("disk full")
+
+
+def test_failed_diagnostics_write_leaves_old_file(synth_dir, tmp_path, monkeypatch):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    diag = out_dir / "diag.json"
+    args = (["merge", "--method", "average", "--base", str(synth_dir / "base.tensors")]
+            + [arg for p in expert_paths(synth_dir) for arg in ("--expert", p)]
+            + ["--out", str(out_dir / "merged.tensors"), "--diagnostics", str(diag)])
+    monkeypatch.setattr(json, "dump", _dump_then_fail)
+    assert main(args) == 1
+    assert sorted(p.name for p in out_dir.iterdir()) == ["merged.tensors"]
+    monkeypatch.undo()
+    assert main(args) == 0
+    before = diag.read_bytes()
+    monkeypatch.setattr(json, "dump", _dump_then_fail)
+    assert main(args) == 1
+    assert diag.read_bytes() == before
+    assert sorted(p.name for p in out_dir.iterdir()) == ["diag.json", "merged.tensors"]
+
+
 def test_merge_pivot_with_average_inner(synth_dir, tmp_path):
     out = tmp_path / "pivot-avg.tensors"
     diag = tmp_path / "pivot-avg.json"

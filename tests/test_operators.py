@@ -14,8 +14,9 @@ from pivotmerge import (
     ties,
     weight_average,
 )
+from pivotmerge.operators import _trim_keep_count, _trim_mask
 from conftest import make_checkpoint
-from ties_oracle import ties_reference
+from ties_oracle import kept_indices, ties_reference
 
 
 # --- operator construction ----------------------------------------------
@@ -252,6 +253,59 @@ def test_ties_exhaustive_n2_sample():
             np.testing.assert_array_equal(got, want)
             count += 1
     assert count > 40_000
+
+
+# Many equal magnitudes, zeros of both signs: the cases where the selection
+# must reproduce the stable-sort tie rule exactly.
+tie_heavy = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=5),
+       st.floats(min_value=0.0, max_value=1.0, exclude_min=True), st.data())
+def test_ties_trim_matches_oracle_on_tie_heavy_inputs(n_inputs, rows, cols, trim, data):
+    mats = [np.array(data.draw(st.lists(tie_heavy, min_size=rows * cols, max_size=rows * cols)))
+            .reshape(rows, cols) for _ in range(n_inputs)]
+    flat = np.stack([m.ravel() for m in mats])
+    mask = _trim_mask(flat, _trim_keep_count(trim, flat.shape[1]))
+    for row, kept in zip(flat, mask):
+        assert set(np.flatnonzero(kept)) == kept_indices(row.tolist(), trim)
+    want = np.asarray(ties_reference([m.tolist() for m in mats], [1.0] * n_inputs, trim))
+    np.testing.assert_array_equal(ties(mats, [1.0] * n_inputs, trim), want)
+
+
+def _stable_argsort_mask(flat, keep):
+    order = np.argsort(-np.abs(flat), axis=1, kind="stable")
+    kept = np.zeros(flat.shape, dtype=bool)
+    kept[np.arange(flat.shape[0])[:, None], order[:, :keep]] = True
+    return kept
+
+
+def test_ties_trim_matches_stable_argsort_on_1m_entries():
+    gen = np.random.default_rng(20230601)
+    # Quantized values: about 400 distinct magnitudes over 2^20 entries, so the
+    # cutoff magnitude is shared by thousands of entries in every row.
+    mats = [np.round(gen.standard_normal((512, 1024)) * 64.0) / 64.0 for _ in range(2)]
+    flat = np.stack([m.ravel() for m in mats])
+    assert flat.size >= 1_000_000
+    weights = [0.75, 1.25]
+    for trim in (0.2, 0.5):
+        ref = _stable_argsort_mask(flat, _trim_keep_count(trim, flat.shape[1]))
+        np.testing.assert_array_equal(_trim_mask(flat, _trim_keep_count(trim, flat.shape[1])), ref)
+        trimmed = [np.where(k, f, 0.0).reshape(512, 1024) for k, f in zip(ref, flat)]
+        # Trim 1.0 skips selection, so this runs only the elect and merge steps.
+        np.testing.assert_array_equal(ties(mats, weights, trim), ties(trimmed, weights, 1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("trim", [0.5, 1.0])
+def test_ties_rejects_non_finite_inputs(bad, trim):
+    good = np.array([[3.0, 1.0, -2.0, 0.5]])
+    worse = good.copy()
+    worse[0, 0] = bad
+    with pytest.raises(ValueError, match="ties input 1 contains NaN or Inf"):
+        ties([good, worse], [1.0, 1.0], trim)
 
 
 # --- dare -----------------------------------------------------------------

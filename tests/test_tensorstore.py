@@ -1,5 +1,8 @@
 import json
+import os
 import struct
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -134,6 +137,99 @@ def test_duplicate_header_keys_rejected(tmp_path):
     path.write_bytes(struct.pack("<Q", len(body)) + body + b"\0" * 64)
     with pytest.raises(ContainerError, match=r"dup\.tensors: duplicate header key 'layer\.1\.weight'"):
         read_container(path)
+
+
+@pytest.mark.parametrize("header, payload, message", [
+    ({"a": {"dtype": "float64", "shape": [1], "offsets": [8, 16]}}, b"\0" * 16,
+     r"payload does not start at offset 0 \('a' begins at 8\)"),
+    ({"a": {"dtype": "float64", "shape": [1], "offsets": [0, 8]},
+      "b": {"dtype": "float64", "shape": [1], "offsets": [16, 24]}}, b"\0" * 24,
+     r"gap of 8 bytes between 'a' and 'b'"),
+    ({"a": {"dtype": "float64", "shape": [1], "offsets": [0, 8]}}, b"\0" * 8 + b"TRAILING",
+     r"8 trailing bytes after the last tensor"),
+    ({}, b"TRAILING", r"8 trailing bytes after the last tensor"),
+], ids=["leading-gap", "inner-gap", "trailing-bytes", "trailing-bytes-no-tensors"])
+def test_payload_must_be_dense(tmp_path, header, payload, message):
+    path = tmp_path / "sparse.tensors"
+    path.write_bytes(_raw_container(header, payload))
+    with pytest.raises(ContainerError, match=r"sparse\.tensors: " + message):
+        read_container(path)
+
+
+def test_written_container_with_zero_size_tensors_loads(tmp_path):
+    tensors = [Tensor("a", np.zeros((0,))), Tensor("b", np.arange(3.0)),
+               Tensor("c", np.zeros((2, 0), dtype=np.float32)), Tensor("d", np.ones((2, 2)))]
+    path = tmp_path / "dense.tensors"
+    write_container(path, tensors)
+    out = read_container(path)
+    assert [(t.name, t.shape, t.dtype) for t in out] == [(t.name, t.shape, t.dtype) for t in tensors]
+    for got, want in zip(out, tensors):
+        np.testing.assert_array_equal(got.data, want.data)
+
+
+@dataclass(frozen=True)
+class _FailingTensor:
+    """Header fields of a float64 vector whose payload cannot be produced."""
+
+    name: str = "zz"
+    dtype: str = "float64"
+    shape: tuple = (4,)
+
+    @property
+    def data(self):
+        raise OSError("disk full")
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    path = tmp_path / "out.tensors"
+    with pytest.raises(OSError, match="disk full"):
+        write_container(path, [Tensor("a", np.arange(4.0)), _FailingTensor()])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_keeps_existing_target(tmp_path):
+    path = tmp_path / "out.tensors"
+    write_container(path, [Tensor("a", np.arange(4.0))])
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="disk full"):
+        write_container(path, [Tensor("a", np.arange(8.0)), _FailingTensor()])
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_through_symlink_keeps_link(tmp_path):
+    real = tmp_path / "real.tensors"
+    write_container(real, [Tensor("a", np.arange(2.0))])
+    link = tmp_path / "link.tensors"
+    link.symlink_to(real)
+    write_container(link, [Tensor("a", np.arange(4.0))])
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    np.testing.assert_array_equal(read_container(real)[0].data, np.arange(4.0))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tensors", "real.tensors"]
+
+
+def test_write_to_pipe_writes_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    write_container(fifo, [Tensor("a", np.arange(2.0))])
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    path = tmp_path / "file.tensors"
+    write_container(path, [Tensor("a", np.arange(2.0))])
+    assert received == [path.read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file.tensors", "pipe"]
+
+
+def test_written_file_mode_follows_umask(tmp_path):
+    plain = tmp_path / "plain"
+    with open(plain, "w"):
+        pass
+    path = tmp_path / "out.tensors"
+    write_container(path, [Tensor("a", np.arange(4.0))])
+    assert os.stat(path).st_mode == os.stat(plain).st_mode
 
 
 names = st.text(alphabet="abcdefgxyz._0123456789", min_size=1, max_size=12)

@@ -15,12 +15,17 @@ def normalize(weights, target):
     return [w * (target / total) for w in weights]
 
 
-def trim_matrix(flat, trim_fraction):
+def kept_indices(flat, trim_fraction):
+    """Flat indices that trimming keeps."""
     n = len(flat)
     keep = max(1, math.floor(trim_fraction * n + 1e-9))
     order = sorted(range(n), key=lambda i: (-abs(flat[i]), i))
-    kept = set(order[:keep])
-    return [flat[i] if i in kept else 0.0 for i in range(n)]
+    return set(order[:keep])
+
+
+def trim_matrix(flat, trim_fraction):
+    kept = kept_indices(flat, trim_fraction)
+    return [flat[i] if i in kept else 0.0 for i in range(len(flat))]
 
 
 def ties_reference(mats, weights, trim_fraction, weight_sum_target=None):
