@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import ZERO_NORM, cosine, principal_angles
+from .linalg import ZERO_NORM, _basis_angles, cosine, orthonormal_basis
 from .pivot import PivotConfig, decompose_layer, task_vectors
 from .tensorstore import ProjectorCheckpoint, atomic_write
 
@@ -47,28 +47,31 @@ def residual_similarity(residuals: Sequence) -> np.ndarray:
 def pairwise_principal_angles(sources: Sequence) -> np.ndarray:
     """Symmetric matrix of mean principal angles between column spaces.
 
-    Zero-matrix inputs produce NaN rows/columns with a warning; the diagonal
-    is 0 for valid inputs.
+    Each non-zero source is orthonormalized once and its basis reused for
+    every pair. Zero-matrix inputs produce NaN rows/columns with a warning;
+    the diagonal is 0 for valid inputs.
     """
     if len(sources) < 2:
         raise ValueError("need at least two subspace sources")
     mats = [np.asarray(m, dtype=np.float64) for m in sources]
     n = len(mats)
     out = np.zeros((n, n))
-    valid = []
+    bases = []
     for i, m in enumerate(mats):
-        is_valid = np.linalg.norm(m) >= ZERO_NORM
-        if not is_valid:
+        if np.linalg.norm(m) >= ZERO_NORM:
+            bases.append(orthonormal_basis(m))
+        else:
             warnings.warn(f"subspace source {i} is zero; its angles are reported as NaN")
             out[i, :] = np.nan
             out[:, i] = np.nan
-        valid.append(is_valid)
+            bases.append(None)
     for i in range(n):
-        if valid[i]:
-            out[i, i] = 0.0
+        if bases[i] is None:
+            continue
+        out[i, i] = 0.0
         for j in range(i + 1, n):
-            if valid[i] and valid[j]:
-                out[i, j] = out[j, i] = float(np.mean(principal_angles(mats[i], mats[j])))
+            if bases[j] is not None:
+                out[i, j] = out[j, i] = float(np.mean(_basis_angles(bases[i], bases[j])))
     return out
 
 

@@ -100,19 +100,27 @@ def orthonormal_basis(mat) -> np.ndarray:
     return factors.u[:, :rank]
 
 
+def _basis_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Principal angles (degrees, ascending) between two orthonormal bases.
+
+    `qa` and `qb` must have orthonormal columns, as `orthonormal_basis`
+    returns them; returns min(qa.shape[1], qb.shape[1]) angles. Raises
+    ValueError for mismatched ambient dimensions.
+    """
+    if qa.shape[0] != qb.shape[0]:
+        raise ValueError(f"ambient dimension mismatch: {qa.shape[0]} vs {qb.shape[0]}")
+    s = np.linalg.svd(qa.T @ qb, compute_uv=False)
+    s = np.clip(s, 0.0, 1.0)
+    return np.degrees(np.arccos(s))
+
+
 def principal_angles(a, b) -> np.ndarray:
     """Principal angles (degrees, ascending) between the column spaces of a and b.
 
     Both inputs are orthonormalized first; returns min(rank(a), rank(b)) angles.
     Raises ValueError for zero matrices or mismatched ambient dimensions.
     """
-    qa = orthonormal_basis(a)
-    qb = orthonormal_basis(b)
-    if qa.shape[0] != qb.shape[0]:
-        raise ValueError(f"ambient dimension mismatch: {qa.shape[0]} vs {qb.shape[0]}")
-    s = np.linalg.svd(qa.T @ qb, compute_uv=False)
-    s = np.clip(s, 0.0, 1.0)
-    return np.degrees(np.arccos(s))
+    return _basis_angles(orthonormal_basis(a), orthonormal_basis(b))
 
 
 def sigmoid(x) -> np.ndarray:

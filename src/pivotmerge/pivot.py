@@ -135,7 +135,8 @@ def decouple(coeffs: Sequence[np.ndarray], rank: int) -> DecoupledLayer:
     """Split each coefficient block into a rank-`rank` core plus residual.
 
     Ranks beyond min(k, w) are clamped with a warning so small layers still
-    decompose.
+    decompose. At rank min(k, w) the core is the whole block: cores are
+    copies of the blocks and residuals are exact zeros, with no SVD.
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
@@ -146,13 +147,15 @@ def decouple(coeffs: Sequence[np.ndarray], rank: int) -> DecoupledLayer:
         zero = tuple(np.zeros((k, w)) for _ in blocks)
         return DecoupledLayer(cores=zero, residuals=tuple(b.copy() for b in blocks),
                               effective_rank=0)
-    eff = rank
     if rank > max_rank:
         warnings.warn(f"rank {rank} exceeds block rank limit {max_rank}; clamping")
-        eff = max_rank
-    cores = tuple(truncate_rank(b, eff) for b in blocks)
+    if rank >= max_rank:
+        return DecoupledLayer(cores=tuple(b.copy() for b in blocks),
+                              residuals=tuple(np.zeros((k, w)) for _ in blocks),
+                              effective_rank=max_rank)
+    cores = tuple(truncate_rank(b, rank) for b in blocks)
     residuals = tuple(b - a for b, a in zip(blocks, cores))
-    return DecoupledLayer(cores=cores, residuals=residuals, effective_rank=eff)
+    return DecoupledLayer(cores=cores, residuals=residuals, effective_rank=rank)
 
 
 def filter_residuals(residuals: Sequence[np.ndarray], gamma: float, rho: float

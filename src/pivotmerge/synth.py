@@ -110,7 +110,10 @@ def generate(spec: SynthSpec
         core = (left @ right) * (std / np.sqrt(spec.core_rank))
         common = gen.standard_normal((d_out, width)) * std
         base_layers.append(_split_aug(base_mat))
-        core_bases.append(orthonormal_basis(core))
+        # span(core) = q @ span(r @ right): a basis from the small factors
+        # instead of an SVD of the full (d_out, width) core
+        q, r = np.linalg.qr(left)
+        core_bases.append(q @ orthonormal_basis(r @ right))
         for ei in range(spec.experts):
             private = gen.standard_normal((d_out, width)) * std
             residual = spec.residual_scale * (frac * common + (1.0 - frac) * private)

@@ -17,7 +17,9 @@ from pivotmerge import (
     pivot_merge,
     residual_similarity,
 )
+from pivotmerge import analysis
 from pivotmerge.analysis import collect_coefficients, collect_residuals, write_matrix_csv
+from pivotmerge.linalg import ZERO_NORM, principal_angles
 
 
 def test_residual_similarity_identical(rng):
@@ -65,6 +67,59 @@ def test_pairwise_angles_zero_input_flagged():
         out = pairwise_principal_angles([np.zeros((3, 2)), np.eye(3)])
     assert np.isnan(out[0, 1]) and np.isnan(out[0, 0])
     assert out[1, 1] == 0.0
+
+
+def per_pair_angles(sources):
+    """Reference: one principal_angles call per pair, each orthonormalizing both inputs."""
+    n = len(sources)
+    valid = [np.linalg.norm(m) >= ZERO_NORM for m in sources]
+    out = np.full((n, n), np.nan)
+    for i in range(n):
+        if not valid[i]:
+            continue
+        out[i, i] = 0.0
+        for j in range(i + 1, n):
+            if valid[j]:
+                out[i, j] = out[j, i] = float(np.mean(principal_angles(sources[i], sources[j])))
+    return out
+
+
+def subspace_sources(kind, gen):
+    if kind == "random":
+        return [gen.standard_normal((12, w)) for w in (3, 5, 4, 7)]
+    low_rank = [gen.standard_normal((12, r)) @ gen.standard_normal((r, 9)) for r in (2, 3, 5)]
+    if kind == "rank_deficient":
+        return low_rank
+    return low_rank[:1] + [np.zeros((12, 4))] + low_rank[1:]
+
+
+@pytest.mark.parametrize("kind", ["random", "rank_deficient", "zero_source"])
+def test_pairwise_angles_match_per_pair_reference(kind):
+    sources = subspace_sources(kind, np.random.default_rng(21))
+    if kind == "zero_source":
+        with pytest.warns(UserWarning, match="source 1 is zero"):
+            out = pairwise_principal_angles(sources)
+        assert np.all(np.isnan(out[1, :])) and np.all(np.isnan(out[:, 1]))
+    else:
+        out = pairwise_principal_angles(sources)
+    np.testing.assert_array_equal(out, per_pair_angles(sources))
+
+
+def test_pairwise_angles_orthonormalize_each_source_once(monkeypatch):
+    calls = []
+    real = analysis.orthonormal_basis
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(analysis, "orthonormal_basis", counting)
+    sources = subspace_sources("zero_source", np.random.default_rng(22))
+    with pytest.warns(UserWarning, match="zero"):
+        pairwise_principal_angles(sources)
+    assert len(calls) == 3
+    for called, source in zip(calls, [sources[0], sources[2], sources[3]]):
+        np.testing.assert_array_equal(called, source)
 
 
 def test_model_subspace_requires_uniform_rows():

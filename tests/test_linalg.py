@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pivotmerge import cosine, orthonormal_basis, principal_angles, thin_svd, truncate_rank
-from pivotmerge.linalg import sigmoid
+from pivotmerge.linalg import _basis_angles, sigmoid
 
 
 def random_matrix(seed, m, n, rank=None):
@@ -175,6 +175,13 @@ def test_principal_angles_symmetric_and_basis_invariant(seed):
 def test_principal_angles_zero_matrix():
     with pytest.raises(ValueError):
         principal_angles(np.zeros((3, 2)), np.eye(3))
+
+
+def test_basis_angles_rejects_ambient_mismatch():
+    qa = orthonormal_basis(random_matrix(14, 6, 2))
+    qb = orthonormal_basis(random_matrix(15, 5, 2))
+    with pytest.raises(ValueError, match="ambient dimension mismatch: 6 vs 5"):
+        _basis_angles(qa, qb)
 
 
 def test_orthonormal_basis_detects_rank():

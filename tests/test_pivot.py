@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from pivotmerge import (
     thin_svd,
     truncate_rank,
 )
+from pivotmerge import linalg, pivot
 from pivotmerge.pivot import _merge_one_layer
 from conftest import checkpoint_rel_error, make_checkpoint, rel_error
 from pipeline_oracle import reference_pivot_merge
@@ -101,10 +104,46 @@ def test_joint_decompose_all_zero_flagged():
 # --- decoupling --------------------------------------------------------------
 
 
-def test_decouple_full_rank_residual_zero(rng):
-    block = rng.standard_normal((4, 3))
-    dec = decouple([block], rank=3)
-    assert np.linalg.norm(dec.residuals[0]) <= 1e-10
+def forbid_svd(monkeypatch):
+    def fail(mat):
+        raise AssertionError("thin_svd called")
+
+    monkeypatch.setattr(linalg, "thin_svd", fail)
+
+
+def assert_whole_block_cores(blocks, dec):
+    for block, core, resid in zip(blocks, dec.cores, dec.residuals):
+        np.testing.assert_array_equal(core, block)
+        assert core is not block and not np.shares_memory(core, block)
+        assert resid.shape == block.shape and not resid.any()
+
+
+def test_decouple_full_rank_residual_zero(rng, monkeypatch):
+    # rank == min(k, w): the core is the whole block, with no SVD and no warning
+    forbid_svd(monkeypatch)
+    blocks = [rng.standard_normal((4, 3)), rng.standard_normal((4, 3))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = decouple(blocks, rank=3)
+    assert dec.effective_rank == 3
+    assert_whole_block_cores(blocks, dec)
+
+
+def test_decouple_below_full_rank_truncates(rng, monkeypatch):
+    calls = []
+    real = pivot.truncate_rank
+
+    def counting(block, rank):
+        calls.append(rank)
+        return real(block, rank)
+
+    monkeypatch.setattr(pivot, "truncate_rank", counting)
+    blocks = [rng.standard_normal((5, 4)) for _ in range(3)]
+    dec = decouple(blocks, rank=3)
+    assert calls == [3, 3, 3]
+    assert dec.effective_rank == 3
+    for block, core in zip(blocks, dec.cores):
+        np.testing.assert_array_equal(core, truncate_rank(block, 3))
 
 
 def test_decouple_diagonal_example():
@@ -123,11 +162,14 @@ def test_decouple_exact_split_and_rank(rng):
         assert np.sum(s > 1e-10 * s[0]) <= 2
 
 
-def test_decouple_clamps_rank_with_warning(rng):
-    blocks = [rng.standard_normal((4, 3))]
-    with pytest.warns(UserWarning, match="clamp"):
-        dec = decouple(blocks, rank=64)
-    assert dec.effective_rank == 3
+def test_decouple_clamps_rank_with_warning(rng, monkeypatch):
+    forbid_svd(monkeypatch)
+    for shape in [(4, 3), (3, 4)]:
+        blocks = [rng.standard_normal(shape), rng.standard_normal(shape)]
+        with pytest.warns(UserWarning, match="clamp"):
+            dec = decouple(blocks, rank=64)
+        assert dec.effective_rank == 3
+        assert_whole_block_cores(blocks, dec)
 
 
 # --- residual filtering -------------------------------------------------------

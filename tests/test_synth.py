@@ -10,7 +10,9 @@ from pivotmerge import (
     generate,
     load_ground_truth,
     merge_checkpoint_deltas,
+    orthonormal_basis,
     pivot_merge,
+    principal_angles,
     recovery_score,
 )
 from pivotmerge.synth import expert_id, ground_truth_tensors
@@ -81,6 +83,20 @@ def test_delta_cosine_strictly_between_zero_and_one():
             for i in range(5) for j in range(i + 1, 5)]
     mean = np.mean(sims)
     assert 0.0 < mean < 1.0
+
+
+@pytest.mark.parametrize("chain,core_rank", [((8, 16, 16), 2), ((2, 8), 4)])
+def test_core_basis_spans_planted_core(chain, core_rank):
+    # with no residual and no noise every expert's delta is the planted core
+    spec = spec_from(chain=chain, core_rank=core_rank, residual_scale=0.0)
+    base, experts, cores = generate(spec)
+    for layer, base_layer, q in zip(experts[0].layers, base.layers, cores):
+        core = augment(layer).matrix - augment(base_layer).matrix
+        reference = orthonormal_basis(core)
+        assert q.shape == reference.shape
+        assert q.shape[1] == min(core_rank, *core.shape)
+        np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-12)
+        assert np.max(principal_angles(q, reference)) <= 1e-5
 
 
 def test_ground_truth_tensors_roundtrip():
