@@ -60,7 +60,6 @@ from .scores import (
 )
 from .synth import SynthSpec, generate, load_ground_truth, recovery_score
 from .tensorstore import (
-    AugmentedLayer,
     ContainerError,
     Layer,
     ProjectorCheckpoint,

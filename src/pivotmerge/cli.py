@@ -33,12 +33,6 @@ METHODS = ("average", "task-arithmetic", "ties", "dare-ties", "pivot")
 INNER_METHODS = ("average", "task-arithmetic", "ties", "dare-ties")
 ANALYZE_MODES = ("residual-sim", "principal-angles", "layer-weights")
 
-_KIND_BY_METHOD = {
-    "average": "weight_average",
-    "task-arithmetic": "task_arithmetic",
-    "ties": "ties",
-    "dare-ties": "dare_ties",
-}
 # Baseline TIES trims at 0.2 by default; inside the pivot pipeline the inner
 # operator keeps everything unless --trim says otherwise.
 BASELINE_TRIM = 0.2
@@ -130,14 +124,13 @@ def _check_pipeline_flags(parser: argparse.ArgumentParser, args) -> None:
 
 
 def _operator_for(method: str, args, is_inner: bool) -> MergeOperator:
-    kind = _KIND_BY_METHOD[method]
+    if method == "average":
+        return MergeOperator.average()
+    if method == "task-arithmetic":
+        return MergeOperator.arithmetic(args.lam)
     trim_default = PIVOT_INNER_TRIM if is_inner else BASELINE_TRIM
     trim = args.trim if args.trim is not None else trim_default
-    if kind == "weight_average":
-        return MergeOperator.average()
-    if kind == "task_arithmetic":
-        return MergeOperator.arithmetic(args.lam)
-    if kind == "ties":
+    if method == "ties":
         return MergeOperator.ties(trim)
     return MergeOperator.dare_ties(trim, args.drop, args.seed)
 

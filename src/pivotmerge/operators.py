@@ -2,9 +2,9 @@
 
 All operators consume a list of equal-shape float64 matrices (task-vector
 deltas) plus per-input weights. `merge_weighted` first rescales the weights
-to a fixed sum (`weight_sum_target`, default N, which keeps the overall
-parameter magnitude after merging unchanged) and then applies the selected
-operator. A single input is always returned unchanged.
+to sum to N, which keeps the overall parameter magnitude after merging
+unchanged, and then applies the selected operator. A single input is always
+returned unchanged.
 
 TIES semantics, pinned for reproducibility:
 
@@ -49,12 +49,11 @@ class MergeOperator:
     scale: float | None = None
     drop_rate: float | None = None
     seed: int | None = None
-    weight_sum_target: float | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}, expected one of {KINDS}")
-        needs_trim = self.kind in ("ties", "dare_ties")
+        needs_trim = self.magnitude_based
         needs_scale = self.kind == "task_arithmetic"
         needs_drop = self.kind == "dare_ties"
         if needs_trim:
@@ -75,26 +74,28 @@ class MergeOperator:
         else:
             if self.drop_rate is not None or self.seed is not None:
                 raise ValueError(f"drop_rate/seed are not parameters of {self.kind}")
-        if self.weight_sum_target is not None and not self.weight_sum_target > 0.0:
-            raise ValueError(f"weight_sum_target must be positive, got {self.weight_sum_target}")
+
+    @property
+    def magnitude_based(self) -> bool:
+        """True for the operators that trim and elect by magnitude (ties, dare_ties)."""
+        return self.kind in ("ties", "dare_ties")
 
     @staticmethod
-    def average(weight_sum_target: float | None = None) -> "MergeOperator":
-        return MergeOperator(kind="weight_average", weight_sum_target=weight_sum_target)
+    def average() -> "MergeOperator":
+        return MergeOperator(kind="weight_average")
 
     @staticmethod
-    def arithmetic(scale: float, weight_sum_target: float | None = None) -> "MergeOperator":
-        return MergeOperator(kind="task_arithmetic", scale=scale, weight_sum_target=weight_sum_target)
+    def arithmetic(scale: float) -> "MergeOperator":
+        return MergeOperator(kind="task_arithmetic", scale=scale)
 
     @staticmethod
-    def ties(trim_fraction: float, weight_sum_target: float | None = None) -> "MergeOperator":
-        return MergeOperator(kind="ties", trim_fraction=trim_fraction, weight_sum_target=weight_sum_target)
+    def ties(trim_fraction: float) -> "MergeOperator":
+        return MergeOperator(kind="ties", trim_fraction=trim_fraction)
 
     @staticmethod
-    def dare_ties(trim_fraction: float, drop_rate: float, seed: int = 0,
-                  weight_sum_target: float | None = None) -> "MergeOperator":
+    def dare_ties(trim_fraction: float, drop_rate: float, seed: int = 0) -> "MergeOperator":
         return MergeOperator(kind="dare_ties", trim_fraction=trim_fraction,
-                             drop_rate=drop_rate, seed=seed, weight_sum_target=weight_sum_target)
+                             drop_rate=drop_rate, seed=seed)
 
 
 def _as_stack(mats: Sequence) -> list[np.ndarray]:
@@ -119,11 +120,10 @@ def _validated_weights(weights: Sequence[float], n: int) -> np.ndarray:
     return w
 
 
-def normalize_weights(weights: Sequence[float], n: int, target: float | None = None) -> np.ndarray:
-    """Rescale non-negative weights so they sum to `target` (default n)."""
+def normalize_weights(weights: Sequence[float], n: int) -> np.ndarray:
+    """Rescale non-negative weights so they sum to n."""
     w = _validated_weights(weights, n)
-    goal = float(n) if target is None else float(target)
-    return w * (goal / w.sum())
+    return w * (float(n) / w.sum())
 
 
 def weight_average(mats: Sequence, weights: Sequence[float]) -> np.ndarray:
@@ -212,13 +212,13 @@ def dare(mat, drop_rate: float, seed: int, stream: int = 0) -> np.ndarray:
 
 
 def merge_weighted(op: MergeOperator, mats: Sequence, weights: Sequence[float]) -> np.ndarray:
-    """Normalize weights to the operator's target sum and dispatch.
+    """Normalize weights to sum to N and dispatch.
 
     A single input is returned unchanged regardless of the operator.
     """
     arrs = _as_stack(mats)
     n = len(arrs)
-    w = normalize_weights(weights, n, op.weight_sum_target)
+    w = normalize_weights(weights, n)
     if n == 1:
         return arrs[0].copy()
     if op.kind == "weight_average":
@@ -235,15 +235,14 @@ def merge_weighted(op: MergeOperator, mats: Sequence, weights: Sequence[float]) 
 
 def merge_checkpoint_deltas(experts: Sequence[ProjectorCheckpoint],
                             base: ProjectorCheckpoint,
-                            op: MergeOperator,
-                            weights: Sequence[float] | None = None) -> ProjectorCheckpoint:
-    """Merge expert checkpoints through their augmented task vectors.
+                            op: MergeOperator) -> ProjectorCheckpoint:
+    """Merge expert checkpoints through their augmented task vectors, uniformly weighted.
 
     Experts are processed in lexicographic id order; biases ride along as the
     last column of each layer matrix. Output dtype follows the base.
     """
     ordered = sorted_experts(experts, base)
-    w = [1.0] * len(ordered) if weights is None else list(weights)
+    w = [1.0] * len(ordered)
     merged_layers = [add_delta(layer, merge_weighted(op, layer_deltas(ordered, base, li), w))
                      for li, layer in enumerate(base.layers)]
     return ProjectorCheckpoint(id="merged", layers=tuple(merged_layers), dtype=base.dtype)

@@ -86,11 +86,6 @@ class PivotConfig:
         if self.beta is not None and not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
 
-    @property
-    def use_magnitude_space(self) -> bool:
-        """Spectrum-space merging, exactly for the magnitude-based inner operators."""
-        return self.inner.kind in ("ties", "dare_ties")
-
 
 def task_vectors(experts: Sequence[ProjectorCheckpoint],
                  base: ProjectorCheckpoint) -> list[list[np.ndarray]]:
@@ -212,20 +207,18 @@ def decompose_layer(deltas: Sequence[np.ndarray], config: PivotConfig
 
 
 def merge_layer(shared: SharedSpaceLayer, dec: DecoupledLayer, alphas: Sequence[float],
-                op: MergeOperator, magnitude_space: bool) -> np.ndarray:
+                op: MergeOperator) -> np.ndarray:
     """Merge one layer's cores and filtered residuals into a single coefficient block.
 
     Cores use the per-layer alignment weights; residuals use uniform weights.
-    In magnitude space both branches are scaled row-wise by the spectrum
-    before the operator and un-scaled afterwards (rows with singular value
-    below SPECTRUM_FLOOR come back as zero).
+    For a magnitude-based operator both branches are scaled row-wise by the
+    spectrum before the operator and un-scaled afterwards (rows with singular
+    value below SPECTRUM_FLOOR come back as zero).
     """
-    filtered = dec.filtered if dec.filtered is not None else dec.residuals
-    n = len(dec.cores)
-    uniform = [1.0] * n
+    uniform = [1.0] * len(dec.cores)
     s = shared.s
 
-    if magnitude_space:
+    if op.magnitude_based:
         col = s[:, None]
 
         def unscale(mat):
@@ -235,10 +228,10 @@ def merge_layer(shared: SharedSpaceLayer, dec: DecoupledLayer, alphas: Sequence[
             return out
 
         core_merged = unscale(merge_weighted(op, [col * a for a in dec.cores], alphas))
-        resid_merged = unscale(merge_weighted(op, [col * b for b in filtered], uniform))
+        resid_merged = unscale(merge_weighted(op, [col * b for b in dec.filtered], uniform))
     else:
         core_merged = merge_weighted(op, list(dec.cores), alphas)
-        resid_merged = merge_weighted(op, list(filtered), uniform)
+        resid_merged = merge_weighted(op, list(dec.filtered), uniform)
     return core_merged + resid_merged
 
 
@@ -251,8 +244,7 @@ def reconstruct(shared: SharedSpaceLayer, merged_coeffs: np.ndarray,
 def _merge_one_layer(layer_index: int, deltas: list[np.ndarray], base_layer: Layer,
                      alphas_col: np.ndarray, config: PivotConfig) -> tuple[Layer, dict]:
     shared, dec = decompose_layer(deltas, config)
-    merged_coeffs = merge_layer(shared, dec, alphas_col, config.inner,
-                                config.use_magnitude_space)
+    merged_coeffs = merge_layer(shared, dec, alphas_col, config.inner)
     out_layer = reconstruct(shared, merged_coeffs, base_layer)
     record = {
         "layer": layer_index + 1,
@@ -301,7 +293,7 @@ def pivot_merge(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoin
             "beta": beta,
             "inner": config.inner.kind,
             "trim_fraction": config.inner.trim_fraction,
-            "magnitude_space": config.use_magnitude_space,
+            "magnitude_space": config.inner.magnitude_based,
         },
         "layers": [record for _, record in results],
     }

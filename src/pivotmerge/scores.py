@@ -164,15 +164,14 @@ def read_scores(path) -> ScoreTable:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed score JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: malformed score JSON: {type(exc).__name__}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("experts"), list):
         raise ValueError(f"{path}: expected an object with an 'experts' list")
     if "beta" in doc:
         beta = doc["beta"]
         if not isinstance(beta, (int, float)) or isinstance(beta, bool):
             raise ValueError(f"{path}: beta must be a number, got {beta!r}")
-        beta = float(beta)
     else:
         warnings.warn(f"{path}: no beta in score file, defaulting to {DEFAULT_BETA}")
         beta = DEFAULT_BETA
@@ -185,13 +184,18 @@ def read_scores(path) -> ScoreTable:
                 or any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in values)):
             raise ValueError(f"{path}: expert {entry['id']!r} has invalid scores")
         ids.append(str(entry["id"]))
-        rows.append([float(v) for v in values])
+        rows.append(values)
     if not ids:
         raise ValueError(f"{path}: no experts in score file")
     lengths = {len(r) for r in rows}
     if len(lengths) != 1:
         raise ValueError(f"{path}: ragged score lists, lengths {sorted(lengths)}")
-    return ScoreTable(expert_ids=tuple(ids), scores=np.array(rows), beta=beta)
+    try:
+        return ScoreTable(expert_ids=tuple(ids), scores=np.array(rows, dtype=np.float64),
+                          beta=float(beta))
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: an integer literal beyond the float64 range
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_scores(path, table: ScoreTable) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import orthonormal_basis, principal_angles
 from .rng import philox
-from .tensorstore import Layer, ProjectorCheckpoint, Tensor, augment
+from .tensorstore import Layer, ProjectorCheckpoint, Tensor, augment, split
 
 GROUND_TRUTH_NAME = "layer.{index}.core_basis"
 
@@ -84,10 +84,6 @@ class SynthSpec:
         }
 
 
-def _split_aug(matrix: np.ndarray) -> Layer:
-    return Layer(weight=matrix[:, :-1].copy(), bias=matrix[:, -1].copy())
-
-
 def expert_id(index: int, total: int) -> str:
     width = max(2, len(str(total)))
     return f"expert{index + 1:0{width}d}"
@@ -109,7 +105,7 @@ def generate(spec: SynthSpec
         right = gen.standard_normal((spec.core_rank, width))
         core = (left @ right) * (std / np.sqrt(spec.core_rank))
         common = gen.standard_normal((d_out, width)) * std
-        base_layers.append(_split_aug(base_mat))
+        base_layers.append(split(base_mat, has_bias=True))
         # span(core) = q @ span(r @ right): a basis from the small factors
         # instead of an SVD of the full (d_out, width) core
         q, r = np.linalg.qr(left)
@@ -118,7 +114,7 @@ def generate(spec: SynthSpec
             private = gen.standard_normal((d_out, width)) * std
             residual = spec.residual_scale * (frac * common + (1.0 - frac) * private)
             noise = spec.noise_scale * gen.standard_normal((d_out, width)) * std
-            expert_layers[ei].append(_split_aug(base_mat + core + residual + noise))
+            expert_layers[ei].append(split(base_mat + core + residual + noise, has_bias=True))
     base = ProjectorCheckpoint(id="base", layers=tuple(base_layers), dtype="float64")
     experts = [
         ProjectorCheckpoint(id=expert_id(ei, spec.experts),
@@ -159,7 +155,7 @@ def recovery_score(merged: ProjectorCheckpoint, base: ProjectorCheckpoint,
         raise ValueError("merged and base checkpoints have different layer shapes")
     out = []
     for li in range(base.num_layers):
-        delta = augment(merged.layers[li]).matrix - augment(base.layers[li]).matrix
+        delta = augment(merged.layers[li]) - augment(base.layers[li])
         if np.linalg.norm(delta) < 1e-12:
             warnings.warn(f"layer {li + 1}: merged delta is zero; reporting 90 degrees")
             out.append(90.0)

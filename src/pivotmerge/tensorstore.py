@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import re
 import secrets
@@ -40,11 +41,16 @@ import numpy as np
 
 _DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 _HEADER_LEN = struct.Struct("<Q")
-_LAYER_NAME = re.compile(r"^layer\.(\d+)\.(weight|bias)$")
+_LAYER_NAME = re.compile(r"layer\.([0-9]+)\.(weight|bias)")
 
 
 class ContainerError(ValueError):
     """The file does not conform to the container format."""
+
+
+def _is_count(value) -> bool:
+    """A non-negative JSON integer; JSON booleans are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 @contextlib.contextmanager
@@ -107,7 +113,7 @@ def write_container(path, tensors: Sequence[Tensor]) -> None:
     header: dict[str, dict] = {}
     offset = 0
     for t in ordered:
-        size = int(np.prod(t.shape, dtype=np.int64)) * _DTYPES[t.dtype].itemsize
+        size = t.data.nbytes
         header[t.name] = {
             "dtype": t.dtype,
             "shape": list(t.shape),
@@ -142,8 +148,12 @@ def read_container(path) -> list[Tensor]:
 
     try:
         header = json.loads(body[:header_len].decode("utf-8"), object_pairs_hook=unique_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ContainerError(f"{path}: malformed header: {exc}") from exc
+    except ContainerError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integer literals;
+        # RecursionError comes from deeply nested arrays or objects.
+        raise ContainerError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
     if not isinstance(header, dict):
         raise ContainerError(f"{path}: header must be a JSON object")
     payload = body[header_len:]
@@ -153,17 +163,17 @@ def read_container(path) -> list[Tensor]:
         if not isinstance(meta, dict):
             raise ContainerError(f"{path}: entry {name!r} is not an object")
         dtype = meta.get("dtype")
-        if dtype not in _DTYPES:
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise ContainerError(f"{path}: entry {name!r} has unknown dtype {dtype!r}")
         shape = meta.get("shape")
-        if not isinstance(shape, list) or any(not isinstance(d, int) or d < 0 for d in shape):
+        if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
             raise ContainerError(f"{path}: entry {name!r} has invalid shape {shape!r}")
         offsets = meta.get("offsets")
         if (not isinstance(offsets, list) or len(offsets) != 2
-                or any(not isinstance(o, int) or o < 0 for o in offsets)):
+                or not all(_is_count(o) for o in offsets)):
             raise ContainerError(f"{path}: entry {name!r} has invalid offsets {offsets!r}")
         begin, end = offsets
-        expected = int(np.prod(shape, dtype=np.int64)) * _DTYPES[dtype].itemsize
+        expected = math.prod(shape) * _DTYPES[dtype].itemsize
         if end - begin != expected:
             raise ContainerError(
                 f"{path}: entry {name!r} byte range {end - begin} does not match shape (expected {expected})")
@@ -186,7 +196,11 @@ def read_container(path) -> list[Tensor]:
 
     out = []
     for name, dtype, shape, begin, end in entries:
-        arr = np.frombuffer(payload[begin:end], dtype=_DTYPES[dtype]).reshape(shape)
+        try:
+            arr = np.frombuffer(payload[begin:end], dtype=_DTYPES[dtype]).reshape(shape)
+        except ValueError as exc:
+            # Zero-size shapes with huge or too many dimensions pass the byte-size check.
+            raise ContainerError(f"{path}: entry {name!r} has shape {shape} numpy cannot hold: {exc}") from exc
         out.append(Tensor(name=name, data=arr.astype(arr.dtype.newbyteorder("="))))
     return out
 
@@ -223,34 +237,26 @@ class Layer:
         return self.weight.shape[1]
 
 
-@dataclass(frozen=True)
-class AugmentedLayer:
-    """Layer with the bias folded in as the last matrix column (when present)."""
-
-    matrix: np.ndarray
-    had_bias: bool
-
-
-def augment(layer: Layer) -> AugmentedLayer:
-    """Append the bias as the last column of the weight matrix."""
+def augment(layer: Layer) -> np.ndarray:
+    """The weight matrix with the bias appended as the last column (when present)."""
     if layer.bias is None:
-        return AugmentedLayer(matrix=layer.weight.copy(), had_bias=False)
-    return AugmentedLayer(matrix=np.hstack([layer.weight, layer.bias[:, None]]), had_bias=True)
+        return layer.weight.copy()
+    return np.hstack([layer.weight, layer.bias[:, None]])
 
 
-def split(aug: AugmentedLayer) -> Layer:
+def split(matrix: np.ndarray, has_bias: bool) -> Layer:
     """Exact inverse of augment: separate the bias column back out."""
-    if not aug.had_bias:
-        return Layer(weight=aug.matrix.copy(), bias=None)
-    return Layer(weight=aug.matrix[:, :-1].copy(), bias=aug.matrix[:, -1].copy())
+    if not has_bias:
+        return Layer(weight=matrix.copy())
+    return Layer(weight=matrix[:, :-1].copy(), bias=matrix[:, -1].copy())
 
 
 def add_delta(layer: Layer, delta: np.ndarray) -> Layer:
     """The layer plus an augmented delta (bias as the last column), split back out."""
-    aug = augment(layer)
-    if delta.shape != aug.matrix.shape:
-        raise ValueError(f"delta shape {delta.shape} does not match layer {aug.matrix.shape}")
-    return split(AugmentedLayer(matrix=aug.matrix + delta, had_bias=aug.had_bias))
+    matrix = augment(layer)
+    if delta.shape != matrix.shape:
+        raise ValueError(f"delta shape {delta.shape} does not match layer {matrix.shape}")
+    return split(matrix + delta, layer.bias is not None)
 
 
 @dataclass(frozen=True)
@@ -318,8 +324,8 @@ def sorted_experts(experts: Sequence[ProjectorCheckpoint],
 def layer_deltas(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
                  layer_index: int) -> list[np.ndarray]:
     """Augmented deltas (expert minus base) of one 0-based layer, in the given expert order."""
-    base_mat = augment(base.layers[layer_index]).matrix
-    return [augment(ck.layers[layer_index]).matrix - base_mat for ck in experts]
+    base_mat = augment(base.layers[layer_index])
+    return [augment(ck.layers[layer_index]) - base_mat for ck in experts]
 
 
 def load_checkpoint(path, checkpoint_id: str | None = None) -> ProjectorCheckpoint:
@@ -329,11 +335,14 @@ def load_checkpoint(path, checkpoint_id: str | None = None) -> ProjectorCheckpoi
     biases: dict[int, Tensor] = {}
     dtypes = set()
     for name, tensor in tensors.items():
-        m = _LAYER_NAME.match(name)
+        m = _LAYER_NAME.fullmatch(name)
         if m is None:
             raise ValueError(f"{path}: unexpected tensor name {name!r} in checkpoint")
         idx, kind = int(m.group(1)), m.group(2)
-        (weights if kind == "weight" else biases)[idx] = tensor
+        slot = weights if kind == "weight" else biases
+        if idx in slot:
+            raise ValueError(f"{path}: {slot[idx].name!r} and {name!r} are both layer.{idx}.{kind}")
+        slot[idx] = tensor
         dtypes.add(tensor.dtype)
     if not weights:
         raise ValueError(f"{path}: checkpoint contains no layer weights")
@@ -360,9 +369,16 @@ def load_checkpoint(path, checkpoint_id: str | None = None) -> ProjectorCheckpoi
                 raise ValueError(
                     f"{path}: layer.{i}.bias has shape {bt.shape}, expected ({wt.shape[0]},)")
             bias = bt.data
-        layers.append(Layer(weight=wt.data, bias=bias))
+        try:
+            layer = Layer(weight=wt.data, bias=bias)
+        except ValueError as exc:
+            raise ValueError(f"{path}: layer.{i}: {exc}") from exc
+        layers.append(layer)
     ckpt_id = checkpoint_id if checkpoint_id is not None else Path(path).stem
-    return ProjectorCheckpoint(id=ckpt_id, layers=tuple(layers), dtype=dtypes.pop())
+    try:
+        return ProjectorCheckpoint(id=ckpt_id, layers=tuple(layers), dtype=dtypes.pop())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_checkpoint(path, ckpt: ProjectorCheckpoint) -> None:

@@ -63,8 +63,7 @@ def test_cancellation():
 
 def test_zero_weight_excluded(rng):
     a, b = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
-    out = merge_weighted(MergeOperator(kind="weight_average", weight_sum_target=2.0),
-                         [a, b], [2.0, 0.0])
+    out = merge_weighted(MergeOperator.average(), [a, b], [2.0, 0.0])
     np.testing.assert_allclose(out, a)
 
 

@@ -44,8 +44,8 @@ def test_task_vectors_roundtrip(rng):
     from pivotmerge import augment
     deltas = task_vectors([expert], base)
     for li, layer in enumerate(deltas):
-        np.testing.assert_allclose(augment(base.layers[li]).matrix + layer[0],
-                                   augment(expert.layers[li]).matrix, atol=1e-15)
+        np.testing.assert_allclose(augment(base.layers[li]) + layer[0],
+                                   augment(expert.layers[li]), atol=1e-15)
 
 
 def test_task_vectors_zero_base_equals_augmented_experts(rng):
@@ -56,7 +56,7 @@ def test_task_vectors_zero_base_equals_augmented_experts(rng):
         for l in expert.layers))
     deltas = task_vectors([expert], zero_base)
     for li, layer in enumerate(deltas):
-        np.testing.assert_array_equal(layer[0], augment(expert.layers[li]).matrix)
+        np.testing.assert_array_equal(layer[0], augment(expert.layers[li]))
 
 
 def test_task_vectors_shape_mismatch(rng):
@@ -265,7 +265,7 @@ def test_merge_layer_single_expert_passthrough(rng):
     dec = decouple(shared.coeffs, 2)
     from dataclasses import replace
     dec = replace(dec, filtered=dec.residuals)
-    merged = merge_layer(shared, dec, [1.0], MergeOperator.ties(1.0), magnitude_space=True)
+    merged = merge_layer(shared, dec, [1.0], MergeOperator.ties(1.0))
     np.testing.assert_allclose(merged, shared.coeffs[0], atol=1e-10)
 
 
@@ -279,14 +279,13 @@ def test_merge_layer_identical_experts(rng):
     filtered, mask, consist, tau = filter_residuals(dec.residuals, 20.0, 0.5)
     from dataclasses import replace
     dec = replace(dec, filtered=filtered, mask=mask, consistencies=consist, tau=tau)
-    merged = merge_layer(shared, dec, [1 / 3] * 3, MergeOperator.ties(1.0), True)
+    merged = merge_layer(shared, dec, [1 / 3] * 3, MergeOperator.ties(1.0))
     assert rel_error((shared.u * shared.s) @ merged, d) <= 1e-8
 
 
 def test_merge_layer_linear_inner_is_mean(rng):
     shared, dec = _decomposed_layer(rng)
-    merged = merge_layer(shared, dec, [1 / 3] * 3, MergeOperator.average(),
-                         magnitude_space=False)
+    merged = merge_layer(shared, dec, [1 / 3] * 3, MergeOperator.average())
     expected = np.mean([a + b for a, b in zip(dec.cores, dec.filtered)], axis=0)
     np.testing.assert_allclose(merged, expected, atol=1e-12)
 
@@ -412,8 +411,8 @@ def test_pivot_config_validation():
         PivotConfig(rho=1.0)
     with pytest.raises(ValueError):
         PivotConfig(beta=-0.1)
-    assert PivotConfig().use_magnitude_space  # ties default
-    assert not PivotConfig(inner=MergeOperator.average()).use_magnitude_space
+    assert PivotConfig().inner.magnitude_based  # ties default
+    assert not PivotConfig(inner=MergeOperator.average()).inner.magnitude_based
 
 
 def test_mask_values_strictly_positive(rng):

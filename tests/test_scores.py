@@ -152,6 +152,27 @@ def test_scores_malformed_json(tmp_path):
         read_scores(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"beta": 0.05, "experts": [{"id": "a", "scores": [NaN]}]}', "scores contain NaN or Inf"),
+    ('{"beta": 0.05, "experts": [{"id": "a", "scores": [-Infinity]}]}', "scores contain NaN or Inf"),
+    ('{"beta": 0, "experts": [{"id": "a", "scores": [0.5]}]}', "beta must be positive"),
+    ('{"beta": NaN, "experts": [{"id": "a", "scores": [0.5]}]}', "beta must be positive"),
+    ('{"beta": 0.05, "experts": [{"id": "a", "scores": [0.5]}, {"id": "a", "scores": [0.1]}]}',
+     "expert ids must be unique"),
+    ('{"beta": 0.05, "experts": [{"id": "a", "scores": [1' + "0" * 400 + ']}]}',
+     "int too large to convert to float"),
+    ('{"beta": 1' + "0" * 400 + ', "experts": [{"id": "a", "scores": [0.5]}]}',
+     "int too large to convert to float"),
+    ("[" * 200_000, "malformed score JSON: RecursionError"),
+], ids=["nan-score", "inf-score", "zero-beta", "nan-beta", "duplicate-ids", "huge-score",
+        "huge-beta", "deep-nesting"])
+def test_bad_score_file_error_names_path(tmp_path, text, message):
+    path = tmp_path / "bad_scores.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"bad_scores\.json: " + message):
+        read_scores(path)
+
+
 def test_score_table_validation():
     with pytest.raises(ValueError):
         ScoreTable(expert_ids=("a", "a"), scores=np.zeros((2, 1)))

@@ -76,7 +76,7 @@ def test_delta_cosine_strictly_between_zero_and_one():
     base, experts, _ = generate(spec)
     flat = []
     for ck in experts:
-        parts = [augment(l).matrix - augment(b).matrix
+        parts = [augment(l) - augment(b)
                  for l, b in zip(ck.layers, base.layers)]
         flat.append(np.concatenate([p.ravel() for p in parts]))
     sims = [cosine(flat[i], flat[j])
@@ -91,7 +91,7 @@ def test_core_basis_spans_planted_core(chain, core_rank):
     spec = spec_from(chain=chain, core_rank=core_rank, residual_scale=0.0)
     base, experts, cores = generate(spec)
     for layer, base_layer, q in zip(experts[0].layers, base.layers, cores):
-        core = augment(layer).matrix - augment(base_layer).matrix
+        core = augment(layer) - augment(base_layer)
         reference = orthonormal_basis(core)
         assert q.shape == reference.shape
         assert q.shape[1] == min(core_rank, *core.shape)

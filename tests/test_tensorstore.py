@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pivotmerge import (
-    AugmentedLayer,
     ContainerError,
     Layer,
     ProjectorCheckpoint,
@@ -268,6 +267,103 @@ def test_roundtrip_property(tmp_path_factory, tensors):
         np.testing.assert_array_equal(got.data, want.data)
 
 
+# --- hostile headers -----------------------------------------------------
+
+
+@pytest.mark.parametrize("meta, message", [
+    ({"dtype": "float32", "shape": [True, 2], "offsets": [0, 8]}, "invalid shape"),
+    ({"dtype": "float32", "shape": [2], "offsets": [False, 8]}, "invalid offsets"),
+    ({"dtype": "float32", "shape": [2**70, 0], "offsets": [0, 0]}, "numpy cannot hold"),
+    ({"dtype": "float32", "shape": [2**62, 4], "offsets": [0, 0]}, "does not match shape"),
+    ({"dtype": "float32", "shape": [2**62, 0], "offsets": [0, 0]}, "numpy cannot hold"),
+    ({"dtype": "float32", "shape": [0] * 65, "offsets": [0, 0]}, "numpy cannot hold"),
+    ({"dtype": ["float32"], "shape": [2], "offsets": [0, 8]}, "unknown dtype"),
+], ids=["bool-dim", "bool-offset", "dim-beyond-int64", "size-wraps-int64",
+        "zero-size-too-big", "too-many-dims", "list-dtype"])
+def test_hostile_entry_is_container_error(tmp_path, meta, message):
+    path = tmp_path / "hostile.tensors"
+    payload = b"\0" * meta["offsets"][1]
+    path.write_bytes(_raw_container({"w": meta}, payload))
+    with pytest.raises(ContainerError, match=r"hostile\.tensors: entry 'w' .*" + message):
+        read_container(path)
+
+
+def test_deeply_nested_header_is_container_error(tmp_path):
+    path = tmp_path / "deep.tensors"
+    body = b"[" * 200_000
+    path.write_bytes(struct.pack("<Q", len(body)) + body)
+    with pytest.raises(ContainerError, match=r"deep\.tensors: malformed header: RecursionError"):
+        read_container(path)
+
+
+def _header_and_payload(blob: bytes) -> tuple[dict, bytes]:
+    (length,) = struct.unpack_from("<Q", blob)
+    return json.loads(blob[8:8 + length]), blob[8 + length:]
+
+
+_HOSTILE_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(min_value=2**31, max_value=2**80),
+    st.integers(min_value=-2**70, max_value=-1),
+    st.floats(),
+    st.text(max_size=4),
+    st.none(),
+    st.integers(min_value=1, max_value=2000).map(lambda d: [0] * d),
+)
+
+
+@st.composite
+def corrupted_checkpoints(draw, blob: bytes):
+    """A valid checkpoint, truncated, bit-flipped, or with one header field replaced."""
+    how = draw(st.sampled_from(["truncate", "flip", "field", "dim", "nest"]))
+    if how == "truncate":
+        return blob[:draw(st.integers(min_value=0, max_value=len(blob) - 1))]
+    if how == "flip":
+        bit = draw(st.integers(min_value=0, max_value=8 * len(blob) - 1))
+        out = bytearray(blob)
+        out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+    header, payload = _header_and_payload(blob)
+    if how == "nest":
+        depth = draw(st.integers(min_value=1, max_value=200_000))
+        body = ("[" * depth + "]" * depth).encode()
+        return struct.pack("<Q", len(body)) + body + payload
+    meta = header[draw(st.sampled_from(sorted(header)))]
+    key = draw(st.sampled_from(["dtype", "shape", "offsets"]))
+    value = draw(_HOSTILE_VALUES)
+    if how == "dim" and isinstance(meta[key], list):
+        meta[key][draw(st.integers(min_value=0, max_value=len(meta[key]) - 1))] = value
+    else:
+        meta[key] = value
+    return _raw_container(header, payload)
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "valid.tensors"
+    layers = (Layer(weight=np.arange(6.0).reshape(2, 3), bias=np.array([0.5, -0.5])),
+              Layer(weight=np.ones((3, 2)), bias=np.zeros(3)))
+    save_checkpoint(path, ProjectorCheckpoint(id="valid", layers=layers, dtype="float32"))
+    return path.read_bytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_corrupted_checkpoint_raises_only_format_errors(tmp_path_factory, valid_checkpoint_blob,
+                                                        data):
+    blob = data.draw(corrupted_checkpoints(valid_checkpoint_blob))
+    path = tmp_path_factory.mktemp("fuzz") / "corrupt.tensors"
+    path.write_bytes(blob)
+    try:
+        read_container(path)
+    except ContainerError:
+        pass
+    try:
+        load_checkpoint(path)
+    except ValueError:  # ContainerError is a ValueError
+        pass
+
+
 # --- checkpoint model ---------------------------------------------------
 
 
@@ -329,7 +425,7 @@ def test_shape_chain_checked(tmp_path):
     ]
     path = tmp_path / "chain.tensors"
     write_container(path, ts)
-    with pytest.raises(ValueError, match="chain"):
+    with pytest.raises(ValueError, match=r"chain\.tensors: shape chain broken"):
         load_checkpoint(path)
 
 
@@ -338,6 +434,32 @@ def test_nonfinite_weight_rejected(tmp_path):
     path = tmp_path / "nan.tensors"
     write_container(path, ts)
     with pytest.raises(ValueError, match="NaN"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind", ["weight", "bias"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_tensor_error_names_path_and_layer(tmp_path, kind, bad):
+    ts = _checkpoint_tensors()
+    for t in ts:
+        if t.name == f"layer.2.{kind}":
+            t.data.flat[-1] = bad
+    path = tmp_path / "bad.tensors"
+    write_container(path, ts)
+    with pytest.raises(ValueError, match=rf"bad\.tensors: layer\.2: layer {kind} contains NaN or Inf"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("alias, message", [
+    ("layer.01.weight", r"'layer\.01\.weight' and 'layer\.1\.weight' are both layer\.1\.weight"),
+    ("layer.1.weight\n", r"unexpected tensor name 'layer\.1\.weight\\n'"),
+], ids=["leading-zero", "trailing-newline"])
+def test_second_tensor_for_one_layer_rejected(tmp_path, alias, message):
+    # Both names used to parse as layer 1, and one tensor silently replaced the other.
+    ts = _checkpoint_tensors(with_bias=False) + [Tensor(alias, np.zeros((4, 3)))]
+    path = tmp_path / "alias.tensors"
+    write_container(path, ts)
+    with pytest.raises(ValueError, match=r"alias\.tensors: " + message):
         load_checkpoint(path)
 
 
@@ -378,26 +500,20 @@ def test_save_checkpoint_rejects_overflow_before_writing(tmp_path):
 
 def test_augment_with_bias():
     layer = Layer(weight=np.array([[1.0, 2.0], [3.0, 4.0]]), bias=np.array([5.0, 6.0]))
-    aug = augment(layer)
-    assert aug.had_bias
-    np.testing.assert_array_equal(aug.matrix, [[1, 2, 5], [3, 4, 6]])
+    np.testing.assert_array_equal(augment(layer), [[1, 2, 5], [3, 4, 6]])
 
 
 def test_augment_without_bias():
     layer = Layer(weight=np.array([[1.0, 2.0]]))
-    aug = augment(layer)
-    assert not aug.had_bias
-    np.testing.assert_array_equal(aug.matrix, layer.weight)
+    np.testing.assert_array_equal(augment(layer), layer.weight)
 
 
 def test_split_is_inverse():
-    aug = AugmentedLayer(matrix=np.array([[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]]), had_bias=True)
-    layer = split(aug)
+    matrix = np.array([[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]])
+    layer = split(matrix, has_bias=True)
     np.testing.assert_array_equal(layer.weight, [[1, 2], [3, 4]])
     np.testing.assert_array_equal(layer.bias, [5, 6])
-    back = augment(layer)
-    np.testing.assert_array_equal(back.matrix, aug.matrix)
-    assert back.had_bias
+    np.testing.assert_array_equal(augment(layer), matrix)
 
 
 @settings(max_examples=50, deadline=None)
@@ -411,7 +527,7 @@ def test_augment_split_inverse_property(d_out, d_in, with_bias, seed):
     gen = np.random.default_rng(seed)
     layer = Layer(weight=gen.standard_normal((d_out, d_in)),
                   bias=gen.standard_normal(d_out) if with_bias else None)
-    round_tripped = split(augment(layer))
+    round_tripped = split(augment(layer), with_bias)
     np.testing.assert_array_equal(round_tripped.weight, layer.weight)
     if with_bias:
         np.testing.assert_array_equal(round_tripped.bias, layer.bias)
