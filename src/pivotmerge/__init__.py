@@ -48,7 +48,6 @@ from .pivot import (
 )
 from .scores import (
     DEFAULT_BETA,
-    LayerWeights,
     ScoreTable,
     compute_scores_from_features,
     layer_weights,

@@ -9,7 +9,6 @@ and orthonormalizing.
 
 from __future__ import annotations
 
-import json
 import warnings
 from pathlib import Path
 from typing import Sequence
@@ -18,7 +17,7 @@ import numpy as np
 
 from .linalg import ZERO_NORM, _basis_angles, cosine, orthonormal_basis
 from .pivot import PivotConfig, decompose_layer, task_vectors
-from .tensorstore import ProjectorCheckpoint, atomic_write
+from .tensorstore import ProjectorCheckpoint, atomic_write, write_json
 
 
 def residual_similarity(residuals: Sequence) -> np.ndarray:
@@ -150,6 +149,4 @@ def emit_report(diagnostics: dict, matrices: dict[str, np.ndarray], out_dir) -> 
     out.mkdir(parents=True, exist_ok=True)
     for name, matrix in matrices.items():
         write_matrix_csv(out / f"{name}.csv", matrix)
-    with atomic_write(out / "summary.json") as fh:
-        json.dump(diagnostics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "summary.json", diagnostics)

@@ -16,7 +16,6 @@ and output is byte-identical run to run at a fixed BLAS thread count.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -26,8 +25,8 @@ from .operators import MergeOperator, merge_checkpoint_deltas
 from .pivot import PivotConfig, pivot_merge
 from .scores import DEFAULT_BETA, ScoreTable, layer_weights, read_scores, score_increments, write_scores
 from .synth import SynthSpec, generate, ground_truth_tensors
-from .tensorstore import (ContainerError, atomic_write, load_checkpoint, save_checkpoint,
-                          sorted_experts, write_container)
+from .tensorstore import (ContainerError, load_checkpoint, save_checkpoint, sorted_experts,
+                          write_container, write_json)
 
 METHODS = ("average", "task-arithmetic", "ties", "dare-ties", "pivot")
 INNER_METHODS = ("average", "task-arithmetic", "ties", "dare-ties")
@@ -54,12 +53,17 @@ def _add_checkpoint_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scores", help="score JSON file (required for pivot)")
+    """Decompose and score flags, read by both merge and analyze."""
+    sub.add_argument("--scores", help="score JSON file (required for pivot and layer-weights)")
     sub.add_argument("--rank", type=_positive_int, default=64, help="core rank (default 64)")
     sub.add_argument("--gamma", type=float, default=20.0, help="mask sharpness (default 20.0)")
     sub.add_argument("--rho", type=float, default=0.5, help="retention ratio (default 0.5)")
     sub.add_argument("--beta", type=float, default=None,
                      help="softmax temperature (default: score file value, else 0.05)")
+
+
+def _add_operator_flags(sub: argparse.ArgumentParser) -> None:
+    """Merge-operator flags, read by merge only."""
     sub.add_argument("--trim", type=float, default=None,
                      help="ties trim fraction (default 0.2 baseline, 1.0 inside pivot)")
     sub.add_argument("--lambda", dest="lam", type=float, default=1.0,
@@ -81,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_checkpoint_flags(merge)
     merge.add_argument("--out", required=True, help="output checkpoint path")
     _add_pipeline_flags(merge)
+    _add_operator_flags(merge)
     merge.add_argument("--diagnostics", help="write a diagnostics JSON here")
     merge.set_defaults(handler=cmd_merge)
 
@@ -115,6 +120,9 @@ def _check_pipeline_flags(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"--gamma must be positive, got {args.gamma}")
     if args.beta is not None and not args.beta > 0.0:
         parser.error(f"--beta must be positive, got {args.beta}")
+
+
+def _check_operator_flags(parser: argparse.ArgumentParser, args) -> None:
     if args.trim is not None and not 0.0 < args.trim <= 1.0:
         parser.error(f"--trim must be in (0, 1], got {args.trim}")
     if not 0.0 <= args.drop < 1.0:
@@ -143,14 +151,9 @@ def _load_experts(parser: argparse.ArgumentParser, paths, base) -> list:
         parser.error(f"--expert: {exc}")
 
 
-def _write_json(path, payload: dict) -> None:
-    with atomic_write(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
     _check_pipeline_flags(parser, args)
+    _check_operator_flags(parser, args)
     if args.method == "pivot" and not args.scores:
         parser.error("--scores is required when --method is pivot")
     base = load_checkpoint(args.base)
@@ -176,7 +179,7 @@ def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
         }
     save_checkpoint(args.out, merged)
     if args.diagnostics:
-        _write_json(args.diagnostics, diagnostics)
+        write_json(args.diagnostics, diagnostics)
     print(f"wrote merged checkpoint to {args.out}")
     return 0
 
@@ -188,7 +191,7 @@ def cmd_analyze(parser: argparse.ArgumentParser, args) -> int:
             parser.error("--scores is required for --mode layer-weights")
         table = read_scores(args.scores)
         beta = args.beta if args.beta is not None else table.beta
-        alpha = layer_weights(score_increments(table.scores), beta).alpha
+        alpha = layer_weights(score_increments(table.scores), beta)
         analysis.emit_report(
             {"mode": args.mode, "expert_ids": list(table.expert_ids), "beta": beta,
              "alpha": [[float(v) for v in row] for row in alpha]},
@@ -202,8 +205,7 @@ def cmd_analyze(parser: argparse.ArgumentParser, args) -> int:
         parser.error(f"--mode {args.mode} needs at least two --expert checkpoints")
     base = load_checkpoint(args.base)
     experts = _load_experts(parser, args.expert, base)
-    config = PivotConfig(rank=args.rank, gamma=args.gamma, rho=args.rho,
-                         inner=_operator_for(args.inner, args, is_inner=True))
+    config = PivotConfig(rank=args.rank, gamma=args.gamma, rho=args.rho)
     ids = [e.id for e in experts]
 
     if args.mode == "residual-sim":
@@ -255,7 +257,7 @@ def cmd_synth(parser: argparse.ArgumentParser, args) -> int:
     for ck in experts:
         save_checkpoint(out / f"{ck.id}.tensors", ck)
     write_container(out / "ground_truth.tensors", ground_truth_tensors(core_bases))
-    _write_json(out / "spec.json", spec.to_dict())
+    write_json(out / "spec.json", spec.to_dict())
     # Flat scores give uniform layer weights; replace with measured scores when available.
     table = ScoreTable(expert_ids=tuple(ck.id for ck in experts),
                        scores=[[0.0] * spec.layers for _ in experts], beta=DEFAULT_BETA)

@@ -29,9 +29,6 @@ class SvdFactors:
     s: np.ndarray
     vt: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.vt
-
 
 def _as_matrix(mat, name: str = "matrix") -> np.ndarray:
     m = np.asarray(mat, dtype=np.float64)
@@ -62,8 +59,8 @@ def thin_svd(mat) -> SvdFactors:
     return SvdFactors(u=u, s=s, vt=vt)
 
 
-def truncate_rank(source, rank: int) -> np.ndarray:
-    """Best rank-`rank` approximation (Frobenius) of a matrix or SvdFactors.
+def truncate_rank(mat, rank: int) -> np.ndarray:
+    """Best rank-`rank` approximation (Frobenius) of a matrix, from its thin SVD.
 
     Keeps the `rank` largest singular values; if `rank` meets or exceeds the
     number of components, this is a plain reconstruction.
@@ -71,7 +68,7 @@ def truncate_rank(source, rank: int) -> np.ndarray:
     r = int(rank)
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    factors = source if isinstance(source, SvdFactors) else thin_svd(source)
+    factors = thin_svd(mat)
     keep = min(r, factors.s.size)
     return (factors.u[:, :keep] * factors.s[:keep]) @ factors.vt[:keep]
 

@@ -48,10 +48,6 @@ class SharedSpaceLayer:
     s: np.ndarray                    # (k,)
     coeffs: tuple[np.ndarray, ...]   # N blocks, each (k, w)
 
-    @property
-    def degenerate(self) -> bool:
-        return self.s.size == 0
-
 
 @dataclass(frozen=True)
 class DecoupledLayer:
@@ -278,7 +274,7 @@ def pivot_merge(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoin
         raise ValueError(
             f"score table has {rows.shape[1]} layers but checkpoints have {base.num_layers}")
     beta = config.beta if config.beta is not None else score_table.beta
-    alphas = layer_weights(score_increments(rows), beta).alpha  # (N, L)
+    alphas = layer_weights(score_increments(rows), beta)  # (N, L)
 
     results = [_merge_one_layer(li, layer_deltas(ordered, base, li), layer, alphas[:, li], config)
                for li, layer in enumerate(base.layers)]

@@ -5,9 +5,9 @@ between projected features and text embeddings on a held-out set) plus the
 softmax temperature. Scores can be ingested directly from JSON or computed
 from pre-extracted feature containers; the merge weight for expert i at
 layer l is the temperature softmax over experts of the layer-wise score
-increment.
+increment, and `layer_weights` returns all of them as one (N, L) array.
 
-Score JSON schema::
+Score JSON schema (ids are strings)::
 
     {"beta": 0.05, "experts": [{"id": "a", "scores": [s1, ..., sL]}, ...]}
 
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import ZERO_NORM
-from .tensorstore import atomic_write, read_container
+from .tensorstore import read_container, write_json
 
 DEFAULT_BETA = 0.05
 
@@ -65,28 +65,6 @@ class ScoreTable:
         if missing:
             raise ValueError(f"score table is missing experts: {missing}")
         return self.scores[[index[eid] for eid in expert_ids]]
-
-
-@dataclass(frozen=True)
-class LayerWeights:
-    """Softmax merge weights, one column per layer, each summing to 1.
-
-    Entries are strictly positive in exact arithmetic but may saturate to 0
-    or 1 in float64 at extreme temperatures.
-    """
-
-    alpha: np.ndarray  # (N, L)
-
-    def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=np.float64)
-        if a.ndim != 2:
-            raise ValueError(f"alpha must be 2-D, got shape {a.shape}")
-        if np.any(a < 0.0) or np.any(a > 1.0):
-            raise ValueError("alpha entries must lie in [0, 1]")
-        col = a.sum(axis=0)
-        if np.any(np.abs(col - 1.0) > 1e-12):
-            raise ValueError("alpha columns must sum to 1")
-        object.__setattr__(self, "alpha", a)
 
 
 def _rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,17 +108,26 @@ def score_increments(scores) -> np.ndarray:
     return np.concatenate([s[..., :1], np.diff(s, axis=-1)], axis=-1)
 
 
-def layer_weights(increments, beta: float) -> LayerWeights:
-    """Column-wise temperature softmax of score increments across experts."""
+def layer_weights(increments, beta: float) -> np.ndarray:
+    """Column-wise temperature softmax of score increments across experts.
+
+    Returns the (N, L) merge weights; each column sums to 1. Entries are
+    strictly positive in exact arithmetic but may saturate to 0 or 1 in
+    float64 at extreme temperatures. A beta so small that increments / beta
+    overflows float64 raises ValueError.
+    """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     inc = np.asarray(increments, dtype=np.float64)
     if inc.ndim != 2:
         raise ValueError(f"increments must be (num_experts, num_layers), got {inc.shape}")
-    z = inc / float(beta)
+    with np.errstate(over="ignore"):
+        z = inc / float(beta)
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"beta {beta} is too small: score increments / beta overflow float64")
     z = z - z.max(axis=0, keepdims=True)
     e = np.exp(z)
-    return LayerWeights(alpha=e / e.sum(axis=0, keepdims=True))
+    return e / e.sum(axis=0, keepdims=True)
 
 
 def threshold_from_ratio(consistencies, rho: float) -> float:
@@ -179,11 +166,13 @@ def read_scores(path) -> ScoreTable:
     for entry in doc["experts"]:
         if not isinstance(entry, dict) or "id" not in entry or "scores" not in entry:
             raise ValueError(f"{path}: each expert needs 'id' and 'scores'")
+        if not isinstance(entry["id"], str):
+            raise ValueError(f"{path}: expert id must be a string, got {entry['id']!r}")
         values = entry["scores"]
         if (not isinstance(values, list) or not values
                 or any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in values)):
             raise ValueError(f"{path}: expert {entry['id']!r} has invalid scores")
-        ids.append(str(entry["id"]))
+        ids.append(entry["id"])
         rows.append(values)
     if not ids:
         raise ValueError(f"{path}: no experts in score file")
@@ -206,9 +195,7 @@ def write_scores(path, table: ScoreTable) -> None:
             for eid, row in zip(table.expert_ids, table.scores)
         ],
     }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def score_table_from_feature_container(path, beta: float = DEFAULT_BETA) -> ScoreTable:

@@ -30,7 +30,6 @@ GROUND_TRUTH_NAME = "layer.{index}.core_basis"
 class SynthSpec:
     """Generator settings; dims are per-layer (d_out, d_in) and must chain."""
 
-    layers: int
     dims: tuple[tuple[int, int], ...]
     experts: int
     core_rank: int
@@ -42,8 +41,8 @@ class SynthSpec:
     def __post_init__(self):
         dims = tuple((int(o), int(i)) for o, i in self.dims)
         object.__setattr__(self, "dims", dims)
-        if self.layers < 1 or len(dims) != self.layers:
-            raise ValueError(f"layers={self.layers} does not match dims of length {len(dims)}")
+        if not dims:
+            raise ValueError("dims must hold at least one layer")
         if any(o < 1 or i < 1 for o, i in dims):
             raise ValueError(f"dims must be positive, got {dims}")
         for li in range(len(dims) - 1):
@@ -61,6 +60,10 @@ class SynthSpec:
             raise ValueError(
                 f"shared_residual_fraction must be in [0, 1], got {self.shared_residual_fraction}")
 
+    @property
+    def layers(self) -> int:
+        return len(self.dims)
+
     @staticmethod
     def from_chain(chain, experts: int, core_rank: int, **kwargs) -> "SynthSpec":
         """Build a spec from a dimension chain [d0, d1, ..., dL]."""
@@ -68,8 +71,7 @@ class SynthSpec:
         if len(sizes) < 2:
             raise ValueError("dimension chain needs at least two entries")
         dims = tuple((sizes[i + 1], sizes[i]) for i in range(len(sizes) - 1))
-        return SynthSpec(layers=len(dims), dims=dims, experts=experts,
-                         core_rank=core_rank, **kwargs)
+        return SynthSpec(dims=dims, experts=experts, core_rank=core_rank, **kwargs)
 
     def to_dict(self) -> dict:
         return {

@@ -80,6 +80,13 @@ def atomic_write(path, mode: str = "w"):
         raise
 
 
+def write_json(path, doc) -> None:
+    """Write `doc` atomically as indented, key-sorted JSON with a trailing newline."""
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @dataclass(frozen=True)
 class Tensor:
     """A named, shaped, row-major numeric array (float32 or float64)."""
@@ -256,7 +263,8 @@ def add_delta(layer: Layer, delta: np.ndarray) -> Layer:
     matrix = augment(layer)
     if delta.shape != matrix.shape:
         raise ValueError(f"delta shape {delta.shape} does not match layer {matrix.shape}")
-    return split(matrix + delta, layer.bias is not None)
+    matrix += delta  # in place: `augment` returned a fresh array
+    return split(matrix, layer.bias is not None)
 
 
 @dataclass(frozen=True)
@@ -359,18 +367,9 @@ def load_checkpoint(path, checkpoint_id: str | None = None) -> ProjectorCheckpoi
 
     layers = []
     for i in range(1, num + 1):
-        wt = weights[i]
-        if len(wt.shape) != 2:
-            raise ValueError(f"{path}: layer.{i}.weight must be 2-D, got shape {wt.shape}")
-        bias = None
-        if i in biases:
-            bt = biases[i]
-            if len(bt.shape) != 1 or bt.shape[0] != wt.shape[0]:
-                raise ValueError(
-                    f"{path}: layer.{i}.bias has shape {bt.shape}, expected ({wt.shape[0]},)")
-            bias = bt.data
+        bias = biases[i].data if i in biases else None
         try:
-            layer = Layer(weight=wt.data, bias=bias)
+            layer = Layer(weight=weights[i].data, bias=bias)
         except ValueError as exc:
             raise ValueError(f"{path}: layer.{i}: {exc}") from exc
         layers.append(layer)

@@ -278,7 +278,7 @@ def test_criterion_8_score_math():
     inc = score_increments([0.2, 0.5, 0.6])
     inc_ok = np.allclose(inc, [0.2, 0.3, 0.1], atol=1e-15)
 
-    alpha = layer_weights(np.array([[0.1], [0.0]]), beta=0.05).alpha[:, 0]
+    alpha = layer_weights(np.array([[0.1], [0.0]]), beta=0.05)[:, 0]
     unit_ok = np.allclose(alpha, [0.8808, 0.1192], atol=1e-4)
 
     sums_ok = True
@@ -286,7 +286,7 @@ def test_criterion_8_score_math():
     for seed in range(100):
         gen = np.random.default_rng(seed)
         table = gen.uniform(-1.0, 1.0, size=(5, 4))
-        a = layer_weights(score_increments(table), beta=float(gen.uniform(0.01, 1.0))).alpha
+        a = layer_weights(score_increments(table), beta=float(gen.uniform(0.01, 1.0)))
         sums_ok &= bool(np.all(np.abs(a.sum(axis=0) - 1.0) <= 1e-12))
         argmax_ok &= bool(np.array_equal(np.argmax(a, axis=0),
                                          np.argmax(score_increments(table), axis=0)))

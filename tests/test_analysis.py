@@ -227,7 +227,7 @@ def test_emit_report_failed_summary_write_leaves_no_partial_file(tmp_path, monke
 def test_layer_weight_table_columns_sum_to_one():
     from pivotmerge import layer_weights, score_increments
     scores = np.random.default_rng(5).uniform(0.0, 1.0, size=(5, 2))
-    alpha = layer_weights(score_increments(scores), beta=0.05).alpha
+    alpha = layer_weights(score_increments(scores), beta=0.05)
     assert alpha.shape == (5, 2)
     np.testing.assert_allclose(alpha.sum(axis=0), [1.0, 1.0], atol=1e-12)
 

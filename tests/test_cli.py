@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ def test_synth_outputs(synth_dir):
         assert ck.num_layers == 2
     table = read_scores(synth_dir / "scores.json")
     assert len(table.expert_ids) == 5
+    assert json.loads((synth_dir / "spec.json").read_text())["layers"] == 2
 
 
 def test_synth_deterministic(tmp_path):
@@ -265,6 +267,51 @@ def test_analyze_layer_weights_matches_unit_values(tmp_path):
                  "--out", str(out)]) == 0
     table = np.loadtxt(out / "layer_weights.csv", delimiter=",").reshape(2, 1)
     np.testing.assert_allclose(table[:, 0], [0.8808, 0.1192], atol=1e-4)
+
+
+OPERATOR_FLAGS = [("--trim", "0.5"), ("--lambda", "0.7"), ("--drop", "0.3"), ("--seed", "3"),
+                  ("--inner", "average")]
+
+
+@pytest.mark.parametrize("flag, value", OPERATOR_FLAGS, ids=[f for f, _ in OPERATOR_FLAGS])
+def test_operator_flags_are_merge_only(synth_dir, tmp_path, capsys, flag, value):
+    experts = [arg for p in expert_paths(synth_dir) for arg in ("--expert", p)]
+    base = ["--base", str(synth_dir / "base.tensors")]
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--mode", "residual-sim", *base, *experts,
+              "--out", str(tmp_path / "sim"), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert main(["merge", "--method", "pivot", *base, *experts,
+                 "--scores", str(synth_dir / "scores.json"),
+                 "--out", str(tmp_path / "m.tensors"), flag, value]) == 0
+
+
+@pytest.mark.parametrize("beta_from", ["flag", "file"])
+@pytest.mark.parametrize("command", ["merge", "analyze"])
+def test_overflowing_beta_fails_without_output(synth_dir, tmp_path, capsys, command, beta_from):
+    # 0.1 / 1e-310 overflows float64; the softmax used to turn it into NaN weights.
+    experts = expert_paths(synth_dir)
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps({
+        "beta": 1e-310 if beta_from == "file" else 0.05,
+        "experts": [{"id": Path(p).stem, "scores": [0.1 * i, 0.0]}
+                    for i, p in enumerate(experts)]}))
+    args = ["--scores", str(scores)] + (["--beta", "1e-310"] if beta_from == "flag" else [])
+    if command == "merge":
+        out = tmp_path / "merged.tensors"
+        diag = tmp_path / "diag.json"
+        args = ["merge", "--method", "pivot", "--base", str(synth_dir / "base.tensors"),
+                *[arg for p in experts for arg in ("--expert", p)],
+                "--out", str(out), "--diagnostics", str(diag), *args]
+        written = [out, diag]
+    else:
+        out = tmp_path / "weights"
+        args = ["analyze", "--mode", "layer-weights", "--out", str(out), *args]
+        written = [out]
+    assert main(args) == 1
+    assert "beta 1e-310 is too small" in capsys.readouterr().err
+    assert not any(p.exists() for p in written)
 
 
 def test_analyze_requires_experts(synth_dir, tmp_path):

@@ -24,7 +24,7 @@ def assert_valid_factors(f, mat):
     np.testing.assert_allclose(f.u.T @ f.u, np.eye(k), atol=1e-10)
     np.testing.assert_allclose(f.vt @ f.vt.T, np.eye(k), atol=1e-10)
     denom = max(np.linalg.norm(mat), 1e-30)
-    assert np.linalg.norm(f.reconstruct() - mat) / denom <= 1e-10
+    assert np.linalg.norm((f.u * f.s) @ f.vt - mat) / denom <= 1e-10
 
 
 def test_svd_identity():

@@ -96,7 +96,7 @@ def test_joint_decompose_per_expert_reconstruction(rng):
 def test_joint_decompose_all_zero_flagged():
     with pytest.warns(UserWarning, match="zero"):
         shared = joint_decompose([np.zeros((4, 3)), np.zeros((4, 3))])
-    assert shared.degenerate
+    assert shared.s.size == 0
     assert shared.u.shape == (4, 0)
     assert all(c.shape == (0, 3) for c in shared.coeffs)
 

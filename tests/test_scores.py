@@ -38,24 +38,24 @@ def test_increments_prefix_sum_is_identity(scores):
 
 
 def test_layer_weights_uniform_for_equal_increments():
-    alpha = layer_weights(np.full((4, 3), 0.2), beta=0.05).alpha
+    alpha = layer_weights(np.full((4, 3), 0.2), beta=0.05)
     np.testing.assert_allclose(alpha, np.full((4, 3), 0.25), rtol=0, atol=1e-15)
 
 
 def test_layer_weights_unit_example():
-    alpha = layer_weights(np.array([[0.1], [0.0]]), beta=0.05).alpha
+    alpha = layer_weights(np.array([[0.1], [0.0]]), beta=0.05)
     np.testing.assert_allclose(alpha[:, 0], [0.8808, 0.1192], atol=1e-4)
 
 
 def test_layer_weights_large_beta_uniform():
     inc = np.array([[0.3, -0.2], [0.1, 0.4], [0.0, 0.0]])
-    alpha = layer_weights(inc, beta=1e6).alpha
+    alpha = layer_weights(inc, beta=1e6)
     np.testing.assert_allclose(alpha, np.full((3, 2), 1.0 / 3.0), atol=1e-6)
 
 
 def test_layer_weights_tiny_beta_no_overflow():
     inc = np.array([[5.0, -5.0], [0.0, 0.0]])
-    alpha = layer_weights(inc, beta=1e-4).alpha
+    alpha = layer_weights(inc, beta=1e-4)
     assert np.all(np.isfinite(alpha))
     np.testing.assert_allclose(alpha.sum(axis=0), [1.0, 1.0], atol=1e-12)
 
@@ -65,18 +65,24 @@ def test_layer_weights_requires_positive_beta():
         layer_weights(np.zeros((2, 2)), beta=0.0)
 
 
+def test_layer_weights_overflow_names_beta():
+    # 0.1 / 1e-310 overflows float64; the softmax used to turn it into NaN weights.
+    with pytest.raises(ValueError, match=r"beta 1e-310 is too small"):
+        layer_weights(np.array([[0.1], [0.0]]), beta=1e-310)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1),
        st.floats(min_value=1e-3, max_value=10.0))
 def test_layer_weights_properties(seed, beta):
     gen = np.random.default_rng(seed)
     inc = gen.uniform(-1.0, 1.0, size=(4, 3))
-    alpha = layer_weights(inc, beta).alpha
+    alpha = layer_weights(inc, beta)
     np.testing.assert_allclose(alpha.sum(axis=0), np.ones(3), atol=1e-12)
     # argmax per layer preserved for any temperature
     np.testing.assert_array_equal(np.argmax(alpha, axis=0), np.argmax(inc, axis=0))
     # softmax shift invariance per column
-    shifted = layer_weights(inc + gen.uniform(-5, 5, size=(1, 3)), beta).alpha
+    shifted = layer_weights(inc + gen.uniform(-5, 5, size=(1, 3)), beta)
     np.testing.assert_allclose(shifted, alpha, atol=1e-9)
 
 
@@ -164,8 +170,14 @@ def test_scores_malformed_json(tmp_path):
     ('{"beta": 1' + "0" * 400 + ', "experts": [{"id": "a", "scores": [0.5]}]}',
      "int too large to convert to float"),
     ("[" * 200_000, "malformed score JSON: RecursionError"),
+    ('{"beta": 0.05, "experts": [{"id": ["expert01"], "scores": [0.5]}]}',
+     r"expert id must be a string, got \['expert01'\]"),
+    ('{"beta": 0.05, "experts": [{"id": 7, "scores": [0.5]}]}',
+     "expert id must be a string, got 7"),
+    ('{"beta": 0.05, "experts": [{"id": null, "scores": [0.5]}]}',
+     "expert id must be a string, got None"),
 ], ids=["nan-score", "inf-score", "zero-beta", "nan-beta", "duplicate-ids", "huge-score",
-        "huge-beta", "deep-nesting"])
+        "huge-beta", "deep-nesting", "list-id", "int-id", "null-id"])
 def test_bad_score_file_error_names_path(tmp_path, text, message):
     path = tmp_path / "bad_scores.json"
     path.write_text(text)

@@ -29,13 +29,19 @@ def spec_from(chain=(8, 16, 16), **kwargs):
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="chain"):
-        SynthSpec(layers=2, dims=((16, 8), (12, 14)), experts=2, core_rank=1)
+        SynthSpec(dims=((16, 8), (12, 14)), experts=2, core_rank=1)
     with pytest.raises(ValueError):
-        SynthSpec(layers=1, dims=((4, 4),), experts=0, core_rank=1)
+        SynthSpec(dims=((4, 4),), experts=0, core_rank=1)
     with pytest.raises(ValueError):
         spec_from(shared_residual_fraction=1.5)
     with pytest.raises(ValueError):
         SynthSpec.from_chain([8], experts=1, core_rank=1)
+
+
+def test_spec_layers_is_dims_length():
+    spec = SynthSpec(dims=((16, 8), (12, 16)), experts=2, core_rank=1)
+    assert spec.layers == 2
+    assert spec.to_dict()["layers"] == 2
 
 
 def test_generator_is_deterministic():
@@ -70,7 +76,7 @@ def test_degenerate_spec_all_methods_recover_core():
 
 
 def test_delta_cosine_strictly_between_zero_and_one():
-    spec = SynthSpec(layers=2, dims=((16, 8), (12, 16)), experts=5, core_rank=2,
+    spec = SynthSpec(dims=((16, 8), (12, 16)), experts=5, core_rank=2,
                      residual_scale=1.0, shared_residual_fraction=0.0,
                      noise_scale=0.0, seed=3)
     base, experts, _ = generate(spec)

@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import threading
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from pivotmerge import (
     split,
     write_container,
 )
+from pivotmerge.tensorstore import add_delta
 
 
 def test_roundtrip_two_tensors(tmp_path):
@@ -418,6 +420,18 @@ def test_load_checkpoint_bad_bias_length(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name, data, message", [
+    ("layer.1.weight", np.zeros(4), r"layer weight must be 2-D, got shape \(4,\)"),
+    ("layer.1.bias", np.ones(3), r"bias length \(3,\) does not match output dim 4"),
+], ids=["1d-weight", "short-bias"])
+def test_bad_layer_shape_error_names_path_and_layer(tmp_path, name, data, message):
+    ts = [t for t in _checkpoint_tensors() if t.name != name] + [Tensor(name, data)]
+    path = tmp_path / "shape.tensors"
+    write_container(path, ts)
+    with pytest.raises(ValueError, match=r"shape\.tensors: layer\.1: " + message):
+        load_checkpoint(path)
+
+
 def test_shape_chain_checked(tmp_path):
     ts = [
         Tensor("layer.1.weight", np.zeros((4, 3))),
@@ -514,6 +528,23 @@ def test_split_is_inverse():
     np.testing.assert_array_equal(layer.weight, [[1, 2], [3, 4]])
     np.testing.assert_array_equal(layer.bias, [5, 6])
     np.testing.assert_array_equal(augment(layer), matrix)
+
+
+def test_add_delta_keeps_at_most_two_copies_of_the_layer():
+    gen = np.random.default_rng(0)
+    layer = Layer(weight=gen.standard_normal((512, 512)), bias=gen.standard_normal(512))
+    delta = gen.standard_normal((512, 513))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = add_delta(layer, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the augmented matrix plus the output layer; a third copy would exceed 2.5x
+    assert peak - before < 2.5 * delta.nbytes
+    np.testing.assert_array_equal(augment(out), augment(layer) + delta)
 
 
 @settings(max_examples=50, deadline=None)
