@@ -31,6 +31,10 @@ from .tensorstore import (ContainerError, load_checkpoint, save_checkpoint, sort
 METHODS = ("average", "task-arithmetic", "ties", "dare-ties", "pivot")
 INNER_METHODS = ("average", "task-arithmetic", "ties", "dare-ties")
 ANALYZE_MODES = ("residual-sim", "principal-angles", "layer-weights")
+# The flags each analyze mode never reads; giving one is a usage error.
+ANALYZE_UNREAD_FLAGS = {"residual-sim": ("scores", "beta"),
+                        "principal-angles": ("scores", "beta"),
+                        "layer-weights": ("base", "expert", "rank", "gamma", "rho")}
 
 # Baseline TIES trims at 0.2 by default; inside the pivot pipeline the inner
 # operator keeps everything unless --trim says otherwise.
@@ -55,9 +59,11 @@ def _add_checkpoint_flags(sub: argparse.ArgumentParser) -> None:
 def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
     """Decompose and score flags, read by both merge and analyze."""
     sub.add_argument("--scores", help="score JSON file (required for pivot and layer-weights)")
-    sub.add_argument("--rank", type=_positive_int, default=64, help="core rank (default 64)")
-    sub.add_argument("--gamma", type=float, default=20.0, help="mask sharpness (default 20.0)")
-    sub.add_argument("--rho", type=float, default=0.5, help="retention ratio (default 0.5)")
+    sub.add_argument("--rank", type=_positive_int,
+                     help=f"core rank (default {PivotConfig.rank})")
+    sub.add_argument("--gamma", type=float,
+                     help=f"mask sharpness (default {PivotConfig.gamma})")
+    sub.add_argument("--rho", type=float, help=f"retention ratio (default {PivotConfig.rho})")
     sub.add_argument("--beta", type=float, default=None,
                      help="softmax temperature (default: score file value, else 0.05)")
 
@@ -114,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_pipeline_flags(parser: argparse.ArgumentParser, args) -> None:
-    if not 0.0 < args.rho < 1.0:
+    if args.rho is not None and not 0.0 < args.rho < 1.0:
         parser.error(f"--rho must be in (0, 1), got {args.rho}")
-    if not args.gamma > 0.0:
+    if args.gamma is not None and not args.gamma > 0.0:
         parser.error(f"--gamma must be positive, got {args.gamma}")
     if args.beta is not None and not args.beta > 0.0:
         parser.error(f"--beta must be positive, got {args.beta}")
@@ -129,6 +135,13 @@ def _check_operator_flags(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"--drop must be in [0, 1), got {args.drop}")
     if not args.lam > 0.0:
         parser.error(f"--lambda must be positive, got {args.lam}")
+
+
+def _pivot_config(args, **fields) -> PivotConfig:
+    """PivotConfig from the decompose flags given; PivotConfig holds the defaults."""
+    given = {name: getattr(args, name) for name in ("rank", "gamma", "rho")
+             if getattr(args, name) is not None}
+    return PivotConfig(**given, **fields)
 
 
 def _operator_for(method: str, args, is_inner: bool) -> MergeOperator:
@@ -161,8 +174,8 @@ def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
 
     if args.method == "pivot":
         table = read_scores(args.scores)
-        config = PivotConfig(rank=args.rank, gamma=args.gamma, rho=args.rho, beta=args.beta,
-                             inner=_operator_for(args.inner, args, is_inner=True))
+        config = _pivot_config(args, beta=args.beta,
+                               inner=_operator_for(args.inner, args, is_inner=True))
         merged, diagnostics = pivot_merge(experts, base, table, config)
     else:
         op = _operator_for(args.method, args, is_inner=False)
@@ -185,6 +198,9 @@ def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
 
 
 def cmd_analyze(parser: argparse.ArgumentParser, args) -> int:
+    for name in ANALYZE_UNREAD_FLAGS[args.mode]:
+        if getattr(args, name) is not None:
+            parser.error(f"--{name} is not read by --mode {args.mode}")
     _check_pipeline_flags(parser, args)
     if args.mode == "layer-weights":
         if not args.scores:
@@ -205,7 +221,7 @@ def cmd_analyze(parser: argparse.ArgumentParser, args) -> int:
         parser.error(f"--mode {args.mode} needs at least two --expert checkpoints")
     base = load_checkpoint(args.base)
     experts = _load_experts(parser, args.expert, base)
-    config = PivotConfig(rank=args.rank, gamma=args.gamma, rho=args.rho)
+    config = _pivot_config(args)
     ids = [e.id for e in experts]
 
     if args.mode == "residual-sim":

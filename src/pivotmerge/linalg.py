@@ -13,6 +13,10 @@ import numpy as np
 
 # Singular values below RANK_RTOL * sigma_max do not count toward numerical rank.
 RANK_RTOL = 1e-10
+# truncate_rank takes its top-r subspace from the Gram matrix's eigenvectors only
+# when the cut eigengap exceeds EIG_GAP_RTOL * lambda_max: by Davis-Kahan (SIAM
+# J. Numer. Anal. 1970) the subspace error is then bounded by rounding / gap.
+EIG_GAP_RTOL = 1e-8
 # Vectors with 2-norm below this are treated as zero (cosine convention).
 ZERO_NORM = 1e-12
 
@@ -60,17 +64,33 @@ def thin_svd(mat) -> SvdFactors:
 
 
 def truncate_rank(mat, rank: int) -> np.ndarray:
-    """Best rank-`rank` approximation (Frobenius) of a matrix, from its thin SVD.
+    """Best rank-`rank` approximation (Frobenius) of a matrix.
 
-    Keeps the `rank` largest singular values; if `rank` meets or exceeds the
-    number of components, this is a plain reconstruction.
+    If `rank` meets or exceeds min(m, n) this is a copy. Otherwise the top-
+    `rank` eigenvectors Q of the smaller Gram matrix (M M^T or M^T M) give the
+    projection Q Q^T M (or M Q Q^T). That route is taken only when the cut
+    eigengap exceeds EIG_GAP_RTOL * lambda_max; a tied cut, a block of rank
+    below `rank` or a zero block falls back to the thin SVD's U_r S_r V_r^T.
     """
     r = int(rank)
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    factors = thin_svd(mat)
-    keep = min(r, factors.s.size)
-    return (factors.u[:, :keep] * factors.s[:keep]) @ factors.vt[:keep]
+    m = _as_matrix(mat)
+    rows, cols = m.shape
+    if r >= min(rows, cols):
+        return m.copy()
+    wide = rows <= cols
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            evals, evecs = np.linalg.eigh(m @ m.T if wide else m.T @ m)
+            certified = evals[-r] - evals[-r - 1] > EIG_GAP_RTOL * evals[-1]
+        except np.linalg.LinAlgError:  # the Gram matrix overflowed
+            certified = False
+    if certified:
+        q = evecs[:, -r:]
+        return q @ (q.T @ m) if wide else (m @ q) @ q.T
+    factors = thin_svd(m)
+    return (factors.u[:, :r] * factors.s[:r]) @ factors.vt[:r]
 
 
 def cosine(a, b) -> float:

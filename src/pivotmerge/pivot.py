@@ -4,11 +4,13 @@ Each projector layer is merged independently through five stages:
 
 1. task vectors: per-expert deltas from the shared initialization, computed
    on bias-augmented matrices;
-2. joint decomposition: one thin SVD of the column-wise concatenation of all
-   deltas, giving a shared basis U, spectrum S, and one coefficient block
-   per expert;
+2. joint decomposition: the left singular vectors U and spectrum S of the
+   column-wise concatenation of all deltas (from the R factor of the QR of
+   its transpose when it is wide), and one coefficient block per expert
+   projected through them;
 3. decoupling: each coefficient block splits into a rank-r core (its best
-   rank-r approximation) plus a residual;
+   rank-r approximation, from the smaller Gram matrix's top eigenvectors)
+   plus a residual;
 4. consistency-aware residual filtering: per basis direction, residual rows
    are scored by mean cross-expert cosine, gated by a sigmoid around an
    order-statistic threshold, and rescaled so each expert's entrywise L1
@@ -91,14 +93,16 @@ def task_vectors(experts: Sequence[ProjectorCheckpoint],
 
 
 def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
-    """Thin SVD of [D_1, ..., D_N] with one coefficient block per expert.
+    """Shared basis U and spectrum S of [D_1, ..., D_N], one coefficient block per expert.
 
-    Blocks are computed by projecting each delta through the shared basis
-    (inv(S) U^T D_i) rather than slicing the stacked right factor. The two
-    agree to rounding, but the projection makes blocks a pure function of
-    (U, S, D_i): bit-identical deltas give bit-identical blocks even where
-    the spectrum is degenerate. Rows at numerically-zero singular values
-    carry no reconstruction content and are set to zero.
+    Only U and S are computed. When the concatenation is wide (N * w > d_out)
+    they come from the thin SVD of the square R^T, where R is the QR factor of
+    the concatenation's transpose (R-SVD, T. F. Chan, ACM TOMS 1982): R^T has
+    the same U and S and no (k, N * w) right factor is formed. Each block is
+    the projection inv(S) U^T D_i, a pure function of (U, S, D_i), so
+    bit-identical deltas give bit-identical blocks even where the spectrum is
+    degenerate. Rows at numerically-zero singular values carry no
+    reconstruction content and are set to zero.
     """
     n = len(deltas)
     if n < 1:
@@ -114,7 +118,10 @@ def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
         return SharedSpaceLayer(
             u=np.zeros((d_out, 0)), s=np.zeros(0),
             coeffs=tuple(np.zeros((0, width)) for _ in range(n)))
-    factors = thin_svd(concat)
+    if concat.shape[1] > d_out:
+        factors = thin_svd(np.linalg.qr(concat.T, mode="r").T)
+    else:
+        factors = thin_svd(concat)
     live = factors.s > RANK_RTOL * factors.s[0]
     inv_s = np.zeros_like(factors.s)
     inv_s[live] = 1.0 / factors.s[live]
@@ -127,7 +134,7 @@ def decouple(coeffs: Sequence[np.ndarray], rank: int) -> DecoupledLayer:
 
     Ranks beyond min(k, w) are clamped with a warning so small layers still
     decompose. At rank min(k, w) the core is the whole block: cores are
-    copies of the blocks and residuals are exact zeros, with no SVD.
+    copies of the blocks and residuals are exact zeros, with no factorization.
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")

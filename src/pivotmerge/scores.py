@@ -41,7 +41,10 @@ class ScoreTable:
     beta: float = DEFAULT_BETA
 
     def __post_init__(self):
-        ids = tuple(str(i) for i in self.expert_ids)
+        ids = tuple(self.expert_ids)
+        for eid in ids:
+            if not isinstance(eid, str):
+                raise ValueError(f"expert id must be a string, got {eid!r}")
         if len(set(ids)) != len(ids):
             raise ValueError("expert ids must be unique")
         s = np.asarray(self.scores, dtype=np.float64)
@@ -166,8 +169,6 @@ def read_scores(path) -> ScoreTable:
     for entry in doc["experts"]:
         if not isinstance(entry, dict) or "id" not in entry or "scores" not in entry:
             raise ValueError(f"{path}: each expert needs 'id' and 'scores'")
-        if not isinstance(entry["id"], str):
-            raise ValueError(f"{path}: expert id must be a string, got {entry['id']!r}")
         values = entry["scores"]
         if (not isinstance(values, list) or not values
                 or any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in values)):

@@ -287,6 +287,34 @@ def test_operator_flags_are_merge_only(synth_dir, tmp_path, capsys, flag, value)
                  "--out", str(tmp_path / "m.tensors"), flag, value]) == 0
 
 
+UNREAD_ANALYZE_FLAGS = [
+    (mode, flag, value)
+    for mode in ("residual-sim", "principal-angles")
+    for flag, value in (("--scores", "/nonexistent.json"), ("--beta", "0.1"))
+] + [("layer-weights", flag, value)
+     for flag, value in (("--rank", "3"), ("--gamma", "5"), ("--rho", "0.4"),
+                         ("--base", "base.tensors"), ("--expert", "expert01.tensors"))]
+
+
+@pytest.mark.parametrize("mode, flag, value", UNREAD_ANALYZE_FLAGS,
+                         ids=[f"{m}{f}" for m, f, _ in UNREAD_ANALYZE_FLAGS])
+def test_analyze_rejects_flags_its_mode_never_reads(synth_dir, tmp_path, capsys, mode, flag,
+                                                    value):
+    if mode == "layer-weights":
+        args = ["--scores", str(synth_dir / "scores.json")]
+        value = str(synth_dir / value) if flag in ("--base", "--expert") else value
+    else:
+        args = ["--base", str(synth_dir / "base.tensors"), "--rank", "4"] \
+            + [arg for p in expert_paths(synth_dir) for arg in ("--expert", p)]
+    out = tmp_path / "report"
+    assert main(["analyze", "--mode", mode, *args, "--out", str(out)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--mode", mode, *args, flag, value, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert f"{flag} is not read by --mode {mode}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("beta_from", ["flag", "file"])
 @pytest.mark.parametrize("command", ["merge", "analyze"])
 def test_overflowing_beta_fails_without_output(synth_dir, tmp_path, capsys, command, beta_from):

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pivotmerge import cosine, orthonormal_basis, principal_angles, thin_svd, truncate_rank
+from pivotmerge import linalg
 from pivotmerge.linalg import _basis_angles, sigmoid
 
 
@@ -99,6 +102,59 @@ def test_truncate_idempotent():
 def test_truncate_invalid_rank():
     with pytest.raises(ValueError):
         truncate_rank(np.eye(2), 0)
+
+
+def count_svd_calls(monkeypatch):
+    calls = []
+    real = linalg.thin_svd
+
+    def counting(mat):
+        calls.append(np.shape(mat))
+        return real(mat)
+
+    monkeypatch.setattr(linalg, "thin_svd", counting)
+    return calls
+
+
+def svd_truncation(mat, rank):
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    return (u[:, :rank] * s[:rank]) @ vt[:rank]
+
+
+@pytest.mark.parametrize("shape", [(30, 50), (50, 30), (40, 40)], ids=["wide", "tall", "square"])
+@pytest.mark.parametrize("rank", [1, 7, 29])
+def test_truncate_rank_gram_route_matches_svd(monkeypatch, shape, rank):
+    m = random_matrix(31 + rank, *shape)
+    calls = count_svd_calls(monkeypatch)
+    out = truncate_rank(m, rank)
+    ref = svd_truncation(m, rank)
+    assert calls == []
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_truncate_rank_full_rank_is_a_copy(monkeypatch):
+    m = random_matrix(5, 6, 9)
+    calls = count_svd_calls(monkeypatch)
+    out = truncate_rank(m, 6)
+    assert calls == []
+    np.testing.assert_array_equal(out, m)
+    assert not np.shares_memory(out, m)
+
+
+@pytest.mark.parametrize("mat, rank", [
+    (np.diag([3.0, 2.0, 2.0, 1.0]), 2),
+    (random_matrix(8, 6, 9, rank=2), 4),
+    (np.zeros((5, 7)), 2),
+    (random_matrix(9, 6, 4) * 1e200, 2),
+], ids=["tied-cut", "rank-below-r", "zero", "gram-overflows"])
+def test_truncate_rank_uncertified_gap_falls_back_to_svd(monkeypatch, mat, rank):
+    calls = count_svd_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = truncate_rank(mat, rank)
+    assert calls == [mat.shape]
+    f = thin_svd(mat)
+    np.testing.assert_array_equal(out, (f.u[:, :rank] * f.s[:rank]) @ f.vt[:rank])
 
 
 def test_cosine_examples():

@@ -85,6 +85,51 @@ def test_joint_decompose_single_matches_thin_svd(rng):
     np.testing.assert_allclose(shared.coeffs[0], f.vt, atol=1e-12)
 
 
+def record_svd_shapes(monkeypatch):
+    shapes = []
+    real = pivot.thin_svd
+
+    def recording(mat):
+        shapes.append(np.shape(mat))
+        return real(mat)
+
+    monkeypatch.setattr(pivot, "thin_svd", recording)
+    return shapes
+
+
+def test_joint_decompose_wide_uses_r_svd(monkeypatch):
+    # 3 blocks of 8 columns over 12 rows, with a well-separated planted spectrum
+    gen = np.random.default_rng(5)
+    left, _ = np.linalg.qr(gen.standard_normal((12, 12)))
+    right, _ = np.linalg.qr(gen.standard_normal((24, 12)))
+    concat = (left * np.geomspace(10.0, 0.1, 12)) @ right.T
+    ref = thin_svd(concat)
+    shapes = record_svd_shapes(monkeypatch)
+    shared = joint_decompose(np.split(concat, 3, axis=1))
+    assert shapes == [(12, 12)]
+    np.testing.assert_allclose(shared.u, ref.u, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(shared.s, ref.s, rtol=0, atol=1e-12)
+
+
+def test_joint_decompose_tall_keeps_direct_svd(rng, monkeypatch):
+    deltas = [rng.standard_normal((30, 6)) for _ in range(2)]
+    ref = thin_svd(np.concatenate(deltas, axis=1))
+    shapes = record_svd_shapes(monkeypatch)
+    shared = joint_decompose(deltas)
+    assert shapes == [(30, 12)]
+    np.testing.assert_array_equal(shared.u, ref.u)
+    np.testing.assert_array_equal(shared.s, ref.s)
+
+
+def test_decompose_layer_cores_bitwise_repeatable(rng):
+    deltas = [rng.standard_normal((40, 41)) for _ in range(3)]
+    config = PivotConfig(rank=8)
+    _, first = pivot.decompose_layer(deltas, config)
+    _, second = pivot.decompose_layer([d.copy() for d in deltas], config)
+    for a, b in zip(first.cores, second.cores):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_joint_decompose_per_expert_reconstruction(rng):
     deltas = [rng.standard_normal((8, 5)) for _ in range(3)]
     shared = joint_decompose(deltas)

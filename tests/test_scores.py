@@ -194,6 +194,13 @@ def test_score_table_validation():
         ScoreTable(expert_ids=("a",), scores=np.zeros((1, 1)), beta=0.0)
 
 
+@pytest.mark.parametrize("bad_id, shown", [(7, "7"), (["a"], r"\['a'\]"), (None, "None"),
+                                            (b"a", "b'a'")], ids=["int", "list", "none", "bytes"])
+def test_score_table_rejects_non_string_id(bad_id, shown):
+    with pytest.raises(ValueError, match="expert id must be a string, got " + shown):
+        ScoreTable(expert_ids=("b", bad_id), scores=np.zeros((2, 1)))
+
+
 def test_rows_for_missing_expert():
     table = ScoreTable(expert_ids=("a", "b"), scores=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="missing"):
