@@ -35,10 +35,9 @@ def run(args):
     merged_paths = {}
     for method in ("average", "task-arithmetic", "ties", "dare-ties", "pivot"):
         out = work / f"merged_{method}.tensors"
-        cmd = ["merge", "--method", method, *base_flag, *expert_flags,
-               "--out", str(out), "--rank", str(args.rank)]
+        cmd = ["merge", "--method", method, *base_flag, *expert_flags, "--out", str(out)]
         if method == "pivot":
-            cmd += ["--scores", str(inputs / "scores.json"),
+            cmd += ["--rank", str(args.rank), "--scores", str(inputs / "scores.json"),
                     "--diagnostics", str(work / "pivot_diagnostics.json")]
         assert cli(cmd) == 0
         merged_paths[method] = out

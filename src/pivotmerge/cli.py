@@ -35,6 +35,8 @@ ANALYZE_MODES = ("residual-sim", "principal-angles", "layer-weights")
 ANALYZE_UNREAD_FLAGS = {"residual-sim": ("scores", "beta"),
                         "principal-angles": ("scores", "beta"),
                         "layer-weights": ("base", "expert", "rank", "gamma", "rho")}
+# The pipeline flags only --method pivot reads; a baseline method given one is a usage error.
+PIVOT_ONLY_FLAGS = ("scores", "rank", "gamma", "rho", "beta")
 
 # Baseline TIES trims at 0.2 by default; inside the pivot pipeline the inner
 # operator keeps everything unless --trim says otherwise.
@@ -165,6 +167,10 @@ def _load_experts(parser: argparse.ArgumentParser, paths, base) -> list:
 
 
 def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
+    if args.method != "pivot":
+        for name in PIVOT_ONLY_FLAGS:
+            if getattr(args, name) is not None:
+                parser.error(f"--{name} is not read by --method {args.method}")
     _check_pipeline_flags(parser, args)
     _check_operator_flags(parser, args)
     if args.method == "pivot" and not args.scores:

@@ -21,6 +21,12 @@ TIES semantics, pinned for reproducibility:
 * the output entry is the weighted mean of trimmed values whose sign matches
   the elected sign, with weights renormalized over the agreeing inputs only.
 
+TIES memory is bounded: the trim step keeps one (N, n) bool mask of kept
+entries, found input by input, and the elect and merge steps then run over
+column chunks of the flattened inputs, so no (N, n) float64 temporary is
+built. Each chunk adds the inputs in input order, entry by entry, so the
+result does not depend on the chunk width.
+
 DARE zeroes each entry independently with probability `drop_rate` using a
 Philox stream keyed by (seed, input ordinal), scaling survivors by
 1/(1 - drop_rate).
@@ -38,6 +44,8 @@ from .rng import philox
 from .tensorstore import ProjectorCheckpoint, add_delta, layer_deltas, sorted_experts
 
 KINDS = ("weight_average", "task_arithmetic", "ties", "dare_ties")
+# Columns per TIES elect-and-merge step: the float64 working set is N * _CHUNK entries.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -153,18 +161,43 @@ def _trim_keep_count(trim_fraction: float, n_entries: int) -> int:
     return max(1, int(math.floor(trim_fraction * n_entries + 1e-9)))
 
 
-def _trim_mask(flat: np.ndarray, keep: int) -> np.ndarray:
-    """Per row, mark the `keep` largest magnitudes; ties at the cutoff keep lower flat indices."""
-    cut = flat.shape[1] - keep
-    kept = np.empty(flat.shape, dtype=bool)
-    for row, out in zip(flat, kept):
-        mag = np.abs(row)
-        cutoff = np.partition(mag, cut)[cut]
+def _trim_mask(rows: Sequence[np.ndarray], keep: int) -> np.ndarray:
+    """Per flattened input, mark the `keep` largest magnitudes; ties at the cutoff keep lower flat indices."""
+    n_entries = rows[0].size
+    cut = n_entries - keep
+    kept = np.empty((len(rows), n_entries), dtype=bool)
+    mag = np.empty(n_entries)
+    for row, out in zip(rows, kept):
+        np.abs(row, out=mag)
+        mag.partition(cut)
+        cutoff = mag[cut]
+        # Partitioning reorders the buffer; recompute rather than hold a second copy.
+        np.abs(row, out=mag)
         np.greater(mag, cutoff, out=out)
         # At most keep - 1 entries exceed the cutoff, so at least one tied entry is taken.
         need = keep - np.count_nonzero(out)
         out[np.flatnonzero(mag == cutoff)[:need]] = True
     return kept
+
+
+def _merge_chunk(w: np.ndarray, flats: list[np.ndarray], kept: np.ndarray | None,
+                 cols: slice, out: np.ndarray) -> None:
+    """Elect and merge the columns `cols` of the flattened inputs into `out[cols]`."""
+    trimmed = np.zeros((len(flats), cols.stop - cols.start))
+    for i, (row, flat) in enumerate(zip(trimmed, flats)):
+        np.copyto(row, flat[cols], where=True if kept is None else kept[i, cols])
+    weighted_sum = w @ trimmed
+    live = weighted_sum != 0.0
+    elected = np.sign(weighted_sum, out=weighted_sum)
+    # Row by row, so each temporary is one chunk row. Both sums add the inputs
+    # in order, entry by entry, which is the order of an axis-0 sum.
+    den = np.zeros_like(elected)
+    for wi, row in zip(w, trimmed):
+        agree = np.sign(row) == elected
+        np.add(den, wi, out=den, where=agree)
+        np.copyto(row, 0.0, where=~agree)
+        row *= wi
+    np.divide(trimmed.sum(axis=0), den, out=out[cols], where=live)
 
 
 def ties(mats: Sequence, weights: Sequence[float], trim_fraction: float) -> np.ndarray:
@@ -176,25 +209,19 @@ def ties(mats: Sequence, weights: Sequence[float], trim_fraction: float) -> np.n
     for i, a in enumerate(arrs):
         if not np.isfinite(a).all():
             raise ValueError(f"ties input {i} contains NaN or Inf")
-    shape = arrs[0].shape
-    flat = np.stack([a.ravel() for a in arrs])
-    n_entries = flat.shape[1]
+    flats = [a.ravel() for a in arrs]
+    n_entries = flats[0].size
 
     keep = _trim_keep_count(trim_fraction, n_entries)
-    if keep >= n_entries:
-        trimmed = flat
-    else:
-        trimmed = np.where(_trim_mask(flat, keep), flat, 0.0)
-
-    weighted_sum = w @ trimmed
-    elected = np.sign(weighted_sum)
-    agree = np.sign(trimmed) == elected
-    num = (w[:, None] * np.where(agree, trimmed, 0.0)).sum(axis=0)
-    den = (w[:, None] * agree).sum(axis=0)
+    kept = _trim_mask(flats, keep) if keep < n_entries else None
     out = np.zeros(n_entries)
-    live = weighted_sum != 0.0
-    out[live] = num[live] / den[live]
-    return out.reshape(shape)
+    # The last chunk also takes the remainder: numpy sums a one-column (N, 1)
+    # chunk over axis 0 pairwise, not in input order, which changes the bytes.
+    n_chunks = max(1, n_entries // _CHUNK)
+    for k in range(n_chunks):
+        stop = n_entries if k == n_chunks - 1 else (k + 1) * _CHUNK
+        _merge_chunk(w, flats, kept, slice(k * _CHUNK, stop), out)
+    return out.reshape(arrs[0].shape)
 
 
 def dare(mat, drop_rate: float, seed: int, stream: int = 0) -> np.ndarray:

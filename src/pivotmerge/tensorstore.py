@@ -136,8 +136,12 @@ def write_container(path, tensors: Sequence[Tensor]) -> None:
 
 
 def read_container(path) -> list[Tensor]:
-    """Read all tensors from `path`, in header (sorted-name) order."""
-    blob = Path(path).read_bytes()
+    """Read all tensors from `path`, in header (sorted-name) order.
+
+    The file is read once; the header and payload are views of that one
+    buffer, and each tensor is copied out of it exactly once.
+    """
+    blob = memoryview(Path(path).read_bytes())
     if len(blob) < _HEADER_LEN.size:
         raise ContainerError(f"{path}: file too short for header length prefix")
     (header_len,) = _HEADER_LEN.unpack_from(blob)
@@ -154,7 +158,7 @@ def read_container(path) -> list[Tensor]:
         return obj
 
     try:
-        header = json.loads(body[:header_len].decode("utf-8"), object_pairs_hook=unique_keys)
+        header = json.loads(bytes(body[:header_len]).decode("utf-8"), object_pairs_hook=unique_keys)
     except ContainerError:
         raise
     except (ValueError, RecursionError) as exc:

@@ -315,6 +315,27 @@ def test_analyze_rejects_flags_its_mode_never_reads(synth_dir, tmp_path, capsys,
     assert not (tmp_path / "x").exists()
 
 
+PIVOT_ONLY_FLAGS = [("--scores", "/nonexistent.json"), ("--rank", "3"), ("--gamma", "5"),
+                    ("--rho", "0.9"), ("--beta", "0.1")]
+BASELINE_METHODS = ["average", "task-arithmetic", "ties", "dare-ties"]
+
+
+@pytest.mark.parametrize("flag, value", PIVOT_ONLY_FLAGS, ids=[f for f, _ in PIVOT_ONLY_FLAGS])
+@pytest.mark.parametrize("method", BASELINE_METHODS)
+def test_merge_baselines_reject_pivot_only_flags(synth_dir, tmp_path, capsys, method, flag, value):
+    args = ["merge", "--method", method, "--base", str(synth_dir / "base.tensors"),
+            *[arg for p in expert_paths(synth_dir) for arg in ("--expert", p)]]
+    assert main([*args, "--out", str(tmp_path / "m.tensors")]) == 0
+    assert (tmp_path / "m.tensors").exists()
+    with pytest.raises(SystemExit) as exc:
+        main([*args, flag, value, "--out", str(tmp_path / "x.tensors"),
+              "--diagnostics", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert f"{flag} is not read by --method {method}" in capsys.readouterr().err
+    assert not (tmp_path / "x.tensors").exists()
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("beta_from", ["flag", "file"])
 @pytest.mark.parametrize("command", ["merge", "analyze"])
 def test_overflowing_beta_fails_without_output(synth_dir, tmp_path, capsys, command, beta_from):

@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +16,10 @@ from pivotmerge import (
     ties,
     weight_average,
 )
-from pivotmerge.operators import _trim_keep_count, _trim_mask
+from pivotmerge.operators import _CHUNK, _trim_keep_count, _trim_mask
 from conftest import make_checkpoint
 from ties_oracle import kept_indices, ties_reference
+from ties_stacked import stacked_dare_ties, stacked_ties
 
 
 # --- operator construction ----------------------------------------------
@@ -305,6 +308,95 @@ def test_ties_rejects_non_finite_inputs(bad, trim):
     worse[0, 0] = bad
     with pytest.raises(ValueError, match="ties input 1 contains NaN or Inf"):
         ties([good, worse], [1.0, 1.0], trim)
+
+
+# --- chunked elect and merge ----------------------------------------------
+
+# 125 * 1573 = 3 * _CHUNK + 17 entries: three chunks, the last one 17 columns wider.
+CHUNKED_SHAPE = (125, 1573)
+TIE_RUN = 200   # equal magnitudes centred on the first chunk boundary
+RUN_KEPT = 150  # of which trimming at 0.2 keeps the first 150
+# Exactly cancelling values for unit weights, all above the tie run's magnitude.
+CANCELLING = {2: (3.0, -3.0), 5: (3.0, 4.0, -5.0, 3.0, -5.0)}
+
+
+def _bytes(a):
+    return np.frombuffer(a.tobytes(), dtype=np.uint64)
+
+
+def _chunk_boundary_inputs(n_inputs):
+    """Inputs with a cutoff tie run across a chunk boundary and exactly zero sums on others.
+
+    Returns the matrices and the flat indices whose unit-weight sum is exactly zero.
+    """
+    gen = np.random.default_rng(8128 + n_inputs)
+    n_entries = math.prod(CHUNKED_SHAPE)
+    assert n_entries == 3 * _CHUNK + 17
+    run_start = _CHUNK - TIE_RUN // 2
+    # The same positions hold each input's largest magnitudes: exactly enough of
+    # them that trimming at 0.2 also keeps the first RUN_KEPT entries of the run.
+    free = np.setdiff1d(np.arange(n_entries), np.arange(run_start, run_start + TIE_RUN))
+    edges = np.array([0, 1, 2 * _CHUNK - 1, 2 * _CHUNK, 3 * _CHUNK - 1, 3 * _CHUNK, n_entries - 1])
+    others = gen.choice(np.setdiff1d(free, edges), _trim_keep_count(0.2, n_entries) - RUN_KEPT
+                        - len(edges), replace=False)
+    above = np.concatenate([edges, others])
+    zero_sum = np.concatenate([edges, others[:50]])
+    mats = []
+    for i in range(n_inputs):
+        flat = gen.uniform(-1.0, 1.0, n_entries)
+        flat[run_start:run_start + TIE_RUN] = 2.0 * gen.choice([-1.0, 1.0], TIE_RUN)
+        flat[above] = (3.0 + gen.uniform(0.0, 1.0, len(above))) * gen.choice([-1.0, 1.0], len(above))
+        flat[zero_sum] = CANCELLING[n_inputs][i]
+        mats.append(flat.reshape(CHUNKED_SHAPE))
+    return mats, zero_sum
+
+
+def test_chunk_boundary_inputs_put_the_cutoff_inside_the_tie_run():
+    mats, zero_sum = _chunk_boundary_inputs(2)
+    flats = [m.ravel() for m in mats]
+    kept = _trim_mask(flats, _trim_keep_count(0.2, flats[0].size))
+    run_start = _CHUNK - TIE_RUN // 2
+    assert kept[:, run_start:run_start + RUN_KEPT].all()
+    assert not kept[:, run_start + RUN_KEPT:run_start + TIE_RUN].any()
+    assert run_start < _CHUNK < run_start + RUN_KEPT
+    assert kept[:, zero_sum].all()
+    assert (sum(f[zero_sum] for f in flats) == 0.0).all()
+
+
+@pytest.mark.parametrize("trim", [1.0, 0.2])
+@pytest.mark.parametrize("n_inputs", [2, 5])
+def test_chunked_ties_matches_stacked_formulation(n_inputs, trim):
+    mats, zero_sum = _chunk_boundary_inputs(n_inputs)
+    weights = [1.0] * n_inputs
+    got = ties(mats, weights, trim)
+    np.testing.assert_array_equal(_bytes(got), _bytes(stacked_ties(mats, weights, trim)))
+    assert not got.ravel()[zero_sum].any()
+
+
+@pytest.mark.parametrize("trim", [1.0, 0.2])
+@pytest.mark.parametrize("n_inputs", [2, 5])
+def test_chunked_dare_ties_matches_stacked_formulation(n_inputs, trim):
+    mats, _ = _chunk_boundary_inputs(n_inputs)
+    weights = [1.0] * n_inputs
+    got = merge_weighted(MergeOperator.dare_ties(trim, 0.5, seed=11), mats, weights)
+    want = stacked_dare_ties(mats, weights, trim, 0.5, 11)
+    np.testing.assert_array_equal(_bytes(got), _bytes(want))
+
+
+def test_ties_peak_memory_stays_under_four_inputs():
+    # The stacked formulation held about six (N, n) float64 arrays, 18x one input here.
+    gen = np.random.default_rng(3)
+    mats = [gen.standard_normal((512, 513)) for _ in range(4)]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        got = ties(mats, [1.0] * 4, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 4 * mats[0].nbytes
+    np.testing.assert_array_equal(_bytes(got), _bytes(stacked_ties(mats, [1.0] * 4, 0.2)))
 
 
 # --- dare -----------------------------------------------------------------

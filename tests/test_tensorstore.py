@@ -500,6 +500,29 @@ def test_float32_checkpoint_promoted(tmp_path):
     assert read_container(tmp_path / "back.tensors")[0].dtype == "float32"
 
 
+def test_load_float32_checkpoint_peaks_under_four_file_sizes(tmp_path):
+    # The float32 tensors plus their float64 promotion are 3x the file once the
+    # file buffer is freed; each slice copy of the whole file would add 1x.
+    gen = np.random.default_rng(0)
+    layers = tuple(Layer(weight=gen.standard_normal((d_out, d_in)), bias=gen.standard_normal(d_out))
+                   for d_in, d_out in ((256, 512), (512, 512)))
+    path = tmp_path / "f32.tensors"
+    save_checkpoint(path, ProjectorCheckpoint(id="f32", layers=layers, dtype="float32"))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 4 * os.path.getsize(path)
+    for got, want in zip(loaded.layers, layers):
+        np.testing.assert_array_equal(got.weight, want.weight.astype(np.float32))
+    # Each tensor holds its own memory, not a view that keeps the file buffer alive.
+    assert all(t.data.flags.owndata and t.data.flags.writeable for t in read_container(path))
+
+
 def test_save_checkpoint_rejects_overflow_before_writing(tmp_path):
     ck = ProjectorCheckpoint(id="big", dtype="float32", layers=(
         Layer(weight=np.array([[1.0, 2.0]]), bias=np.array([1e39])),))
