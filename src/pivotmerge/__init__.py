@@ -62,13 +62,10 @@ from .tensorstore import (
     ContainerError,
     Layer,
     ProjectorCheckpoint,
-    Tensor,
-    augment,
     load_checkpoint,
     read_container,
     save_checkpoint,
     sorted_experts,
-    split,
     write_container,
 )
 

@@ -31,18 +31,24 @@ from .tensorstore import (ContainerError, load_checkpoint, save_checkpoint, sort
 METHODS = ("average", "task-arithmetic", "ties", "dare-ties", "pivot")
 INNER_METHODS = ("average", "task-arithmetic", "ties", "dare-ties")
 ANALYZE_MODES = ("residual-sim", "principal-angles", "layer-weights")
-# The flags each analyze mode never reads; giving one is a usage error.
-ANALYZE_UNREAD_FLAGS = {"residual-sim": ("scores", "beta"),
-                        "principal-angles": ("scores", "beta"),
-                        "layer-weights": ("base", "expert", "rank", "gamma", "rho")}
-# The pipeline flags only --method pivot reads; a baseline method given one is a usage error.
-PIVOT_ONLY_FLAGS = ("scores", "rank", "gamma", "rho", "beta")
+PIPELINE_FLAGS = ("scores", "rank", "gamma", "rho", "beta")
+OPERATOR_FLAGS = ("trim", "lambda", "drop", "seed", "inner")
+# The optional flags each merge method, pivot inner operator and analyze mode
+# reads; giving any other is a usage error. Pivot also reads its inner's flags.
+READS = {"average": (), "task-arithmetic": ("lambda",), "ties": ("trim",),
+         "dare-ties": ("trim", "drop", "seed"), "pivot": PIPELINE_FLAGS + ("inner",),
+         "residual-sim": ("base", "expert", "rank", "gamma", "rho"),
+         "principal-angles": ("base", "expert", "rank", "gamma", "rho"),
+         "layer-weights": ("scores", "beta")}
 
 # Baseline TIES trims at 0.2 by default; inside the pivot pipeline the inner
 # operator keeps everything unless --trim says otherwise.
 BASELINE_TRIM = 0.2
 PIVOT_INNER_TRIM = 1.0
+DEFAULT_LAMBDA = 1.0
 DEFAULT_DROP = 0.5
+DEFAULT_SEED = 0
+DEFAULT_INNER = "ties"
 
 
 def _positive_int(text: str) -> int:
@@ -74,13 +80,12 @@ def _add_operator_flags(sub: argparse.ArgumentParser) -> None:
     """Merge-operator flags, read by merge only."""
     sub.add_argument("--trim", type=float, default=None,
                      help="ties trim fraction (default 0.2 baseline, 1.0 inside pivot)")
-    sub.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                     help="task-arithmetic scale (default 1.0)")
-    sub.add_argument("--drop", type=float, default=DEFAULT_DROP,
-                     help=f"dare drop rate (default {DEFAULT_DROP})")
-    sub.add_argument("--seed", type=int, default=0, help="dare seed (default 0)")
-    sub.add_argument("--inner", choices=INNER_METHODS, default="ties",
-                     help="inner operator for pivot (default ties)")
+    sub.add_argument("--lambda", type=float,
+                     help=f"task-arithmetic scale (default {DEFAULT_LAMBDA})")
+    sub.add_argument("--drop", type=float, help=f"dare drop rate (default {DEFAULT_DROP})")
+    sub.add_argument("--seed", type=int, help=f"dare seed (default {DEFAULT_SEED})")
+    sub.add_argument("--inner", choices=INNER_METHODS,
+                     help=f"inner operator for pivot (default {DEFAULT_INNER})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,13 +135,20 @@ def _check_pipeline_flags(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"--beta must be positive, got {args.beta}")
 
 
+def _reject_unread_flags(parser: argparse.ArgumentParser, args, flags, reads, reader: str) -> None:
+    for name in flags:
+        if getattr(args, name) is not None and name not in reads:
+            parser.error(f"--{name} is not read by {reader}")
+
+
 def _check_operator_flags(parser: argparse.ArgumentParser, args) -> None:
     if args.trim is not None and not 0.0 < args.trim <= 1.0:
         parser.error(f"--trim must be in (0, 1], got {args.trim}")
-    if not 0.0 <= args.drop < 1.0:
+    if args.drop is not None and not 0.0 <= args.drop < 1.0:
         parser.error(f"--drop must be in [0, 1), got {args.drop}")
-    if not args.lam > 0.0:
-        parser.error(f"--lambda must be positive, got {args.lam}")
+    lam = getattr(args, "lambda")
+    if lam is not None and not lam > 0.0:
+        parser.error(f"--lambda must be positive, got {lam}")
 
 
 def _pivot_config(args, **fields) -> PivotConfig:
@@ -146,16 +158,21 @@ def _pivot_config(args, **fields) -> PivotConfig:
     return PivotConfig(**given, **fields)
 
 
+def _given(value, default):
+    return default if value is None else value
+
+
 def _operator_for(method: str, args, is_inner: bool) -> MergeOperator:
+    """The operator `method` names, its flags resolved against their defaults."""
     if method == "average":
         return MergeOperator.average()
     if method == "task-arithmetic":
-        return MergeOperator.arithmetic(args.lam)
-    trim_default = PIVOT_INNER_TRIM if is_inner else BASELINE_TRIM
-    trim = args.trim if args.trim is not None else trim_default
+        return MergeOperator.arithmetic(_given(getattr(args, "lambda"), DEFAULT_LAMBDA))
+    trim = _given(args.trim, PIVOT_INNER_TRIM if is_inner else BASELINE_TRIM)
     if method == "ties":
         return MergeOperator.ties(trim)
-    return MergeOperator.dare_ties(trim, args.drop, args.seed)
+    return MergeOperator.dare_ties(trim, _given(args.drop, DEFAULT_DROP),
+                                   _given(args.seed, DEFAULT_SEED))
 
 
 def _load_experts(parser: argparse.ArgumentParser, paths, base) -> list:
@@ -167,10 +184,11 @@ def _load_experts(parser: argparse.ArgumentParser, paths, base) -> list:
 
 
 def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
-    if args.method != "pivot":
-        for name in PIVOT_ONLY_FLAGS:
-            if getattr(args, name) is not None:
-                parser.error(f"--{name} is not read by --method {args.method}")
+    inner = _given(args.inner, DEFAULT_INNER)
+    reads, reader = READS[args.method], f"--method {args.method}"
+    if args.method == "pivot":
+        reads, reader = reads + READS[inner], f"{reader} --inner {inner}"
+    _reject_unread_flags(parser, args, PIPELINE_FLAGS + OPERATOR_FLAGS, reads, reader)
     _check_pipeline_flags(parser, args)
     _check_operator_flags(parser, args)
     if args.method == "pivot" and not args.scores:
@@ -181,7 +199,7 @@ def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
     if args.method == "pivot":
         table = read_scores(args.scores)
         config = _pivot_config(args, beta=args.beta,
-                               inner=_operator_for(args.inner, args, is_inner=True))
+                               inner=_operator_for(inner, args, is_inner=True))
         merged, diagnostics = pivot_merge(experts, base, table, config)
     else:
         op = _operator_for(args.method, args, is_inner=False)
@@ -204,9 +222,8 @@ def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
 
 
 def cmd_analyze(parser: argparse.ArgumentParser, args) -> int:
-    for name in ANALYZE_UNREAD_FLAGS[args.mode]:
-        if getattr(args, name) is not None:
-            parser.error(f"--{name} is not read by --mode {args.mode}")
+    _reject_unread_flags(parser, args, ("base", "expert") + PIPELINE_FLAGS, READS[args.mode],
+                         f"--mode {args.mode}")
     _check_pipeline_flags(parser, args)
     if args.mode == "layer-weights":
         if not args.scores:

@@ -175,8 +175,15 @@ def _trim_mask(rows: Sequence[np.ndarray], keep: int) -> np.ndarray:
         np.abs(row, out=mag)
         np.greater(mag, cutoff, out=out)
         # At most keep - 1 entries exceed the cutoff, so at least one tied entry is taken.
+        # Scan for the first `need` ties one chunk at a time: on sparse inputs the
+        # cutoff is 0.0, and an index of every tie would cover most of the row.
         need = keep - np.count_nonzero(out)
-        out[np.flatnonzero(mag == cutoff)[:need]] = True
+        for start in range(0, n_entries, _CHUNK):
+            tied = np.flatnonzero(mag[start:start + _CHUNK] == cutoff)[:need]
+            out[start + tied] = True
+            need -= tied.size
+            if need == 0:
+                break
     return kept
 
 

@@ -205,12 +205,12 @@ def score_table_from_feature_container(path, beta: float = DEFAULT_BETA) -> Scor
     Expert ids are ordered lexicographically; every expert must provide the
     same contiguous 1..L layer range over the same samples as "texts".
     """
-    tensors = {t.name: t for t in read_container(path)}
+    tensors = read_container(path)
     if "texts" not in tensors:
         raise ValueError(f"{path}: feature container is missing the 'texts' tensor")
-    texts = tensors.pop("texts").data
+    texts = tensors.pop("texts")
     per_expert: dict[str, dict[int, np.ndarray]] = {}
-    for name, tensor in tensors.items():
+    for name, features in tensors.items():
         parts = name.split(".")
         if len(parts) < 4 or parts[0] != "expert" or parts[-3] != "layer" or parts[-1] != "features":
             raise ValueError(f"{path}: unexpected tensor name {name!r}")
@@ -219,7 +219,7 @@ def score_table_from_feature_container(path, beta: float = DEFAULT_BETA) -> Scor
             layer = int(parts[-2])
         except ValueError as exc:
             raise ValueError(f"{path}: bad layer index in {name!r}") from exc
-        per_expert.setdefault(eid, {})[layer] = tensor.data
+        per_expert.setdefault(eid, {})[layer] = features
     if not per_expert:
         raise ValueError(f"{path}: no expert feature tensors found")
     ids = sorted(per_expert)

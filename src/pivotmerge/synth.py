@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import orthonormal_basis, principal_angles
 from .rng import philox
-from .tensorstore import Layer, ProjectorCheckpoint, Tensor, augment, split
+from .tensorstore import Layer, ProjectorCheckpoint
 
 GROUND_TRUTH_NAME = "layer.{index}.core_basis"
 
@@ -107,7 +107,7 @@ def generate(spec: SynthSpec
         right = gen.standard_normal((spec.core_rank, width))
         core = (left @ right) * (std / np.sqrt(spec.core_rank))
         common = gen.standard_normal((d_out, width)) * std
-        base_layers.append(split(base_mat, has_bias=True))
+        base_layers.append(Layer(base_mat, has_bias=True))
         # span(core) = q @ span(r @ right): a basis from the small factors
         # instead of an SVD of the full (d_out, width) core
         q, r = np.linalg.qr(left)
@@ -116,7 +116,7 @@ def generate(spec: SynthSpec
             private = gen.standard_normal((d_out, width)) * std
             residual = spec.residual_scale * (frac * common + (1.0 - frac) * private)
             noise = spec.noise_scale * gen.standard_normal((d_out, width)) * std
-            expert_layers[ei].append(split(base_mat + core + residual + noise, has_bias=True))
+            expert_layers[ei].append(Layer(base_mat + core + residual + noise, has_bias=True))
     base = ProjectorCheckpoint(id="base", layers=tuple(base_layers), dtype="float64")
     experts = [
         ProjectorCheckpoint(id=expert_id(ei, spec.experts),
@@ -126,19 +126,19 @@ def generate(spec: SynthSpec
     return base, experts, core_bases
 
 
-def ground_truth_tensors(core_bases) -> list[Tensor]:
-    return [Tensor(name=GROUND_TRUTH_NAME.format(index=i + 1), data=np.asarray(b))
-            for i, b in enumerate(core_bases)]
+def ground_truth_tensors(core_bases) -> dict[str, np.ndarray]:
+    return {GROUND_TRUTH_NAME.format(index=i + 1): np.asarray(b)
+            for i, b in enumerate(core_bases)}
 
 
 def load_ground_truth(tensors) -> list[np.ndarray]:
-    """Recover per-layer core bases from ground-truth container tensors."""
+    """Recover per-layer core bases from a name -> array dict of ground-truth tensors."""
     by_index = {}
-    for t in tensors:
-        parts = t.name.split(".")
+    for name, data in tensors.items():
+        parts = name.split(".")
         if len(parts) != 3 or parts[0] != "layer" or parts[2] != "core_basis":
-            raise ValueError(f"unexpected ground-truth tensor name {t.name!r}")
-        by_index[int(parts[1])] = t.data
+            raise ValueError(f"unexpected ground-truth tensor name {name!r}")
+        by_index[int(parts[1])] = data
     if sorted(by_index) != list(range(1, len(by_index) + 1)):
         raise ValueError(f"ground-truth layers must be 1..L contiguous, got {sorted(by_index)}")
     return [by_index[i] for i in range(1, len(by_index) + 1)]
@@ -157,7 +157,7 @@ def recovery_score(merged: ProjectorCheckpoint, base: ProjectorCheckpoint,
         raise ValueError("merged and base checkpoints have different layer shapes")
     out = []
     for li in range(base.num_layers):
-        delta = augment(merged.layers[li]) - augment(base.layers[li])
+        delta = merged.layers[li].matrix - base.layers[li].matrix
         if np.linalg.norm(delta) < 1e-12:
             warnings.warn(f"layer {li + 1}: merged delta is zero; reporting 90 degrees")
             out.append(90.0)

@@ -15,10 +15,14 @@ one ends, and nothing follows the last tensor (zero-size tensors have
 is packed in that same order, so writing the same tensor set always produces
 the same bytes.
 
+In memory a container is a dict from tensor name to numpy array.
+
 Checkpoints are containers holding ``layer.{i}.weight`` (2-D) and optionally
 ``layer.{i}.bias`` (1-D) tensors with 1-based contiguous layer indices. Bias
-presence must be uniform across layers. Values are promoted to float64 on
-load; the source dtype is recorded and reused when writing results.
+presence must be uniform across layers. In memory a layer is one float64
+augmented matrix ``[W | b]``, the bias (if any) as its last column, into which
+loading writes the weight and bias once; the source dtype is recorded and
+reused when writing results.
 
 Every output file is written through `atomic_write`: a crash or error never
 leaves a partial regular file at the target path.
@@ -35,7 +39,7 @@ import secrets
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -87,56 +91,29 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class Tensor:
-    """A named, shaped, row-major numeric array (float32 or float64)."""
-
-    name: str
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.data)
-        dtype = str(arr.dtype)
-        if dtype not in _DTYPES:
-            raise ValueError(f"unsupported dtype {dtype!r} for tensor {self.name!r}")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def dtype(self) -> str:
-        return str(self.data.dtype)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(self.data.shape)
-
-
-def write_container(path, tensors: Sequence[Tensor]) -> None:
-    """Write tensors to `path`. Names must be unique; output is byte-reproducible."""
-    names = [t.name for t in tensors]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise ValueError(f"duplicate tensor names: {dupes}")
-    ordered = sorted(tensors, key=lambda t: t.name)
+def write_container(path, tensors: Mapping[str, np.ndarray]) -> None:
+    """Write name -> array entries (float32 or float64) to `path`; output is byte-reproducible."""
+    names = sorted(tensors)
     header: dict[str, dict] = {}
     offset = 0
-    for t in ordered:
-        size = t.data.nbytes
-        header[t.name] = {
-            "dtype": t.dtype,
-            "shape": list(t.shape),
-            "offsets": [offset, offset + size],
-        }
-        offset += size
+    for name in names:
+        arr = tensors[name]
+        dtype = str(arr.dtype)
+        if dtype not in _DTYPES:
+            raise ValueError(f"unsupported dtype {dtype!r} for tensor {name!r}")
+        header[name] = {"dtype": dtype, "shape": list(arr.shape),
+                        "offsets": [offset, offset + arr.nbytes]}
+        offset += arr.nbytes
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_write(path, "wb") as fh:
         fh.write(_HEADER_LEN.pack(len(header_bytes)))
         fh.write(header_bytes)
-        for t in ordered:
-            fh.write(np.ascontiguousarray(t.data, dtype=_DTYPES[t.dtype]).data)
+        for name in names:
+            fh.write(np.ascontiguousarray(tensors[name], dtype=_DTYPES[header[name]["dtype"]]).data)
 
 
-def read_container(path) -> list[Tensor]:
-    """Read all tensors from `path`, in header (sorted-name) order.
+def read_container(path) -> dict[str, np.ndarray]:
+    """Read all tensors from `path` as a name -> array dict, in header (sorted-name) order.
 
     The file is read once; the header and payload are views of that one
     buffer, and each tensor is copied out of it exactly once.
@@ -205,70 +182,56 @@ def read_container(path) -> list[Tensor]:
     if used != len(payload):
         raise ContainerError(f"{path}: {len(payload) - used} trailing bytes after the last tensor")
 
-    out = []
+    out = {}
     for name, dtype, shape, begin, end in entries:
         try:
             arr = np.frombuffer(payload[begin:end], dtype=_DTYPES[dtype]).reshape(shape)
         except ValueError as exc:
             # Zero-size shapes with huge or too many dimensions pass the byte-size check.
             raise ContainerError(f"{path}: entry {name!r} has shape {shape} numpy cannot hold: {exc}") from exc
-        out.append(Tensor(name=name, data=arr.astype(arr.dtype.newbyteorder("="))))
+        out[name] = arr.astype(arr.dtype.newbyteorder("="))
     return out
 
 
 @dataclass(frozen=True)
 class Layer:
-    """One projector layer: weight (d_out, d_in) plus optional bias (d_out,)."""
+    """One projector layer as its float64 augmented matrix [W | b]; `weight` and `bias` are views."""
 
-    weight: np.ndarray
-    bias: np.ndarray | None = None
+    matrix: np.ndarray
+    has_bias: bool = False
 
     def __post_init__(self):
-        w = np.asarray(self.weight, dtype=np.float64)
-        if w.ndim != 2:
-            raise ValueError(f"layer weight must be 2-D, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
+        m = np.asarray(self.matrix, dtype=np.float64)
+        if m.ndim != 2 or m.shape[1] < self.has_bias:
+            raise ValueError(f"layer matrix must be 2-D with room for its bias, got shape {m.shape}")
+        object.__setattr__(self, "matrix", m)
+        if not np.isfinite(self.weight).all():
             raise ValueError("layer weight contains NaN or Inf")
-        object.__setattr__(self, "weight", w)
-        if self.bias is not None:
-            b = np.asarray(self.bias, dtype=np.float64)
-            if b.ndim != 1 or b.size != w.shape[0]:
-                raise ValueError(
-                    f"bias length {b.shape} does not match output dim {w.shape[0]}")
-            if not np.all(np.isfinite(b)):
-                raise ValueError("layer bias contains NaN or Inf")
-            object.__setattr__(self, "bias", b)
+        if self.has_bias and not np.isfinite(self.bias).all():
+            raise ValueError("layer bias contains NaN or Inf")
+
+    @property
+    def weight(self) -> np.ndarray:
+        return self.matrix[:, :-1] if self.has_bias else self.matrix
+
+    @property
+    def bias(self) -> np.ndarray | None:
+        return self.matrix[:, -1] if self.has_bias else None
 
     @property
     def d_out(self) -> int:
-        return self.weight.shape[0]
+        return self.matrix.shape[0]
 
     @property
     def d_in(self) -> int:
-        return self.weight.shape[1]
-
-
-def augment(layer: Layer) -> np.ndarray:
-    """The weight matrix with the bias appended as the last column (when present)."""
-    if layer.bias is None:
-        return layer.weight.copy()
-    return np.hstack([layer.weight, layer.bias[:, None]])
-
-
-def split(matrix: np.ndarray, has_bias: bool) -> Layer:
-    """Exact inverse of augment: separate the bias column back out."""
-    if not has_bias:
-        return Layer(weight=matrix.copy())
-    return Layer(weight=matrix[:, :-1].copy(), bias=matrix[:, -1].copy())
+        return self.matrix.shape[1] - self.has_bias
 
 
 def add_delta(layer: Layer, delta: np.ndarray) -> Layer:
-    """The layer plus an augmented delta (bias as the last column), split back out."""
-    matrix = augment(layer)
-    if delta.shape != matrix.shape:
-        raise ValueError(f"delta shape {delta.shape} does not match layer {matrix.shape}")
-    matrix += delta  # in place: `augment` returned a fresh array
-    return split(matrix, layer.bias is not None)
+    """The layer plus an augmented delta of the layer matrix's shape."""
+    if delta.shape != layer.matrix.shape:
+        raise ValueError(f"delta shape {delta.shape} does not match layer {layer.matrix.shape}")
+    return Layer(layer.matrix + delta, layer.has_bias)
 
 
 @dataclass(frozen=True)
@@ -285,9 +248,9 @@ class ProjectorCheckpoint:
         if self.dtype not in _DTYPES:
             raise ValueError(f"unsupported checkpoint dtype {self.dtype!r}")
         object.__setattr__(self, "layers", tuple(self.layers))
-        has_bias = self.layers[0].bias is not None
+        has_bias = self.layers[0].has_bias
         for i, layer in enumerate(self.layers, start=1):
-            if (layer.bias is not None) != has_bias:
+            if layer.has_bias != has_bias:
                 raise ValueError(
                     f"inconsistent bias presence: layer 1 {'has' if has_bias else 'lacks'} "
                     f"a bias but layer {i} does not match")
@@ -304,7 +267,7 @@ class ProjectorCheckpoint:
 
     @property
     def has_bias(self) -> bool:
-        return self.layers[0].bias is not None
+        return self.layers[0].has_bias
 
     def layer_shapes(self) -> tuple[tuple[int, int], ...]:
         return tuple((l.d_out, l.d_in) for l in self.layers)
@@ -336,28 +299,27 @@ def sorted_experts(experts: Sequence[ProjectorCheckpoint],
 def layer_deltas(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
                  layer_index: int) -> list[np.ndarray]:
     """Augmented deltas (expert minus base) of one 0-based layer, in the given expert order."""
-    base_mat = augment(base.layers[layer_index])
-    return [augment(ck.layers[layer_index]) - base_mat for ck in experts]
+    base_mat = base.layers[layer_index].matrix
+    return [ck.layers[layer_index].matrix - base_mat for ck in experts]
 
 
 def load_checkpoint(path, checkpoint_id: str | None = None) -> ProjectorCheckpoint:
     """Load a checkpoint container; the id defaults to the file stem."""
-    tensors = {t.name: t for t in read_container(path)}
-    weights: dict[int, Tensor] = {}
-    biases: dict[int, Tensor] = {}
-    dtypes = set()
-    for name, tensor in tensors.items():
+    tensors = read_container(path)
+    weights: dict[int, str] = {}
+    biases: dict[int, str] = {}
+    for name in tensors:
         m = _LAYER_NAME.fullmatch(name)
         if m is None:
             raise ValueError(f"{path}: unexpected tensor name {name!r} in checkpoint")
         idx, kind = int(m.group(1)), m.group(2)
         slot = weights if kind == "weight" else biases
         if idx in slot:
-            raise ValueError(f"{path}: {slot[idx].name!r} and {name!r} are both layer.{idx}.{kind}")
-        slot[idx] = tensor
-        dtypes.add(tensor.dtype)
+            raise ValueError(f"{path}: {slot[idx]!r} and {name!r} are both layer.{idx}.{kind}")
+        slot[idx] = name
     if not weights:
         raise ValueError(f"{path}: checkpoint contains no layer weights")
+    dtypes = {str(arr.dtype) for arr in tensors.values()}
     if len(dtypes) > 1:
         raise ValueError(f"{path}: mixed tensor dtypes in checkpoint: {sorted(dtypes)}")
     num = len(weights)
@@ -371,12 +333,17 @@ def load_checkpoint(path, checkpoint_id: str | None = None) -> ProjectorCheckpoi
 
     layers = []
     for i in range(1, num + 1):
-        bias = biases[i].data if i in biases else None
+        w = tensors.pop(weights[i])
+        b = tensors.pop(biases[i]) if i in biases else None
         try:
-            layer = Layer(weight=weights[i].data, bias=bias)
+            if w.ndim != 2:
+                raise ValueError(f"layer weight must be 2-D, got shape {w.shape}")
+            if b is not None and (b.ndim != 1 or b.size != w.shape[0]):
+                raise ValueError(f"bias length {b.shape} does not match output dim {w.shape[0]}")
+            columns = [w] if b is None else [w, b[:, None]]
+            layers.append(Layer(np.concatenate(columns, axis=1, dtype=np.float64), b is not None))
         except ValueError as exc:
             raise ValueError(f"{path}: layer.{i}: {exc}") from exc
-        layers.append(layer)
     ckpt_id = checkpoint_id if checkpoint_id is not None else Path(path).stem
     try:
         return ProjectorCheckpoint(id=ckpt_id, layers=tuple(layers), dtype=dtypes.pop())
@@ -391,7 +358,7 @@ def save_checkpoint(path, ckpt: ProjectorCheckpoint) -> None:
     raise ValueError before anything is written.
     """
     dtype = _DTYPES[ckpt.dtype]
-    tensors = []
+    tensors = {}
     with np.errstate(over="ignore"):
         for i, layer in enumerate(ckpt.layers, start=1):
             for kind, values in (("weight", layer.weight), ("bias", layer.bias)):
@@ -401,5 +368,5 @@ def save_checkpoint(path, ckpt: ProjectorCheckpoint) -> None:
                 if not np.isfinite(stored).all():
                     raise ValueError(
                         f"{path}: layer.{i}.{kind} has values that overflow {ckpt.dtype}")
-                tensors.append(Tensor(name=f"layer.{i}.{kind}", data=stored))
+                tensors[f"layer.{i}.{kind}"] = stored
     write_container(path, tensors)

@@ -28,8 +28,9 @@ def make_checkpoint(ckpt_id, rng, chain, with_bias=True, scale=1.0):
     for i in range(len(chain) - 1):
         d_in, d_out = chain[i], chain[i + 1]
         weight = rng.standard_normal((d_out, d_in)) * scale
-        bias = rng.standard_normal(d_out) * scale if with_bias else None
-        layers.append(Layer(weight=weight, bias=bias))
+        if with_bias:
+            weight = np.hstack([weight, rng.standard_normal(d_out)[:, None] * scale])
+        layers.append(Layer(weight, has_bias=with_bias))
     return ProjectorCheckpoint(id=ckpt_id, layers=tuple(layers))
 
 

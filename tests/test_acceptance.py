@@ -35,7 +35,6 @@ from pivotmerge import (
 )
 from pivotmerge import analysis
 from pivotmerge.cli import main as cli_main
-from pivotmerge.tensorstore import Tensor
 from conftest import checkpoint_rel_error, make_checkpoint
 from ties_oracle import ties_reference
 
@@ -323,15 +322,14 @@ def test_criterion_9_determinism_and_end_to_end(tmp_path):
     elapsed = time.monotonic() - started
 
     gen = np.random.default_rng(99)
-    tensors = [Tensor("x", gen.standard_normal((7, 3))),
-               Tensor("y", gen.standard_normal(11).astype(np.float32))]
+    tensors = {"x": gen.standard_normal((7, 3)),
+               "y": gen.standard_normal(11).astype(np.float32)}
     path = tmp_path / "roundtrip.tensors"
     write_container(path, tensors)
     back = read_container(path)
-    roundtrip = all(
-        got.name == want.name and got.dtype == want.dtype
-        and np.array_equal(got.data, want.data)
-        for got, want in zip(back, sorted(tensors, key=lambda t: t.name)))
+    roundtrip = list(back) == sorted(tensors) and all(
+        back[name].dtype == want.dtype and np.array_equal(back[name], want)
+        for name, want in tensors.items())
     write_container(tmp_path / "again.tensors", back)
     roundtrip &= (tmp_path / "again.tensors").read_bytes() == path.read_bytes()
 

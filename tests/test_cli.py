@@ -66,7 +66,8 @@ def test_merge_baselines_run(synth_dir, tmp_path, method):
     diag = tmp_path / f"{method}.json"
     code = main(["merge", "--method", method, "--base", str(synth_dir / "base.tensors")]
                 + [arg for p in expert_paths(synth_dir) for arg in ("--expert", p)]
-                + ["--out", str(out), "--seed", "3", "--diagnostics", str(diag)])
+                + ["--out", str(out), "--diagnostics", str(diag)]
+                + (["--seed", "3"] if method == "dare-ties" else []))
     assert code == 0
     assert load_checkpoint(out).num_layers == 2
     record = json.loads(diag.read_text())
@@ -271,6 +272,8 @@ def test_analyze_layer_weights_matches_unit_values(tmp_path):
 
 OPERATOR_FLAGS = [("--trim", "0.5"), ("--lambda", "0.7"), ("--drop", "0.3"), ("--seed", "3"),
                   ("--inner", "average")]
+# The pivot inner operator that reads each operator flag (ties, the default, reads --trim).
+INNER_READING = {"--lambda": "task-arithmetic", "--drop": "dare-ties", "--seed": "dare-ties"}
 
 
 @pytest.mark.parametrize("flag, value", OPERATOR_FLAGS, ids=[f for f, _ in OPERATOR_FLAGS])
@@ -282,9 +285,35 @@ def test_operator_flags_are_merge_only(synth_dir, tmp_path, capsys, flag, value)
               "--out", str(tmp_path / "sim"), flag, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-    assert main(["merge", "--method", "pivot", *base, *experts,
+    inner = ["--inner", INNER_READING[flag]] if flag in INNER_READING else []
+    assert main(["merge", "--method", "pivot", *base, *experts, *inner,
                  "--scores", str(synth_dir / "scores.json"),
                  "--out", str(tmp_path / "m.tensors"), flag, value]) == 0
+
+
+# The operator flags each merge method reads, pivot with its default ties inner.
+METHOD_READS = {"average": (), "task-arithmetic": ("--lambda",), "ties": ("--trim",),
+                "dare-ties": ("--trim", "--drop", "--seed"), "pivot": ("--trim", "--inner")}
+UNREAD_OPERATOR_FLAGS = [
+    (method, [flag, value], flag)
+    for method, reads in METHOD_READS.items()
+    for flag, value in OPERATOR_FLAGS if flag not in reads
+] + [("pivot", ["--inner", "average", "--trim", "0.5"], "--trim")]
+
+
+@pytest.mark.parametrize("method, args, flag", UNREAD_OPERATOR_FLAGS,
+                         ids=[m + "".join(a[::2]) for m, a, _ in UNREAD_OPERATOR_FLAGS])
+def test_merge_rejects_operator_flags_its_method_never_reads(synth_dir, tmp_path, capsys,
+                                                             method, args, flag):
+    scores = ["--scores", str(synth_dir / "scores.json")] if method == "pivot" else []
+    with pytest.raises(SystemExit) as exc:
+        main(["merge", "--method", method, "--base", str(synth_dir / "base.tensors"),
+              *[arg for p in expert_paths(synth_dir) for arg in ("--expert", p)], *scores, *args,
+              "--out", str(tmp_path / "x.tensors"), "--diagnostics", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert f"{flag} is not read by --method {method}" in capsys.readouterr().err
+    assert not (tmp_path / "x.tensors").exists()
+    assert not (tmp_path / "x.json").exists()
 
 
 UNREAD_ANALYZE_FLAGS = [

@@ -399,6 +399,25 @@ def test_ties_peak_memory_stays_under_four_inputs():
     np.testing.assert_array_equal(_bytes(got), _bytes(stacked_ties(mats, [1.0] * 4, 0.2)))
 
 
+def test_sparse_ties_scans_ties_one_chunk_at_a_time():
+    # With 90% zeros the cutoff is 0.0 and most entries tie at it. An index of
+    # every tie made one call peak at 2.53x one input at this shape.
+    gen = np.random.default_rng(5)
+    mats = [gen.standard_normal((1024, 1025)) for _ in range(4)]
+    for m in mats:
+        m[gen.random(m.shape) < 0.9] = 0.0
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        got = ties(mats, [1.0] * 4, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2.25 * mats[0].nbytes
+    np.testing.assert_array_equal(_bytes(got), _bytes(stacked_ties(mats, [1.0] * 4, 0.2)))
+
+
 # --- dare -----------------------------------------------------------------
 
 

@@ -41,22 +41,20 @@ def test_task_vectors_zero_for_identical(rng):
 def test_task_vectors_roundtrip(rng):
     base = make_checkpoint("base", rng, [3, 4])
     expert = make_checkpoint("e", rng, [3, 4])
-    from pivotmerge import augment
     deltas = task_vectors([expert], base)
     for li, layer in enumerate(deltas):
-        np.testing.assert_allclose(augment(base.layers[li]) + layer[0],
-                                   augment(expert.layers[li]), atol=1e-15)
+        np.testing.assert_allclose(base.layers[li].matrix + layer[0],
+                                   expert.layers[li].matrix, atol=1e-15)
 
 
 def test_task_vectors_zero_base_equals_augmented_experts(rng):
-    from pivotmerge import Layer, ProjectorCheckpoint, augment
+    from pivotmerge import Layer, ProjectorCheckpoint
     expert = make_checkpoint("e", rng, [3, 4])
     zero_base = ProjectorCheckpoint(id="base", layers=tuple(
-        Layer(weight=np.zeros_like(l.weight), bias=np.zeros_like(l.bias))
-        for l in expert.layers))
+        Layer(np.zeros_like(l.matrix), has_bias=True) for l in expert.layers))
     deltas = task_vectors([expert], zero_base)
     for li, layer in enumerate(deltas):
-        np.testing.assert_array_equal(layer[0], augment(expert.layers[li]))
+        np.testing.assert_array_equal(layer[0], expert.layers[li].matrix)
 
 
 def test_task_vectors_shape_mismatch(rng):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from pivotmerge import (
     ScoreTable,
-    Tensor,
     compute_scores_from_features,
     layer_weights,
     read_scores,
@@ -238,11 +237,11 @@ def test_scores_dimension_mismatch():
 
 def test_score_table_from_feature_container(tmp_path):
     texts = np.array([[1.0, 0.0], [0.0, 1.0]])
-    tensors = [Tensor("texts", texts)]
+    tensors = {"texts": texts}
     for eid, flip in (("m1", 1.0), ("m2", -1.0)):
         for layer in (1, 2):
             feats = flip * texts if layer == 1 else np.array([[1.0, 1.0], [1.0, 1.0]])
-            tensors.append(Tensor(f"expert.{eid}.layer.{layer}.features", feats))
+            tensors[f"expert.{eid}.layer.{layer}.features"] = feats
     path = tmp_path / "features.tensors"
     write_container(path, tensors)
     table = score_table_from_feature_container(path, beta=0.05)
@@ -253,16 +252,16 @@ def test_score_table_from_feature_container(tmp_path):
 
 def test_feature_container_missing_texts(tmp_path):
     path = tmp_path / "features.tensors"
-    write_container(path, [Tensor("expert.a.layer.1.features", np.ones((1, 2)))])
+    write_container(path, {"expert.a.layer.1.features": np.ones((1, 2))})
     with pytest.raises(ValueError, match="texts"):
         score_table_from_feature_container(path)
 
 
 def test_feature_container_gap(tmp_path):
     path = tmp_path / "features.tensors"
-    write_container(path, [
-        Tensor("texts", np.ones((1, 2))),
-        Tensor("expert.a.layer.2.features", np.ones((1, 2))),
-    ])
+    write_container(path, {
+        "texts": np.ones((1, 2)),
+        "expert.a.layer.2.features": np.ones((1, 2)),
+    })
     with pytest.raises(ValueError, match="contiguous"):
         score_table_from_feature_container(path)

@@ -16,7 +16,6 @@ from pivotmerge import (
     recovery_score,
 )
 from pivotmerge.synth import expert_id, ground_truth_tensors
-from pivotmerge.tensorstore import augment
 from conftest import checkpoint_rel_error
 
 
@@ -82,7 +81,7 @@ def test_delta_cosine_strictly_between_zero_and_one():
     base, experts, _ = generate(spec)
     flat = []
     for ck in experts:
-        parts = [augment(l) - augment(b)
+        parts = [l.matrix - b.matrix
                  for l, b in zip(ck.layers, base.layers)]
         flat.append(np.concatenate([p.ravel() for p in parts]))
     sims = [cosine(flat[i], flat[j])
@@ -97,7 +96,7 @@ def test_core_basis_spans_planted_core(chain, core_rank):
     spec = spec_from(chain=chain, core_rank=core_rank, residual_scale=0.0)
     base, experts, cores = generate(spec)
     for layer, base_layer, q in zip(experts[0].layers, base.layers, cores):
-        core = augment(layer) - augment(base_layer)
+        core = layer.matrix - base_layer.matrix
         reference = orthonormal_basis(core)
         assert q.shape == reference.shape
         assert q.shape[1] == min(core_rank, *core.shape)

@@ -3,7 +3,6 @@ import os
 import struct
 import threading
 import tracemalloc
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,33 +13,30 @@ from pivotmerge import (
     ContainerError,
     Layer,
     ProjectorCheckpoint,
-    Tensor,
-    augment,
     load_checkpoint,
     read_container,
     save_checkpoint,
-    split,
     write_container,
 )
-from pivotmerge.tensorstore import add_delta
+from pivotmerge.tensorstore import add_delta, layer_deltas
 
 
 def test_roundtrip_two_tensors(tmp_path):
     path = tmp_path / "t.tensors"
-    a = Tensor("alpha", np.arange(6, dtype=np.float32).reshape(2, 3))
-    b = Tensor("beta", np.linspace(-1, 1, 5, dtype=np.float64))
-    write_container(path, [b, a])
+    a = np.arange(6, dtype=np.float32).reshape(2, 3)
+    b = np.linspace(-1, 1, 5, dtype=np.float64)
+    write_container(path, {"beta": b, "alpha": a})
     out = read_container(path)
-    assert [t.name for t in out] == ["alpha", "beta"]  # header order is sorted
-    np.testing.assert_array_equal(out[0].data, a.data)
-    np.testing.assert_array_equal(out[1].data, b.data)
-    assert out[0].dtype == "float32" and out[1].dtype == "float64"
+    assert list(out) == ["alpha", "beta"]  # header order is sorted
+    np.testing.assert_array_equal(out["alpha"], a)
+    np.testing.assert_array_equal(out["beta"], b)
+    assert out["alpha"].dtype == "float32" and out["beta"].dtype == "float64"
 
 
 def test_empty_container(tmp_path):
     path = tmp_path / "empty.tensors"
-    write_container(path, [])
-    assert read_container(path) == []
+    write_container(path, {})
+    assert read_container(path) == {}
     raw = path.read_bytes()
     (header_len,) = struct.unpack_from("<Q", raw)
     assert raw[8:8 + header_len] == b"{}"
@@ -48,7 +44,7 @@ def test_empty_container(tmp_path):
 
 def test_payload_size_2x3_float32(tmp_path):
     path = tmp_path / "p.tensors"
-    write_container(path, [Tensor("x", np.ones((2, 3), dtype=np.float32))])
+    write_container(path, {"x": np.ones((2, 3), dtype=np.float32)})
     raw = path.read_bytes()
     (header_len,) = struct.unpack_from("<Q", raw)
     payload = raw[8 + header_len:]
@@ -56,23 +52,19 @@ def test_payload_size_2x3_float32(tmp_path):
 
 
 def test_write_is_byte_reproducible(tmp_path):
-    t1 = Tensor("a", np.arange(4, dtype=np.float64))
-    t2 = Tensor("b", np.ones((2, 2), dtype=np.float32))
+    t1 = np.arange(4, dtype=np.float64)
+    t2 = np.ones((2, 2), dtype=np.float32)
     p1, p2 = tmp_path / "one.tensors", tmp_path / "two.tensors"
-    write_container(p1, [t1, t2])
-    write_container(p2, [t2, t1])  # order of the input list must not matter
+    write_container(p1, {"a": t1, "b": t2})
+    write_container(p2, {"b": t2, "a": t1})  # insertion order must not matter
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_duplicate_names_rejected(tmp_path):
-    t = Tensor("x", np.zeros(2))
-    with pytest.raises(ValueError, match="duplicate"):
-        write_container(tmp_path / "d.tensors", [t, t])
-
-
-def test_unsupported_dtype_rejected():
-    with pytest.raises(ValueError, match="dtype"):
-        Tensor("x", np.zeros(3, dtype=np.int32))
+def test_unsupported_dtype_rejected(tmp_path):
+    path = tmp_path / "int.tensors"
+    with pytest.raises(ValueError, match="unsupported dtype 'int32' for tensor 'x'"):
+        write_container(path, {"a": np.zeros(2), "x": np.zeros(3, dtype=np.int32)})
+    assert not path.exists()
 
 
 def test_truncated_header_length(tmp_path):
@@ -158,54 +150,53 @@ def test_payload_must_be_dense(tmp_path, header, payload, message):
 
 
 def test_written_container_with_zero_size_tensors_loads(tmp_path):
-    tensors = [Tensor("a", np.zeros((0,))), Tensor("b", np.arange(3.0)),
-               Tensor("c", np.zeros((2, 0), dtype=np.float32)), Tensor("d", np.ones((2, 2)))]
+    tensors = {"a": np.zeros((0,)), "b": np.arange(3.0),
+               "c": np.zeros((2, 0), dtype=np.float32), "d": np.ones((2, 2))}
     path = tmp_path / "dense.tensors"
     write_container(path, tensors)
     out = read_container(path)
-    assert [(t.name, t.shape, t.dtype) for t in out] == [(t.name, t.shape, t.dtype) for t in tensors]
-    for got, want in zip(out, tensors):
-        np.testing.assert_array_equal(got.data, want.data)
+    assert [(n, t.shape, t.dtype) for n, t in out.items()] == \
+        [(n, t.shape, t.dtype) for n, t in tensors.items()]
+    for name, want in tensors.items():
+        np.testing.assert_array_equal(out[name], want)
 
 
-@dataclass(frozen=True)
-class _FailingTensor:
+class _FailingArray:
     """Header fields of a float64 vector whose payload cannot be produced."""
 
-    name: str = "zz"
-    dtype: str = "float64"
-    shape: tuple = (4,)
+    dtype = np.dtype("float64")
+    shape = (4,)
+    nbytes = 32
 
-    @property
-    def data(self):
+    def __array__(self, dtype=None, copy=None):
         raise OSError("disk full")
 
 
 def test_failed_write_leaves_no_file(tmp_path):
     path = tmp_path / "out.tensors"
     with pytest.raises(OSError, match="disk full"):
-        write_container(path, [Tensor("a", np.arange(4.0)), _FailingTensor()])
+        write_container(path, {"a": np.arange(4.0), "zz": _FailingArray()})
     assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_keeps_existing_target(tmp_path):
     path = tmp_path / "out.tensors"
-    write_container(path, [Tensor("a", np.arange(4.0))])
+    write_container(path, {"a": np.arange(4.0)})
     before = path.read_bytes()
     with pytest.raises(OSError, match="disk full"):
-        write_container(path, [Tensor("a", np.arange(8.0)), _FailingTensor()])
+        write_container(path, {"a": np.arange(8.0), "zz": _FailingArray()})
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 
 
 def test_write_through_symlink_keeps_link(tmp_path):
     real = tmp_path / "real.tensors"
-    write_container(real, [Tensor("a", np.arange(2.0))])
+    write_container(real, {"a": np.arange(2.0)})
     link = tmp_path / "link.tensors"
     link.symlink_to(real)
-    write_container(link, [Tensor("a", np.arange(4.0))])
+    write_container(link, {"a": np.arange(4.0)})
     assert link.is_symlink() and os.readlink(link) == str(real)
-    np.testing.assert_array_equal(read_container(real)[0].data, np.arange(4.0))
+    np.testing.assert_array_equal(read_container(real)["a"], np.arange(4.0))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tensors", "real.tensors"]
 
 
@@ -215,11 +206,11 @@ def test_write_to_pipe_writes_in_place(tmp_path):
     received = []
     reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
     reader.start()
-    write_container(fifo, [Tensor("a", np.arange(2.0))])
+    write_container(fifo, {"a": np.arange(2.0)})
     reader.join(timeout=10)
     assert not reader.is_alive()
     path = tmp_path / "file.tensors"
-    write_container(path, [Tensor("a", np.arange(2.0))])
+    write_container(path, {"a": np.arange(2.0)})
     assert received == [path.read_bytes()]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file.tensors", "pipe"]
 
@@ -229,7 +220,7 @@ def test_written_file_mode_follows_umask(tmp_path):
     with open(plain, "w"):
         pass
     path = tmp_path / "out.tensors"
-    write_container(path, [Tensor("a", np.arange(4.0))])
+    write_container(path, {"a": np.arange(4.0)})
     assert os.stat(path).st_mode == os.stat(plain).st_mode
 
 
@@ -240,18 +231,16 @@ small_shapes = st.lists(st.integers(min_value=0, max_value=4), min_size=0, max_s
 @st.composite
 def tensor_sets(draw):
     count = draw(st.integers(min_value=0, max_value=4))
-    used = set()
-    tensors = []
+    tensors = {}
     for _ in range(count):
-        name = draw(names.filter(lambda n: n not in used))
-        used.add(name)
+        name = draw(names.filter(lambda n: n not in tensors))
         shape = tuple(draw(small_shapes))
         dtype = draw(st.sampled_from([np.float32, np.float64]))
         size = int(np.prod(shape)) if shape else 1
         values = draw(st.lists(
             st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=32),
             min_size=size, max_size=size))
-        tensors.append(Tensor(name, np.array(values, dtype=dtype).reshape(shape)))
+        tensors[name] = np.array(values, dtype=dtype).reshape(shape)
     return tensors
 
 
@@ -261,12 +250,11 @@ def test_roundtrip_property(tmp_path_factory, tensors):
     path = tmp_path_factory.mktemp("cont") / "t.tensors"
     write_container(path, tensors)
     out = read_container(path)
-    expected = sorted(tensors, key=lambda t: t.name)
-    assert [t.name for t in out] == [t.name for t in expected]
-    for got, want in zip(out, expected):
-        assert got.dtype == want.dtype
-        assert got.shape == want.shape
-        np.testing.assert_array_equal(got.data, want.data)
+    assert list(out) == sorted(tensors)
+    for name, want in tensors.items():
+        assert out[name].dtype == want.dtype
+        assert out[name].shape == want.shape
+        np.testing.assert_array_equal(out[name], want)
 
 
 # --- hostile headers -----------------------------------------------------
@@ -343,8 +331,8 @@ def corrupted_checkpoints(draw, blob: bytes):
 @pytest.fixture(scope="module")
 def valid_checkpoint_blob(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "valid.tensors"
-    layers = (Layer(weight=np.arange(6.0).reshape(2, 3), bias=np.array([0.5, -0.5])),
-              Layer(weight=np.ones((3, 2)), bias=np.zeros(3)))
+    layers = (Layer(np.hstack([np.arange(6.0).reshape(2, 3), [[0.5], [-0.5]]]), has_bias=True),
+              Layer(np.hstack([np.ones((3, 2)), np.zeros((3, 1))]), has_bias=True))
     save_checkpoint(path, ProjectorCheckpoint(id="valid", layers=layers, dtype="float32"))
     return path.read_bytes()
 
@@ -370,13 +358,13 @@ def test_corrupted_checkpoint_raises_only_format_errors(tmp_path_factory, valid_
 
 
 def _checkpoint_tensors(with_bias=True):
-    ts = [
-        Tensor("layer.1.weight", np.arange(12, dtype=np.float64).reshape(4, 3)),
-        Tensor("layer.2.weight", np.arange(20, dtype=np.float64).reshape(5, 4)),
-    ]
+    ts = {
+        "layer.1.weight": np.arange(12, dtype=np.float64).reshape(4, 3),
+        "layer.2.weight": np.arange(20, dtype=np.float64).reshape(5, 4),
+    }
     if with_bias:
-        ts.append(Tensor("layer.1.bias", np.ones(4)))
-        ts.append(Tensor("layer.2.bias", np.zeros(5)))
+        ts["layer.1.bias"] = np.ones(4)
+        ts["layer.2.bias"] = np.zeros(5)
     return ts
 
 
@@ -392,10 +380,10 @@ def test_load_checkpoint_well_formed(tmp_path):
 
 
 def test_load_checkpoint_gap(tmp_path):
-    ts = [
-        Tensor("layer.1.weight", np.zeros((4, 3))),
-        Tensor("layer.3.weight", np.zeros((5, 4))),
-    ]
+    ts = {
+        "layer.1.weight": np.zeros((4, 3)),
+        "layer.3.weight": np.zeros((5, 4)),
+    }
     path = tmp_path / "gap.tensors"
     write_container(path, ts)
     with pytest.raises(ValueError, match="contiguous"):
@@ -404,7 +392,7 @@ def test_load_checkpoint_gap(tmp_path):
 
 def test_load_checkpoint_inconsistent_bias(tmp_path):
     ts = _checkpoint_tensors(with_bias=False)
-    ts.append(Tensor("layer.1.bias", np.ones(4)))
+    ts["layer.1.bias"] = np.ones(4)
     path = tmp_path / "bias.tensors"
     write_container(path, ts)
     with pytest.raises(ValueError, match="bias"):
@@ -413,7 +401,7 @@ def test_load_checkpoint_inconsistent_bias(tmp_path):
 
 def test_load_checkpoint_bad_bias_length(tmp_path):
     ts = _checkpoint_tensors(with_bias=False)
-    ts += [Tensor("layer.1.bias", np.ones(3)), Tensor("layer.2.bias", np.ones(5))]
+    ts |= {"layer.1.bias": np.ones(3), "layer.2.bias": np.ones(5)}
     path = tmp_path / "bias.tensors"
     write_container(path, ts)
     with pytest.raises(ValueError, match="bias"):
@@ -425,7 +413,7 @@ def test_load_checkpoint_bad_bias_length(tmp_path):
     ("layer.1.bias", np.ones(3), r"bias length \(3,\) does not match output dim 4"),
 ], ids=["1d-weight", "short-bias"])
 def test_bad_layer_shape_error_names_path_and_layer(tmp_path, name, data, message):
-    ts = [t for t in _checkpoint_tensors() if t.name != name] + [Tensor(name, data)]
+    ts = _checkpoint_tensors() | {name: data}
     path = tmp_path / "shape.tensors"
     write_container(path, ts)
     with pytest.raises(ValueError, match=r"shape\.tensors: layer\.1: " + message):
@@ -433,10 +421,10 @@ def test_bad_layer_shape_error_names_path_and_layer(tmp_path, name, data, messag
 
 
 def test_shape_chain_checked(tmp_path):
-    ts = [
-        Tensor("layer.1.weight", np.zeros((4, 3))),
-        Tensor("layer.2.weight", np.zeros((5, 6))),
-    ]
+    ts = {
+        "layer.1.weight": np.zeros((4, 3)),
+        "layer.2.weight": np.zeros((5, 6)),
+    }
     path = tmp_path / "chain.tensors"
     write_container(path, ts)
     with pytest.raises(ValueError, match=r"chain\.tensors: shape chain broken"):
@@ -444,7 +432,7 @@ def test_shape_chain_checked(tmp_path):
 
 
 def test_nonfinite_weight_rejected(tmp_path):
-    ts = [Tensor("layer.1.weight", np.array([[np.nan, 0.0]]))]
+    ts = {"layer.1.weight": np.array([[np.nan, 0.0]])}
     path = tmp_path / "nan.tensors"
     write_container(path, ts)
     with pytest.raises(ValueError, match="NaN"):
@@ -455,9 +443,7 @@ def test_nonfinite_weight_rejected(tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_nonfinite_tensor_error_names_path_and_layer(tmp_path, kind, bad):
     ts = _checkpoint_tensors()
-    for t in ts:
-        if t.name == f"layer.2.{kind}":
-            t.data.flat[-1] = bad
+    ts[f"layer.2.{kind}"].flat[-1] = bad
     path = tmp_path / "bad.tensors"
     write_container(path, ts)
     with pytest.raises(ValueError, match=rf"bad\.tensors: layer\.2: layer {kind} contains NaN or Inf"):
@@ -470,7 +456,7 @@ def test_nonfinite_tensor_error_names_path_and_layer(tmp_path, kind, bad):
 ], ids=["leading-zero", "trailing-newline"])
 def test_second_tensor_for_one_layer_rejected(tmp_path, alias, message):
     # Both names used to parse as layer 1, and one tensor silently replaced the other.
-    ts = _checkpoint_tensors(with_bias=False) + [Tensor(alias, np.zeros((4, 3)))]
+    ts = _checkpoint_tensors(with_bias=False) | {alias: np.zeros((4, 3))}
     path = tmp_path / "alias.tensors"
     write_container(path, ts)
     with pytest.raises(ValueError, match=r"alias\.tensors: " + message):
@@ -490,21 +476,22 @@ def test_save_checkpoint_roundtrip(tmp_path, rng):
 
 
 def test_float32_checkpoint_promoted(tmp_path):
-    ts = [Tensor("layer.1.weight", np.ones((2, 2), dtype=np.float32))]
+    ts = {"layer.1.weight": np.ones((2, 2), dtype=np.float32)}
     path = tmp_path / "f32.tensors"
     write_container(path, ts)
     ck = load_checkpoint(path)
     assert ck.dtype == "float32"
     assert ck.layers[0].weight.dtype == np.float64
     save_checkpoint(tmp_path / "back.tensors", ck)
-    assert read_container(tmp_path / "back.tensors")[0].dtype == "float32"
+    assert read_container(tmp_path / "back.tensors")["layer.1.weight"].dtype == "float32"
 
 
 def test_load_float32_checkpoint_peaks_under_four_file_sizes(tmp_path):
     # The float32 tensors plus their float64 promotion are 3x the file once the
     # file buffer is freed; each slice copy of the whole file would add 1x.
     gen = np.random.default_rng(0)
-    layers = tuple(Layer(weight=gen.standard_normal((d_out, d_in)), bias=gen.standard_normal(d_out))
+    layers = tuple(Layer(np.hstack([gen.standard_normal((d_out, d_in)),
+                                    gen.standard_normal(d_out)[:, None]]), has_bias=True)
                    for d_in, d_out in ((256, 512), (512, 512)))
     path = tmp_path / "f32.tensors"
     save_checkpoint(path, ProjectorCheckpoint(id="f32", layers=layers, dtype="float32"))
@@ -520,42 +507,45 @@ def test_load_float32_checkpoint_peaks_under_four_file_sizes(tmp_path):
     for got, want in zip(loaded.layers, layers):
         np.testing.assert_array_equal(got.weight, want.weight.astype(np.float32))
     # Each tensor holds its own memory, not a view that keeps the file buffer alive.
-    assert all(t.data.flags.owndata and t.data.flags.writeable for t in read_container(path))
+    assert all(t.flags.owndata and t.flags.writeable for t in read_container(path).values())
 
 
 def test_save_checkpoint_rejects_overflow_before_writing(tmp_path):
     ck = ProjectorCheckpoint(id="big", dtype="float32", layers=(
-        Layer(weight=np.array([[1.0, 2.0]]), bias=np.array([1e39])),))
+        Layer(np.array([[1.0, 2.0, 1e39]]), has_bias=True),))
     path = tmp_path / "big.tensors"
     with pytest.raises(ValueError, match=r"big\.tensors: layer\.1\.bias .*float32"):
         save_checkpoint(path, ck)
     assert not path.exists()
 
 
-# --- augment / split ----------------------------------------------------
+# --- layer matrix and views --------------------------------------------
 
 
-def test_augment_with_bias():
-    layer = Layer(weight=np.array([[1.0, 2.0], [3.0, 4.0]]), bias=np.array([5.0, 6.0]))
-    np.testing.assert_array_equal(augment(layer), [[1, 2, 5], [3, 4, 6]])
-
-
-def test_augment_without_bias():
-    layer = Layer(weight=np.array([[1.0, 2.0]]))
-    np.testing.assert_array_equal(augment(layer), layer.weight)
-
-
-def test_split_is_inverse():
-    matrix = np.array([[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]])
-    layer = split(matrix, has_bias=True)
+def test_layer_views_with_bias():
+    layer = Layer(np.array([[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]]), has_bias=True)
     np.testing.assert_array_equal(layer.weight, [[1, 2], [3, 4]])
     np.testing.assert_array_equal(layer.bias, [5, 6])
-    np.testing.assert_array_equal(augment(layer), matrix)
+    assert (layer.d_out, layer.d_in) == (2, 2)
+
+
+def test_layer_views_without_bias():
+    layer = Layer(np.array([[1.0, 2.0]]))
+    np.testing.assert_array_equal(layer.weight, layer.matrix)
+    assert layer.bias is None and (layer.d_out, layer.d_in) == (1, 2)
+
+
+@pytest.mark.parametrize("matrix, has_bias", [(np.zeros(3), False), (np.zeros((2, 0)), True)],
+                         ids=["1d", "no-bias-column"])
+def test_layer_rejects_matrix_without_room(matrix, has_bias):
+    with pytest.raises(ValueError, match="layer matrix must be 2-D"):
+        Layer(matrix, has_bias=has_bias)
 
 
 def test_add_delta_keeps_at_most_two_copies_of_the_layer():
     gen = np.random.default_rng(0)
-    layer = Layer(weight=gen.standard_normal((512, 512)), bias=gen.standard_normal(512))
+    layer = Layer(np.hstack([gen.standard_normal((512, 512)), gen.standard_normal(512)[:, None]]),
+                  has_bias=True)
     delta = gen.standard_normal((512, 513))
     tracemalloc.start()
     try:
@@ -565,9 +555,28 @@ def test_add_delta_keeps_at_most_two_copies_of_the_layer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the augmented matrix plus the output layer; a third copy would exceed 2.5x
-    assert peak - before < 2.5 * delta.nbytes
-    np.testing.assert_array_equal(augment(out), augment(layer) + delta)
+    # the output matrix plus the finiteness masks; a copy of the input would exceed 1.5x
+    assert peak - before < 1.5 * delta.nbytes
+    np.testing.assert_array_equal(out.matrix, layer.matrix + delta)
+
+
+def test_layer_deltas_holds_one_matrix_per_expert():
+    gen = np.random.default_rng(0)
+    base, *experts = (
+        ProjectorCheckpoint(id=f"m{i}", layers=(Layer(gen.standard_normal((512, 513)), True),))
+        for i in range(5))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        deltas = layer_deltas(experts, base, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the N output deltas; a copy of any input matrix would exceed N + 0.5
+    assert peak - before < (len(experts) + 0.5) * base.layers[0].matrix.nbytes
+    for delta, ck in zip(deltas, experts):
+        np.testing.assert_array_equal(delta, ck.layers[0].matrix - base.layers[0].matrix)
 
 
 @settings(max_examples=50, deadline=None)
@@ -577,21 +586,22 @@ def test_add_delta_keeps_at_most_two_copies_of_the_layer():
     st.booleans(),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_augment_split_inverse_property(d_out, d_in, with_bias, seed):
-    gen = np.random.default_rng(seed)
-    layer = Layer(weight=gen.standard_normal((d_out, d_in)),
-                  bias=gen.standard_normal(d_out) if with_bias else None)
-    round_tripped = split(augment(layer), with_bias)
-    np.testing.assert_array_equal(round_tripped.weight, layer.weight)
+def test_layer_views_share_matrix_property(d_out, d_in, with_bias, seed):
+    matrix = np.random.default_rng(seed).standard_normal((d_out, d_in + with_bias))
+    layer = Layer(matrix, has_bias=with_bias)
+    assert (layer.d_out, layer.d_in) == (d_out, d_in)
+    np.testing.assert_array_equal(layer.weight, matrix[:, :d_in])
+    assert np.shares_memory(layer.weight, layer.matrix)
     if with_bias:
-        np.testing.assert_array_equal(round_tripped.bias, layer.bias)
+        np.testing.assert_array_equal(layer.bias, matrix[:, -1])
+        assert np.shares_memory(layer.bias, layer.matrix)
     else:
-        assert round_tripped.bias is None
+        assert layer.bias is None
 
 
 def test_checkpoint_requires_uniform_bias():
     with pytest.raises(ValueError, match="bias"):
         ProjectorCheckpoint(id="x", layers=(
-            Layer(weight=np.zeros((2, 2)), bias=np.zeros(2)),
-            Layer(weight=np.zeros((2, 2))),
+            Layer(np.zeros((2, 3)), has_bias=True),
+            Layer(np.zeros((2, 2))),
         ))
