@@ -17,6 +17,13 @@ RANK_RTOL = 1e-10
 # when the cut eigengap exceeds EIG_GAP_RTOL * lambda_max: by Davis-Kahan (SIAM
 # J. Numer. Anal. 1970) the subspace error is then bounded by rounding / gap.
 EIG_GAP_RTOL = 1e-8
+# A wide matrix's U and S come from its Gram matrix's eigenpairs only when
+# lambda_min > GRAM_COND_RTOL * lambda_max: every singular value is then live
+# under RANK_RTOL and has relative error about eps / (2 * GRAM_COND_RTOL).
+# lambda_min must also exceed _GRAM_FLOOR, far above the underflow threshold,
+# so Gram entries summed from products rounded to subnormals cannot perturb it.
+GRAM_COND_RTOL = 1e-6
+_GRAM_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 # Vectors with 2-norm below this are treated as zero (cosine convention).
 ZERO_NORM = 1e-12
 
@@ -53,14 +60,47 @@ def thin_svd(mat) -> SvdFactors:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge on shape {m.shape}") from exc
-    k = s.size
-    if k:
-        pick = np.argmax(np.abs(u), axis=0)
-        signs = np.sign(u[pick, np.arange(k)])
-        signs[signs == 0.0] = 1.0
+    if s.size:
+        signs = _canonical_signs(u)
         u = u * signs
         vt = vt * signs[:, None]
     return SvdFactors(u=u, s=s, vt=vt)
+
+
+def _canonical_signs(u: np.ndarray) -> np.ndarray:
+    """Column signs that make the largest-magnitude entry of each column of u positive."""
+    pick = np.argmax(np.abs(u), axis=0)
+    signs = np.sign(u[pick, np.arange(u.shape[1])])
+    signs[signs == 0.0] = 1.0
+    return signs
+
+
+def _gram_eigh(m: np.ndarray, wide: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """Ascending eigenpairs of M M^T (wide) or M^T M; None when that Gram matrix overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            evals, evecs = np.linalg.eigh(m @ m.T if wide else m.T @ m)
+        except np.linalg.LinAlgError:
+            return None
+    return (evals, evecs) if np.isfinite(evals).all() else None
+
+
+def _gram_left_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """U and S (descending) of a wide matrix from the eigenpairs of M M^T, or None.
+
+    None unless the certificate lambda_min > GRAM_COND_RTOL * lambda_max holds
+    (and lambda_min is clear of underflow): a rank-deficient, ill-conditioned,
+    overflowing or underflowing Gram matrix is left to an SVD. U's signs
+    follow thin_svd's rule.
+    """
+    eig = _gram_eigh(m, wide=True)
+    if eig is None:
+        return None
+    evals, evecs = eig
+    if not evals[0] > max(GRAM_COND_RTOL * evals[-1], _GRAM_FLOOR):
+        return None
+    u = evecs[:, ::-1]
+    return u * _canonical_signs(u), np.sqrt(evals[::-1])
 
 
 def truncate_rank(mat, rank: int) -> np.ndarray:
@@ -80,15 +120,12 @@ def truncate_rank(mat, rank: int) -> np.ndarray:
     if r >= min(rows, cols):
         return m.copy()
     wide = rows <= cols
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            evals, evecs = np.linalg.eigh(m @ m.T if wide else m.T @ m)
-            certified = evals[-r] - evals[-r - 1] > EIG_GAP_RTOL * evals[-1]
-        except np.linalg.LinAlgError:  # the Gram matrix overflowed
-            certified = False
-    if certified:
-        q = evecs[:, -r:]
-        return q @ (q.T @ m) if wide else (m @ q) @ q.T
+    eig = _gram_eigh(m, wide)
+    if eig is not None:
+        evals, evecs = eig
+        if evals[-r] - evals[-r - 1] > EIG_GAP_RTOL * evals[-1]:
+            q = evecs[:, -r:]
+            return q @ (q.T @ m) if wide else (m @ q) @ q.T
     factors = thin_svd(m)
     return (factors.u[:, :r] * factors.s[:r]) @ factors.vt[:r]
 

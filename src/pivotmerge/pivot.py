@@ -5,9 +5,11 @@ Each projector layer is merged independently through five stages:
 1. task vectors: per-expert deltas from the shared initialization, computed
    on bias-augmented matrices;
 2. joint decomposition: the left singular vectors U and spectrum S of the
-   column-wise concatenation of all deltas (from the R factor of the QR of
-   its transpose when it is wide), and one coefficient block per expert
-   projected through them;
+   column-wise concatenation of all deltas, and one coefficient block per
+   expert projected through them. A wide concatenation takes U and S from
+   the eigenpairs of its Gram matrix when the GRAM_COND_RTOL certificate
+   holds, and from the SVD of the R factor of its transpose's QR (R-SVD)
+   when it does not; a tall one takes its thin SVD;
 3. decoupling: each coefficient block splits into a rank-r core (its best
    rank-r approximation, from the smaller Gram matrix's top eigenvectors)
    plus a residual;
@@ -32,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import RANK_RTOL, ZERO_NORM, sigmoid, thin_svd, truncate_rank
+from .linalg import RANK_RTOL, ZERO_NORM, _gram_left_factors, sigmoid, thin_svd, truncate_rank
 from .operators import MergeOperator, merge_weighted
 from .scores import ScoreTable, layer_weights, score_increments, threshold_from_ratio
 from .tensorstore import Layer, ProjectorCheckpoint, add_delta, layer_deltas, sorted_experts
@@ -95,14 +97,19 @@ def task_vectors(experts: Sequence[ProjectorCheckpoint],
 def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
     """Shared basis U and spectrum S of [D_1, ..., D_N], one coefficient block per expert.
 
-    Only U and S are computed. When the concatenation is wide (N * w > d_out)
-    they come from the thin SVD of the square R^T, where R is the QR factor of
-    the concatenation's transpose (R-SVD, T. F. Chan, ACM TOMS 1982): R^T has
-    the same U and S and no (k, N * w) right factor is formed. Each block is
-    the projection inv(S) U^T D_i, a pure function of (U, S, D_i), so
-    bit-identical deltas give bit-identical blocks even where the spectrum is
-    degenerate. Rows at numerically-zero singular values carry no
-    reconstruction content and are set to zero.
+    Only U and S are computed. When the concatenation C is wide (N * w > d_out)
+    and well conditioned they come from the eigenpairs of its Gram matrix
+    C C^T: S = sqrt(lambda), U the eigenvectors, with signs canonicalized as in
+    thin_svd. That route is certified by lambda_min > GRAM_COND_RTOL *
+    lambda_max, which keeps every singular value accurate to about 1e-10
+    relative. A wide C that fails the certificate (rank deficient, ill
+    conditioned, or a Gram matrix that over- or underflows) falls back to the
+    thin SVD of the square R^T, where R is the QR factor of C^T (R-SVD, T. F.
+    Chan, ACM TOMS 1982); a tall C takes its thin SVD directly. No (k, N * w)
+    right factor is ever formed. Each block is the projection inv(S) U^T D_i,
+    a pure function of (U, S, D_i), so bit-identical deltas give bit-identical
+    blocks even where the spectrum is degenerate. Rows at numerically-zero
+    singular values carry no reconstruction content and are set to zero.
     """
     n = len(deltas)
     if n < 1:
@@ -118,15 +125,18 @@ def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
         return SharedSpaceLayer(
             u=np.zeros((d_out, 0)), s=np.zeros(0),
             coeffs=tuple(np.zeros((0, width)) for _ in range(n)))
-    if concat.shape[1] > d_out:
-        factors = thin_svd(np.linalg.qr(concat.T, mode="r").T)
+    wide = concat.shape[1] > d_out
+    gram = _gram_left_factors(concat) if wide else None
+    if gram is not None:
+        u, s = gram
     else:
-        factors = thin_svd(concat)
-    live = factors.s > RANK_RTOL * factors.s[0]
-    inv_s = np.zeros_like(factors.s)
-    inv_s[live] = 1.0 / factors.s[live]
-    coeffs = tuple(inv_s[:, None] * (factors.u.T @ m) for m in mats)
-    return SharedSpaceLayer(u=factors.u, s=factors.s, coeffs=coeffs)
+        factors = thin_svd(np.linalg.qr(concat.T, mode="r").T if wide else concat)
+        u, s = factors.u, factors.s
+    live = s > RANK_RTOL * s[0]
+    inv_s = np.zeros_like(s)
+    inv_s[live] = 1.0 / s[live]
+    coeffs = tuple(inv_s[:, None] * (u.T @ m) for m in mats)
+    return SharedSpaceLayer(u=u, s=s, coeffs=coeffs)
 
 
 def decouple(coeffs: Sequence[np.ndarray], rank: int) -> DecoupledLayer:
@@ -178,7 +188,7 @@ def filter_residuals(residuals: Sequence[np.ndarray], gamma: float, rho: float
     norms = np.linalg.norm(stack, axis=2)        # (N, k)
     unit = np.zeros_like(stack)
     ok = norms >= ZERO_NORM
-    unit[ok] = stack[ok] / norms[ok][:, None]
+    np.divide(stack, norms[..., None], out=unit, where=ok[..., None])
     gram = np.einsum("ikw,jkw->kij", unit, unit)  # (k, N, N)
     pair_sum = gram.sum(axis=(1, 2)) - np.einsum("kii->k", gram)
     consistencies = np.clip(pair_sum / (n * (n - 1)), -1.0, 1.0)
@@ -192,7 +202,8 @@ def filter_residuals(residuals: Sequence[np.ndarray], gamma: float, rho: float
         total = np.abs(b).sum()
         masked_total = np.abs(masked).sum()
         if masked_total < 1e-12:
-            warnings.warn("masked residual mass is near zero; skipping L1 compensation")
+            if total > 0.0:
+                warnings.warn("masked residual mass is near zero; skipping L1 compensation")
             filtered.append(masked)
         else:
             filtered.append(masked * (total / masked_total))

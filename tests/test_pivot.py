@@ -95,18 +95,60 @@ def record_svd_shapes(monkeypatch):
     return shapes
 
 
-def test_joint_decompose_wide_uses_r_svd(monkeypatch):
-    # 3 blocks of 8 columns over 12 rows, with a well-separated planted spectrum
+def planted_wide(s_max, s_min):
+    # 3 blocks of 8 columns over 12 rows, planted spectrum geomspace(s_max, s_min, 12)
     gen = np.random.default_rng(5)
     left, _ = np.linalg.qr(gen.standard_normal((12, 12)))
     right, _ = np.linalg.qr(gen.standard_normal((24, 12)))
-    concat = (left * np.geomspace(10.0, 0.1, 12)) @ right.T
+    return (left * np.geomspace(s_max, s_min, 12)) @ right.T
+
+
+def test_joint_decompose_wide_well_conditioned_uses_gram(monkeypatch):
+    # lambda_min / lambda_max = 1e-4 passes the GRAM_COND_RTOL = 1e-6 certificate,
+    # which bounds each singular value's relative error by about eps / 2e-6 ~ 1e-10;
+    # the planted gaps keep U's error below that as well.
+    concat = planted_wide(10.0, 0.1)
+    ref = thin_svd(concat)
+    deltas = np.split(concat, 3, axis=1)
+    shapes = record_svd_shapes(monkeypatch)
+    shared = joint_decompose(deltas)
+    assert shapes == []
+    np.testing.assert_allclose(shared.u, ref.u, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(shared.s, ref.s, rtol=1e-10, atol=0)
+    for delta, block in zip(deltas, shared.coeffs):
+        np.testing.assert_allclose((shared.u * shared.s) @ block, delta, rtol=0, atol=1e-10)
+
+
+def test_joint_decompose_wide_ill_conditioned_uses_r_svd(monkeypatch):
+    # lambda_min / lambda_max = 1e-10 fails the certificate: one SVD of the square R^T
+    concat = planted_wide(10.0, 1e-4)
     ref = thin_svd(concat)
     shapes = record_svd_shapes(monkeypatch)
     shared = joint_decompose(np.split(concat, 3, axis=1))
     assert shapes == [(12, 12)]
     np.testing.assert_allclose(shared.u, ref.u, rtol=0, atol=1e-12)
     np.testing.assert_allclose(shared.s, ref.s, rtol=0, atol=1e-12)
+
+
+def wide_blocks(scale):
+    gen = np.random.default_rng(9)
+    return [gen.standard_normal((12, 8)) * scale for _ in range(3)]
+
+
+@pytest.mark.parametrize("deltas", [
+    [wide_blocks(1.0)[0]] * 3,
+    wide_blocks(1e160),
+    wide_blocks(1e-160),
+], ids=["rank-deficient", "gram-overflows", "gram-underflows"])
+def test_joint_decompose_uncertified_gram_falls_back_to_r_svd(monkeypatch, deltas):
+    ref = thin_svd(np.concatenate(deltas, axis=1))
+    shapes = record_svd_shapes(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shared = joint_decompose(deltas)
+    assert shapes == [(12, 12)]
+    assert np.isfinite(shared.u).all() and np.isfinite(shared.s).all()
+    np.testing.assert_allclose(shared.s, ref.s, rtol=0, atol=1e-12 * ref.s[0])
 
 
 def test_joint_decompose_tall_keeps_direct_svd(rng, monkeypatch):
@@ -283,10 +325,36 @@ def test_filter_single_expert_passthrough(rng):
 
 
 def test_filter_near_zero_mass_skips_compensation():
-    b = np.zeros((2, 2))
+    # exact zeros: masking removed nothing, so they pass through without a warning
+    zero = np.zeros((2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filtered, _, _, _ = filter_residuals([zero, zero.copy()], gamma=20.0, rho=0.5)
+    np.testing.assert_array_equal(filtered[0], zero)
+    # a tiny nonzero residual whose masked mass is below 1e-12 is masked, not rescaled
+    tiny = np.full((2, 2), 1e-14)
     with pytest.warns(UserWarning, match="mass"):
-        filtered, _, _, _ = filter_residuals([b, b.copy()], gamma=20.0, rho=0.5)
-    np.testing.assert_array_equal(filtered[0], b)
+        filtered, mask, _, _ = filter_residuals([tiny, tiny.copy()], gamma=20.0, rho=0.5)
+    np.testing.assert_array_equal(filtered[0], mask[:, None] * tiny)
+
+
+def test_filter_consistencies_match_gathered_unit_rows(rng):
+    # rows below ZERO_NORM get zero unit rows; the result must be the bytes of a
+    # boolean-mask gather and scatter of the normalized rows
+    mats = [rng.standard_normal((6, 5)) for _ in range(4)]
+    mats[0][1] = 0.0
+    mats[2][[1, 4]] = 0.0
+    mats[3][5] = 1e-13
+    stack = np.stack(mats)
+    norms = np.linalg.norm(stack, axis=2)
+    ok = norms >= linalg.ZERO_NORM
+    unit = np.zeros_like(stack)
+    unit[ok] = stack[ok] / norms[ok][:, None]
+    gram = np.einsum("ikw,jkw->kij", unit, unit)
+    pair_sum = gram.sum(axis=(1, 2)) - np.einsum("kii->k", gram)
+    want = np.clip(pair_sum / (4 * 3), -1.0, 1.0)
+    _, _, consistencies, _ = filter_residuals(mats, gamma=20.0, rho=0.5)
+    np.testing.assert_array_equal(consistencies, want)
 
 
 # --- layer merge and reconstruction ------------------------------------------
@@ -395,6 +463,27 @@ def test_pivot_merge_matches_straight_line_oracle(rng):
     for got, (w_want, b_want) in zip(merged.layers, want):
         assert rel_error(got.weight, w_want) <= 1e-8
         assert rel_error(got.bias, b_want) <= 1e-8
+
+
+def test_pivot_merge_well_conditioned_wide_layer_factors_without_svd_or_qr(rng, monkeypatch):
+    # one 64x65 layer, N=4: the 64x260 concatenation takes the certified Gram
+    # route and every rank-8 cut the certified eigengap route
+    base = make_checkpoint("base", rng, [64, 64])
+    experts = [make_checkpoint(f"e{i}", rng, [64, 64]) for i in range(4)]
+    calls = []
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(pivot, "thin_svd", counting("thin_svd", pivot.thin_svd))
+    monkeypatch.setattr(linalg, "thin_svd", counting("thin_svd", linalg.thin_svd))
+    monkeypatch.setattr(np.linalg, "qr", counting("qr", np.linalg.qr))
+    merged, _ = pivot_merge(experts, base, uniform_table(experts, 1), PivotConfig(rank=8))
+    assert calls == []
+    assert np.isfinite(merged.layers[0].matrix).all()
 
 
 def test_pivot_merge_expert_order_invariant(rng):
