@@ -23,14 +23,25 @@ Each projector layer is merged independently through five stages:
 
 For magnitude-based inner operators (ties, dare_ties) both branches are
 pre-scaled row-wise by S before merging and un-scaled afterwards, because
-scale information lives in the spectrum rather than the coefficients.
+scale information lives in the spectrum rather than the coefficients. The
+operator applies that row scale as it reads each block, so no scaled copy
+is formed.
+
+Working set: the merge kernel forms a layer's deltas itself and frees each
+per-expert block set as soon as the next stage has consumed it. The deltas
+go once the coefficients are projected, and the concatenation before that.
+The coefficient blocks go once the cores and residuals exist, and the raw
+residuals once they are filtered. Filtering scores one row chunk of every
+expert at a time instead of stacking all N blocks. With N experts about
+3N + 2 layer-sized blocks are alive at the peak stage, down from 7N + 2.
+Every public stage function leaves its inputs untouched.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,6 +53,8 @@ from .tensorstore import Layer, ProjectorCheckpoint, add_delta, layer_deltas, so
 # Rows whose singular value falls below this pass through as zero when
 # un-scaling from the spectrum-weighted space.
 SPECTRUM_FLOOR = 1e-12
+# Entries per expert in one row chunk of the residual filter's unit rows.
+_FILTER_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -50,7 +63,7 @@ class SharedSpaceLayer:
 
     u: np.ndarray                    # (d_out, k)
     s: np.ndarray                    # (k,)
-    coeffs: tuple[np.ndarray, ...]   # N blocks, each (k, w)
+    coeffs: tuple[np.ndarray, ...]   # N blocks, each (k, w); empty once decoupled
 
 
 @dataclass(frozen=True)
@@ -109,7 +122,8 @@ def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
     right factor is ever formed. Each block is the projection inv(S) U^T D_i,
     a pure function of (U, S, D_i), so bit-identical deltas give bit-identical
     blocks even where the spectrum is degenerate. Rows at numerically-zero
-    singular values carry no reconstruction content and are set to zero.
+    singular values carry no reconstruction content and are set to zero. The
+    concatenation is freed before the blocks are projected.
     """
     n = len(deltas)
     if n < 1:
@@ -119,24 +133,31 @@ def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
     for i, m in enumerate(mats):
         if m.shape != (d_out, width):
             raise ValueError(f"delta {i} has shape {m.shape}, expected {(d_out, width)}")
-    concat = np.concatenate(mats, axis=1)
-    if not concat.any():
+    if not any(m.any() for m in mats):
         warnings.warn("all task vectors are zero; layer has an empty shared space")
         return SharedSpaceLayer(
             u=np.zeros((d_out, 0)), s=np.zeros(0),
             coeffs=tuple(np.zeros((0, width)) for _ in range(n)))
-    wide = concat.shape[1] > d_out
-    gram = _gram_left_factors(concat) if wide else None
-    if gram is not None:
-        u, s = gram
-    else:
-        factors = thin_svd(np.linalg.qr(concat.T, mode="r").T if wide else concat)
-        u, s = factors.u, factors.s
+    u, s = _left_factors(np.concatenate(mats, axis=1))
     live = s > RANK_RTOL * s[0]
     inv_s = np.zeros_like(s)
     inv_s[live] = 1.0 / s[live]
-    coeffs = tuple(inv_s[:, None] * (u.T @ m) for m in mats)
-    return SharedSpaceLayer(u=u, s=s, coeffs=coeffs)
+    coeffs = []
+    for m in mats:
+        block = u.T @ m
+        block *= inv_s[:, None]
+        coeffs.append(block)
+    return SharedSpaceLayer(u=u, s=s, coeffs=tuple(coeffs))
+
+
+def _left_factors(concat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U and S of the concatenation, by the certified Gram route, the R-SVD or the thin SVD."""
+    wide = concat.shape[1] > concat.shape[0]
+    gram = _gram_left_factors(concat) if wide else None
+    if gram is not None:
+        return gram
+    factors = thin_svd(np.linalg.qr(concat.T, mode="r").T if wide else concat)
+    return factors.u, factors.s
 
 
 def decouple(coeffs: Sequence[np.ndarray], rank: int) -> DecoupledLayer:
@@ -172,6 +193,9 @@ def filter_residuals(residuals: Sequence[np.ndarray], gamma: float, rho: float
 
     Returns (filtered residuals, mask, consistencies, tau). With a single
     expert the residuals pass through untouched (mask of ones, tau None).
+    Besides the N filtered blocks it returns, the filter holds one row chunk
+    of unit rows per expert and one temporary block; each filtered block is
+    rescaled in place.
     """
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -179,42 +203,78 @@ def filter_residuals(residuals: Sequence[np.ndarray], gamma: float, rho: float
     n = len(mats)
     if n < 1:
         raise ValueError("need at least one residual")
-    k = mats[0].shape[0]
+    shape = mats[0].shape
+    for i, m in enumerate(mats):
+        if m.ndim != 2 or m.shape != shape:
+            raise ValueError(f"residual {i} has shape {m.shape}, expected a 2-D {shape}")
+    k = shape[0]
     if n == 1 or k == 0:
         ones = np.ones(k)
         return tuple(m.copy() for m in mats), ones, ones.copy(), None
 
-    stack = np.stack(mats)                       # (N, k, w)
-    norms = np.linalg.norm(stack, axis=2)        # (N, k)
-    unit = np.zeros_like(stack)
-    ok = norms >= ZERO_NORM
-    np.divide(stack, norms[..., None], out=unit, where=ok[..., None])
-    gram = np.einsum("ikw,jkw->kij", unit, unit)  # (k, N, N)
-    pair_sum = gram.sum(axis=(1, 2)) - np.einsum("kii->k", gram)
-    consistencies = np.clip(pair_sum / (n * (n - 1)), -1.0, 1.0)
-
+    consistencies = _consistencies(mats)
     tau = threshold_from_ratio(consistencies, rho)
     mask = sigmoid(gamma * (consistencies - tau))
 
     filtered = []
     for b in mats:
-        masked = mask[:, None] * b
         total = np.abs(b).sum()
+        masked = mask[:, None] * b
         masked_total = np.abs(masked).sum()
         if masked_total < 1e-12:
             if total > 0.0:
                 warnings.warn("masked residual mass is near zero; skipping L1 compensation")
-            filtered.append(masked)
         else:
-            filtered.append(masked * (total / masked_total))
+            masked *= total / masked_total
+        filtered.append(masked)
     return tuple(filtered), mask, consistencies, tau
+
+
+def _consistencies(mats: list[np.ndarray]) -> np.ndarray:
+    """Mean cross-expert cosine of each row, from one row chunk of every expert at a time.
+
+    Rows with norm below ZERO_NORM count as zero vectors. The bytes are those
+    of the stacked form einsum("ikw,jkw->kij") over the (N, k, w) unit rows:
+    each pair's row dot products come from einsum("kw,kw->k"), pair (i, j)
+    gives the bits of (j, i), and the (N, N, k) array viewed as (k, N, N) has
+    the stacked result's memory layout, so the sums add in the same order.
+    """
+    n = len(mats)
+    k, w = mats[0].shape
+    step = max(1, _FILTER_CHUNK // max(w, 1))
+    unit = np.empty((n, min(step, k), w))
+    gram = np.empty((n, n, k))
+    for start in range(0, k, step):
+        rows = slice(start, min(start + step, k))
+        chunk = unit[:, :rows.stop - start]
+        for m, out in zip(mats, chunk):
+            norms = np.linalg.norm(m[rows], axis=1)
+            out.fill(0.0)
+            np.divide(m[rows], norms[:, None], out=out, where=(norms >= ZERO_NORM)[:, None])
+        for i in range(n):
+            for j in range(i, n):
+                gram[i, j, rows] = gram[j, i, rows] = np.einsum("kw,kw->k", chunk[i], chunk[j])
+    gram = gram.transpose(2, 0, 1)
+    pair_sum = gram.sum(axis=(1, 2)) - np.einsum("kii->k", gram)
+    return np.clip(pair_sum / (n * (n - 1)), -1.0, 1.0)
 
 
 def decompose_layer(deltas: Sequence[np.ndarray], config: PivotConfig
                     ) -> tuple[SharedSpaceLayer, DecoupledLayer]:
-    """Stages 2-4 for one layer: joint SVD, decoupling, then residual filtering."""
-    shared = joint_decompose(deltas)
+    """Stages 2-4 for one layer: joint decomposition, decoupling, then residual filtering.
+
+    The returned shared layer holds U and S only: its coefficient blocks are
+    dropped once the cores and residuals exist.
+    """
+    return _decompose(lambda: deltas, config)
+
+
+def _decompose(make_deltas: Callable[[], Sequence[np.ndarray]], config: PivotConfig
+               ) -> tuple[SharedSpaceLayer, DecoupledLayer]:
+    # The deltas live only while joint_decompose runs, unless the caller keeps them.
+    shared = joint_decompose(make_deltas())
     dec = decouple(shared.coeffs, config.rank)
+    shared = replace(shared, coeffs=())
     filtered, mask, consistencies, tau = filter_residuals(dec.residuals, config.gamma, config.rho)
     return shared, replace(dec, filtered=filtered, mask=mask, consistencies=consistencies,
                            tau=tau)
@@ -227,26 +287,20 @@ def merge_layer(shared: SharedSpaceLayer, dec: DecoupledLayer, alphas: Sequence[
     Cores use the per-layer alignment weights; residuals use uniform weights.
     For a magnitude-based operator both branches are scaled row-wise by the
     spectrum before the operator and un-scaled afterwards (rows with singular
-    value below SPECTRUM_FLOOR come back as zero).
+    value below SPECTRUM_FLOOR come back as zero). The operator applies the
+    scaling as it reads each block, so no scaled copy of a block is formed.
     """
     uniform = [1.0] * len(dec.cores)
-    s = shared.s
+    if not op.magnitude_based:
+        return merge_weighted(op, dec.cores, alphas) + merge_weighted(op, dec.filtered, uniform)
+    col = shared.s[:, None]
+    live = col >= SPECTRUM_FLOOR
 
-    if op.magnitude_based:
-        col = s[:, None]
+    def branch(blocks, weights):
+        merged = merge_weighted(op, blocks, weights, row_scale=shared.s)
+        return np.divide(merged, col, out=np.zeros_like(merged), where=live)
 
-        def unscale(mat):
-            out = np.zeros_like(mat)
-            live = s >= SPECTRUM_FLOOR
-            out[live] = mat[live] / col[live]
-            return out
-
-        core_merged = unscale(merge_weighted(op, [col * a for a in dec.cores], alphas))
-        resid_merged = unscale(merge_weighted(op, [col * b for b in dec.filtered], uniform))
-    else:
-        core_merged = merge_weighted(op, list(dec.cores), alphas)
-        resid_merged = merge_weighted(op, list(dec.filtered), uniform)
-    return core_merged + resid_merged
+    return branch(dec.cores, alphas) + branch(dec.filtered, uniform)
 
 
 def reconstruct(shared: SharedSpaceLayer, merged_coeffs: np.ndarray,
@@ -255,11 +309,11 @@ def reconstruct(shared: SharedSpaceLayer, merged_coeffs: np.ndarray,
     return add_delta(base_layer, (shared.u * shared.s) @ merged_coeffs)
 
 
-def _merge_one_layer(layer_index: int, deltas: list[np.ndarray], base_layer: Layer,
-                     alphas_col: np.ndarray, config: PivotConfig) -> tuple[Layer, dict]:
-    shared, dec = decompose_layer(deltas, config)
-    merged_coeffs = merge_layer(shared, dec, alphas_col, config.inner)
-    out_layer = reconstruct(shared, merged_coeffs, base_layer)
+def _merge_one_layer(layer_index: int, ordered: Sequence[ProjectorCheckpoint],
+                     base: ProjectorCheckpoint, alphas_col: np.ndarray, config: PivotConfig
+                     ) -> tuple[Layer, dict]:
+    """The per-layer kernel: it forms the layer's deltas and frees each block set after use."""
+    shared, dec = _decompose(lambda: layer_deltas(ordered, base, layer_index), config)
     record = {
         "layer": layer_index + 1,
         "alpha": [float(a) for a in alphas_col],
@@ -269,7 +323,10 @@ def _merge_one_layer(layer_index: int, deltas: list[np.ndarray], base_layer: Lay
         "singular_values": [float(v) for v in shared.s],
         "effective_rank": dec.effective_rank,
     }
-    return out_layer, record
+    dec = replace(dec, residuals=())
+    merged_coeffs = merge_layer(shared, dec, alphas_col, config.inner)
+    del dec
+    return reconstruct(shared, merged_coeffs, base.layers[layer_index]), record
 
 
 def pivot_merge(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
@@ -294,8 +351,8 @@ def pivot_merge(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoin
     beta = config.beta if config.beta is not None else score_table.beta
     alphas = layer_weights(score_increments(rows), beta)  # (N, L)
 
-    results = [_merge_one_layer(li, layer_deltas(ordered, base, li), layer, alphas[:, li], config)
-               for li, layer in enumerate(base.layers)]
+    results = [_merge_one_layer(li, ordered, base, alphas[:, li], config)
+               for li in range(base.num_layers)]
     merged_layers = tuple(layer for layer, _ in results)
     diagnostics = {
         "method": "pivot",

@@ -91,25 +91,38 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def write_container(path, tensors: Mapping[str, np.ndarray]) -> None:
-    """Write name -> array entries (float32 or float64) to `path`; output is byte-reproducible."""
+def write_container(path, tensors: Mapping[str, np.ndarray], dtype: str | None = None) -> None:
+    """Write name -> array entries to `path`; output is byte-reproducible.
+
+    Each tensor is stored in `dtype` (float32 or float64), or in its own
+    dtype when `dtype` is None. A tensor is converted only when it is written,
+    so one converted tensor is held at a time. With `dtype` given, a tensor
+    with values that are not finite once stored (a float64 value that
+    overflows float32) raises ValueError naming it; `atomic_write` then
+    leaves no file behind.
+    """
     names = sorted(tensors)
     header: dict[str, dict] = {}
     offset = 0
     for name in names:
         arr = tensors[name]
-        dtype = str(arr.dtype)
-        if dtype not in _DTYPES:
-            raise ValueError(f"unsupported dtype {dtype!r} for tensor {name!r}")
-        header[name] = {"dtype": dtype, "shape": list(arr.shape),
-                        "offsets": [offset, offset + arr.nbytes]}
-        offset += arr.nbytes
+        stored = dtype if dtype is not None else str(arr.dtype)
+        if stored not in _DTYPES:
+            raise ValueError(f"unsupported dtype {stored!r} for tensor {name!r}")
+        nbytes = math.prod(arr.shape) * _DTYPES[stored].itemsize
+        header[name] = {"dtype": stored, "shape": list(arr.shape),
+                        "offsets": [offset, offset + nbytes]}
+        offset += nbytes
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_write(path, "wb") as fh:
         fh.write(_HEADER_LEN.pack(len(header_bytes)))
         fh.write(header_bytes)
         for name in names:
-            fh.write(np.ascontiguousarray(tensors[name], dtype=_DTYPES[header[name]["dtype"]]).data)
+            with np.errstate(over="ignore"):
+                data = np.ascontiguousarray(tensors[name], dtype=_DTYPES[header[name]["dtype"]])
+            if dtype is not None and not np.isfinite(data).all():
+                raise ValueError(f"{path}: {name} has values that overflow {dtype}")
+            fh.write(data.data)
 
 
 def read_container(path) -> dict[str, np.ndarray]:
@@ -354,19 +367,14 @@ def load_checkpoint(path, checkpoint_id: str | None = None) -> ProjectorCheckpoi
 def save_checkpoint(path, ckpt: ProjectorCheckpoint) -> None:
     """Write a checkpoint container in the checkpoint's storage dtype.
 
-    Values that do not fit the storage dtype (they would be stored as Inf)
-    raise ValueError before anything is written.
+    Each weight and bias is converted as it is written. Values that do not
+    fit the storage dtype (they would be stored as Inf) raise ValueError
+    naming the path and the tensor; no file is left at `path` then, and an
+    existing file there is unchanged.
     """
-    dtype = _DTYPES[ckpt.dtype]
     tensors = {}
-    with np.errstate(over="ignore"):
-        for i, layer in enumerate(ckpt.layers, start=1):
-            for kind, values in (("weight", layer.weight), ("bias", layer.bias)):
-                if values is None:
-                    continue
-                stored = values.astype(dtype)
-                if not np.isfinite(stored).all():
-                    raise ValueError(
-                        f"{path}: layer.{i}.{kind} has values that overflow {ckpt.dtype}")
-                tensors[f"layer.{i}.{kind}"] = stored
-    write_container(path, tensors)
+    for i, layer in enumerate(ckpt.layers, start=1):
+        tensors[f"layer.{i}.weight"] = layer.weight
+        if layer.has_bias:
+            tensors[f"layer.{i}.bias"] = layer.bias
+    write_container(path, tensors, ckpt.dtype)

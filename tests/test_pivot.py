@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -357,6 +358,59 @@ def test_filter_consistencies_match_gathered_unit_rows(rng):
     np.testing.assert_array_equal(consistencies, want)
 
 
+def _stacked_consistencies(mats):
+    # all N unit blocks at once, as the filter scored rows before it took row chunks
+    n = len(mats)
+    stack = np.stack(mats)
+    norms = np.linalg.norm(stack, axis=2)
+    unit = np.zeros_like(stack)
+    np.divide(stack, norms[..., None], out=unit, where=(norms >= linalg.ZERO_NORM)[..., None])
+    gram = np.einsum("ikw,jkw->kij", unit, unit)
+    pair_sum = gram.sum(axis=(1, 2)) - np.einsum("kii->k", gram)
+    return np.clip(pair_sum / (n * (n - 1)), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("n, k, w", [(4, 200, 1025), (8, 1100, 65), (3, 37, 11), (2, 3, 70000)])
+def test_filter_consistencies_match_stacked_form_across_row_chunks(n, k, w):
+    # 200 x 1025 blocks span four row chunks, 1100 x 65 two; 70000 columns give one row per chunk
+    gen = np.random.default_rng(n * k)
+    mats = [gen.standard_normal((k, w)) for _ in range(n)]
+    mats[0][1] = 0.0
+    mats[-1][k - 1] = 1e-13
+    _, _, consistencies, _ = filter_residuals(mats, gamma=20.0, rho=0.5)
+    np.testing.assert_array_equal(consistencies, _stacked_consistencies(mats))
+
+
+def test_filter_rejects_mismatched_residual_shapes(rng):
+    with pytest.raises(ValueError, match="residual 1 has shape"):
+        filter_residuals([rng.standard_normal((4, 3)), rng.standard_normal((5, 3))], 20.0, 0.5)
+
+
+def test_stage_functions_leave_their_inputs_unchanged(rng):
+    # the kernel frees each block set after its stage; no stage reuses its inputs in place
+    def snapshot(arrays):
+        return [a.tobytes() for a in arrays]
+
+    deltas = [rng.standard_normal((12, 9)) for _ in range(3)]
+    before = snapshot(deltas)
+    shared = joint_decompose(deltas)
+    assert snapshot(deltas) == before
+    before = snapshot(shared.coeffs)
+    dec = decouple(shared.coeffs, 3)
+    assert snapshot(shared.coeffs) == before
+    assert all(r.any() for r in dec.residuals)
+    before = snapshot(dec.residuals)
+    filtered, mask, consist, tau = filter_residuals(dec.residuals, 20.0, 0.5)
+    assert snapshot(dec.residuals) == before
+    from dataclasses import replace
+    dec = replace(dec, filtered=filtered, mask=mask, consistencies=consist, tau=tau)
+    before = snapshot([shared.u, shared.s, *dec.cores, *dec.filtered])
+    for op in (MergeOperator.ties(1.0), MergeOperator.ties(0.3),
+               MergeOperator.dare_ties(0.3, 0.5, seed=2), MergeOperator.average()):
+        merge_layer(shared, dec, [0.2, 0.3, 0.5], op)
+        assert snapshot([shared.u, shared.s, *dec.cores, *dec.filtered]) == before
+
+
 # --- layer merge and reconstruction ------------------------------------------
 
 
@@ -483,6 +537,24 @@ def test_pivot_merge_well_conditioned_wide_layer_factors_without_svd_or_qr(rng, 
     monkeypatch.setattr(np.linalg, "qr", counting("qr", np.linalg.qr))
     merged, _ = pivot_merge(experts, base, uniform_table(experts, 1), PivotConfig(rank=8))
     assert calls == []
+    assert np.isfinite(merged.layers[0].matrix).all()
+
+
+def test_pivot_merge_peak_memory_stays_under_sixteen_layer_blocks(rng):
+    # One 512->512 layer, N=4, rank 64. Keeping every stage's per-expert block
+    # set alive to the end of the layer peaked at 30.1 layer blocks.
+    base = make_checkpoint("base", rng, [512, 512])
+    experts = [make_checkpoint(f"e{i}", rng, [512, 512]) for i in range(4)]
+    block = base.layers[0].matrix.nbytes
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        merged, _ = pivot_merge(experts, base, uniform_table(experts, 1), PivotConfig(rank=64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / block < 16
     assert np.isfinite(merged.layers[0].matrix).all()
 
 

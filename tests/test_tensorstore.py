@@ -519,6 +519,67 @@ def test_save_checkpoint_rejects_overflow_before_writing(tmp_path):
     assert not path.exists()
 
 
+def _overflowing_checkpoint():
+    # layer.2.weight sorts last, so the other tensors are written before it fails
+    gen = np.random.default_rng(4)
+    second = gen.standard_normal((3, 4))
+    second[1, 2] = 1e39
+    return ProjectorCheckpoint(id="big", dtype="float32", layers=(
+        Layer(gen.standard_normal((3, 5)), has_bias=True),
+        Layer(second, has_bias=True)))
+
+
+def test_save_checkpoint_overflow_mid_write_leaves_no_file(tmp_path):
+    path = tmp_path / "big.tensors"
+    with pytest.raises(ValueError, match=r"big\.tensors: layer\.2\.weight .*overflow float32"):
+        save_checkpoint(path, _overflowing_checkpoint())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_checkpoint_overflow_keeps_existing_target(tmp_path, rng):
+    from conftest import make_checkpoint
+    path = tmp_path / "big.tensors"
+    save_checkpoint(path, make_checkpoint("big", rng, [4, 3, 3]))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=r"layer\.2\.weight"):
+        save_checkpoint(path, _overflowing_checkpoint())
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_save_checkpoint_converts_one_tensor_at_a_time(tmp_path):
+    # Converting every tensor before writing held 1.07x the file at this shape;
+    # one converted weight plus its finiteness mask is about 0.31x.
+    gen = np.random.default_rng(6)
+    layers = tuple(Layer(gen.standard_normal((512, 513)), has_bias=True) for _ in range(4))
+    ck = ProjectorCheckpoint(id="f32", layers=layers, dtype="float32")
+    path = tmp_path / "f32.tensors"
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        save_checkpoint(path, ck)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 0.5 * os.path.getsize(path)
+    for got, want in zip(load_checkpoint(path).layers, layers):
+        np.testing.assert_array_equal(got.matrix, want.matrix.astype(np.float32))
+
+
+def test_write_container_stores_the_given_dtype(tmp_path):
+    values = np.array([[1.0, 2.5], [1e-50, -3.0]])
+    path = tmp_path / "t.tensors"
+    write_container(path, {"a": values[:, 1], "b": values}, "float32")
+    out = read_container(path)
+    assert out["a"].dtype == out["b"].dtype == np.float32
+    np.testing.assert_array_equal(out["b"], values.astype(np.float32))
+    np.testing.assert_array_equal(out["a"], values[:, 1].astype(np.float32))
+    with pytest.raises(ValueError, match="unsupported dtype 'int32'"):
+        write_container(tmp_path / "u.tensors", {"a": values}, "int32")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.tensors"]
+
+
 # --- layer matrix and views --------------------------------------------
 
 
