@@ -17,7 +17,8 @@ import numpy as np
 
 from .linalg import ZERO_NORM, _basis_angles, cosine, orthonormal_basis
 from .pivot import PivotConfig, decompose_layer, task_vectors
-from .tensorstore import ProjectorCheckpoint, atomic_write, write_json
+from .tensorstore import (ProjectorCheckpoint, atomic_write, layer_deltas, sorted_experts,
+                          write_json)
 
 
 def residual_similarity(residuals: Sequence) -> np.ndarray:
@@ -99,14 +100,16 @@ def collect_residuals(experts: Sequence[ProjectorCheckpoint], base: ProjectorChe
     """Per-model flattened residuals before and after filtering, plus per-layer filter stats.
 
     Residual vectors concatenate all layers per model; experts are handled in
-    lexicographic id order, matching the merge.
+    lexicographic id order, matching the merge. Each layer's deltas are built
+    just before it is decomposed, so only one layer's deltas are alive at a time.
     """
+    ordered = sorted_experts(experts, base)
     raw_layers, filt_layers, layer_stats = [], [], []
-    for li, deltas in enumerate(task_vectors(experts, base), start=1):
-        _, dec = decompose_layer(deltas, config)
+    for li in range(base.num_layers):
+        _, dec = decompose_layer(layer_deltas(ordered, base, li), config)
         mask = dec.mask
         layer_stats.append({
-            "layer": li,
+            "layer": li + 1,
             "tau": None if dec.tau is None else float(dec.tau),
             "mask_mean": float(mask.mean()) if mask.size else None,
             "mask_min": float(mask.min()) if mask.size else None,

@@ -146,8 +146,21 @@ def cosine(a, b) -> float:
 
 
 def orthonormal_basis(mat) -> np.ndarray:
-    """Orthonormal basis for the column space, with rank detected from the spectrum."""
-    factors = thin_svd(mat)
+    """Orthonormal basis for the column space, with rank detected from the spectrum.
+
+    A strictly wide matrix (rows < cols) whose Gram matrix M M^T passes the
+    GRAM_COND_RTOL certificate has every singular value above RANK_RTOL, so
+    its rank is exactly `rows` and the Gram eigenvectors (signs as in
+    thin_svd) are the basis. Any other input (tall or square, or wide but
+    rank deficient, ill conditioned, or with a Gram matrix that over- or
+    underflows) takes the thin SVD's leading left singular vectors.
+    Raises ValueError for a zero matrix.
+    """
+    m = _as_matrix(mat)
+    gram = _gram_left_factors(m) if 0 < m.shape[0] < m.shape[1] else None
+    if gram is not None:
+        return gram[0]
+    factors = thin_svd(m)
     if factors.s.size == 0 or factors.s[0] <= 0.0:
         raise ValueError("zero matrix has no column space")
     rank = int(np.count_nonzero(factors.s > RANK_RTOL * factors.s[0]))
@@ -158,11 +171,18 @@ def _basis_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     """Principal angles (degrees, ascending) between two orthonormal bases.
 
     `qa` and `qb` must have orthonormal columns, as `orthonormal_basis`
-    returns them; returns min(qa.shape[1], qb.shape[1]) angles. Raises
-    ValueError for mismatched ambient dimensions.
+    returns them; returns min(qa.shape[1], qb.shape[1]) angles. When either
+    basis is full-dimensional (as many columns as the ambient dimension) its
+    span is all of R^d and contains the other's, so every angle is exactly 0
+    and no SVD runs. Otherwise the cosines are the singular values of
+    qa^T qb (Bjorck & Golub, Math. Comp. 1973). Raises ValueError for
+    mismatched ambient dimensions.
     """
     if qa.shape[0] != qb.shape[0]:
         raise ValueError(f"ambient dimension mismatch: {qa.shape[0]} vs {qb.shape[0]}")
+    d = qa.shape[0]
+    if qa.shape[1] == d or qb.shape[1] == d:
+        return np.zeros(min(qa.shape[1], qb.shape[1]))
     s = np.linalg.svd(qa.T @ qb, compute_uv=False)
     s = np.clip(s, 0.0, 1.0)
     return np.degrees(np.arccos(s))
@@ -171,8 +191,12 @@ def _basis_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
 def principal_angles(a, b) -> np.ndarray:
     """Principal angles (degrees, ascending) between the column spaces of a and b.
 
-    Both inputs are orthonormalized first; returns min(rank(a), rank(b)) angles.
-    Raises ValueError for zero matrices or mismatched ambient dimensions.
+    Both inputs are orthonormalized first (`orthonormal_basis`: a certified
+    Gram eigenbasis for a well-conditioned wide input, the thin SVD
+    otherwise); returns min(rank(a), rank(b)) angles. An input of full row
+    rank spans the whole ambient space, so its angles are exactly 0 with no
+    SVD of the basis product. Raises ValueError for zero matrices or
+    mismatched ambient dimensions.
     """
     return _basis_angles(orthonormal_basis(a), orthonormal_basis(b))
 

@@ -179,6 +179,33 @@ def test_residual_stats_match_merge_diagnostics():
         assert stats["mask_max"] == float(mask.max())
 
 
+def test_collect_residuals_builds_one_layer_of_deltas_at_a_time(monkeypatch):
+    spec = SynthSpec.from_chain([6, 8, 8, 8], experts=3, core_rank=2, seed=4)
+    base, experts, _ = generate(spec)
+    config = PivotConfig(rank=2)
+    events = []
+    real_deltas, real_decompose = analysis.layer_deltas, analysis.decompose_layer
+
+    def deltas(ordered, base_ck, li):
+        events.append(("deltas", li))
+        return real_deltas(ordered, base_ck, li)
+
+    def decompose(layer, cfg):
+        events.append("decompose")
+        return real_decompose(layer, cfg)
+
+    monkeypatch.setattr(analysis, "layer_deltas", deltas)
+    monkeypatch.setattr(analysis, "decompose_layer", decompose)
+    raw, filt, _ = collect_residuals(list(reversed(experts)), base, config)
+    assert events == [e for li in range(3) for e in (("deltas", li), "decompose")]
+    decs = [real_decompose(d, config)[1] for d in analysis.task_vectors(experts, base)]
+    for i in range(len(experts)):
+        np.testing.assert_array_equal(
+            raw[i], np.concatenate([d.residuals[i].ravel() for d in decs]))
+        np.testing.assert_array_equal(
+            filt[i], np.concatenate([d.filtered[i].ravel() for d in decs]))
+
+
 def test_emit_report_empty(tmp_path):
     emit_report({"layers": [], "expert_ids": []}, {}, tmp_path / "report")
     summary = json.loads((tmp_path / "report" / "summary.json").read_text())

@@ -248,6 +248,29 @@ def test_analyze_principal_angles(synth_dir, tmp_path):
     assert (out / "principal_angles_filtered.csv").exists()
 
 
+def test_analyze_principal_angles_wide_sources_run_no_svd(tmp_path, monkeypatch):
+    # --dims 8,16,16 gives 16x26 model sources of full row rank: each spans R^16,
+    # so every angle is exactly 0 and neither the bases nor the angles need an SVD.
+    synth_dir = tmp_path / "synth"
+    assert main(["synth", "--out", str(synth_dir), "--dims", "8,16,16", "--seed", "7"]) == 0
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        code = main(["analyze", "--mode", "principal-angles",
+                     "--base", str(synth_dir / "base.tensors")]
+                    + [arg for p in expert_paths(synth_dir) for arg in ("--expert", p)]
+                    + ["--out", str(out), "--rank", "4"])
+        assert code == 0
+    for name in ("principal_angles_raw.csv", "principal_angles_filtered.csv"):
+        np.testing.assert_array_equal(np.loadtxt(outs[0] / name, delimiter=","), np.zeros((5, 5)))
+    for name in sorted(p.name for p in outs[0].iterdir()):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_analyze_layer_weights(synth_dir, tmp_path):
     out = tmp_path / "weights"
     code = main(["analyze", "--mode", "layer-weights",

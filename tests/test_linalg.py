@@ -240,6 +240,56 @@ def test_basis_angles_rejects_ambient_mismatch():
         _basis_angles(qa, qb)
 
 
+def svd_basis(mat):
+    """orthonormal_basis by the thin SVD alone: the leading left singular vectors."""
+    f = thin_svd(mat)
+    return f.u[:, :int(np.count_nonzero(f.s > linalg.RANK_RTOL * f.s[0]))]
+
+
+def test_orthonormal_basis_certified_wide_takes_gram_route(monkeypatch):
+    m = random_matrix(16, 12, 31)
+    calls = count_svd_calls(monkeypatch)
+    q = orthonormal_basis(m)
+    assert calls == []
+    assert q.shape == (12, 12)
+    np.testing.assert_allclose(q.T @ q, np.eye(12), rtol=0, atol=1e-12)
+    ref = svd_basis(m)
+    np.testing.assert_allclose(q @ q.T, ref @ ref.T, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mat", [
+    random_matrix(17, 6, 11, rank=3),
+    random_matrix(18, 11, 6),
+    random_matrix(19, 4, 9) * 1e200,
+], ids=["rank-deficient-wide", "tall", "gram-overflows"])
+def test_orthonormal_basis_uncertified_falls_back_to_svd(monkeypatch, mat):
+    calls = count_svd_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = orthonormal_basis(mat)
+    assert calls == [mat.shape]
+    np.testing.assert_array_equal(q, svd_basis(mat))
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (0, 3)], ids=["wide", "no-rows"])
+def test_orthonormal_basis_rejects_zero_matrix(shape):
+    with pytest.raises(ValueError, match="zero matrix has no column space"):
+        orthonormal_basis(np.zeros(shape))
+
+
+@pytest.mark.parametrize("ra, rb", [(6, 2), (2, 6), (6, 6)])
+def test_basis_angles_full_dimensional_basis_is_exactly_zero(monkeypatch, ra, rb):
+    qa = np.linalg.qr(random_matrix(20, 6, ra))[0]
+    qb = np.linalg.qr(random_matrix(21, 6, rb))[0]
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    angles = _basis_angles(qa, qb)
+    np.testing.assert_array_equal(angles, np.zeros(min(ra, rb)))
+
+
 def test_orthonormal_basis_detects_rank():
     m = random_matrix(13, 6, 4, rank=2)
     q = orthonormal_basis(m)
