@@ -101,12 +101,17 @@ def collect_residuals(experts: Sequence[ProjectorCheckpoint], base: ProjectorChe
 
     Residual vectors concatenate all layers per model; experts are handled in
     lexicographic id order, matching the merge. Each layer's deltas are built
-    just before it is decomposed, so only one layer's deltas are alive at a time.
+    just before it is decomposed, so only one layer's deltas are alive at a time,
+    and only its raw and filtered residuals outlive its decomposition. Each
+    model's vector is concatenated and its blocks released before the next,
+    so the blocks and the vectors are held twice over for one model at most.
     """
     ordered = sorted_experts(experts, base)
-    raw_layers, filt_layers, layer_stats = [], [], []
+    raw_parts = [[] for _ in ordered]
+    filt_parts = [[] for _ in ordered]
+    layer_stats = []
     for li in range(base.num_layers):
-        _, dec = decompose_layer(layer_deltas(ordered, base, li), config)
+        dec = decompose_layer(layer_deltas(ordered, base, li), config)[1]
         mask = dec.mask
         layer_stats.append({
             "layer": li + 1,
@@ -115,10 +120,13 @@ def collect_residuals(experts: Sequence[ProjectorCheckpoint], base: ProjectorChe
             "mask_min": float(mask.min()) if mask.size else None,
             "mask_max": float(mask.max()) if mask.size else None,
         })
-        raw_layers.append([b.ravel() for b in dec.residuals])
-        filt_layers.append([b.ravel() for b in dec.filtered])
-    raw = [np.concatenate(parts) for parts in zip(*raw_layers)]
-    filt = [np.concatenate(parts) for parts in zip(*filt_layers)]
+        for parts, block in zip(raw_parts + filt_parts, dec.residuals + dec.filtered):
+            parts.append(block.ravel())
+        # Only the residuals are kept: free the cores before the next layer.
+        del dec
+    # Popping a model's blocks frees them as soon as its vector is built.
+    raw = [np.concatenate(raw_parts.pop(0)) for _ in ordered]
+    filt = [np.concatenate(filt_parts.pop(0)) for _ in ordered]
     return raw, filt, layer_stats
 
 

@@ -24,8 +24,16 @@ TIES semantics, pinned for reproducibility:
 TIES memory is bounded: the trim step keeps one (N, n) bool mask of kept
 entries, found input by input, and the elect and merge steps then run over
 column chunks of the flattened inputs, so no (N, n) float64 temporary is
-built. Each chunk adds the inputs in input order, entry by entry, so the
-result does not depend on the chunk width.
+built. A chunk is small enough to stay in cache and takes a few unmasked
+passes. Trimming multiplies by the mask. After the election the chunk is
+multiplied by the elected sign, which is exact, so an entry agrees with the
+election iff it is then positive. Clamping at zero and weighting leaves the
+agreeing terms' magnitudes, and their sum times the elected sign is the
+numerator. That is the signed sum to the bit: round-to-nearest is symmetric
+in sign, every agreeing term of a live entry has the elected sign, and a
+signed zero only meets a nonzero term or an entry whose output is 0. Each
+chunk adds the inputs in input order, entry by entry, so the result does not
+depend on the chunk width.
 
 A row scale (`merge_weighted(..., row_scale=s)`, magnitude-based operators
 only) merges the inputs with row r multiplied by s[r], with the bytes of
@@ -49,8 +57,9 @@ from .rng import philox
 from .tensorstore import ProjectorCheckpoint, add_delta, layer_deltas, sorted_experts
 
 KINDS = ("weight_average", "task_arithmetic", "ties", "dare_ties")
-# Columns per TIES elect-and-merge step: the float64 working set is N * _CHUNK entries.
-_CHUNK = 1 << 16
+# Columns per TIES elect-and-merge step: an (N, _CHUNK) float64 chunk is 512 KiB at
+# N = 4, so the chunk and its temporaries stay in a 2 MiB per-core L2 cache.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -208,28 +217,31 @@ def _trim_mask(rows: Sequence[np.ndarray], keep: int, col: np.ndarray | None = N
 def _merge_chunk(w: np.ndarray, flats: list[np.ndarray], kept: np.ndarray | None,
                  cols: slice, out: np.ndarray, factors: np.ndarray | None = None) -> None:
     """Elect and merge the columns `cols` of the flattened inputs (times `factors`) into `out[cols]`."""
-    trimmed = np.zeros((len(flats), cols.stop - cols.start))
+    trimmed = np.empty((len(flats), cols.stop - cols.start))
     for i, (row, flat) in enumerate(zip(trimmed, flats)):
         if factors is None:
-            values = flat[cols]
+            row[:] = flat[cols]
         else:
             with np.errstate(over="ignore"):
-                values = flat[cols] * factors
-            if not np.isfinite(values).all():
+                np.multiply(flat[cols], factors, out=row)
+            if not np.isfinite(row).all():
                 raise ValueError(f"ties input {i} contains NaN or Inf once scaled")
-        np.copyto(row, values, where=True if kept is None else kept[i, cols])
+        if kept is not None:
+            row *= kept[i, cols]
     weighted_sum = w @ trimmed
     live = weighted_sum != 0.0
     elected = np.sign(weighted_sum, out=weighted_sum)
-    # Row by row, so each temporary is one chunk row. Both sums add the inputs
-    # in order, entry by entry, which is the order of an axis-0 sum.
-    den = np.zeros_like(elected)
-    for wi, row in zip(w, trimmed):
-        agree = np.sign(row) == elected
-        np.add(den, wi, out=den, where=agree)
-        np.copyto(row, 0.0, where=~agree)
-        row *= wi
-    np.divide(trimmed.sum(axis=0), den, out=out[cols], where=live)
+    # Multiplying by the elected sign is exact, so an entry agrees with the
+    # election iff it is then positive (see the module docstring for why the
+    # magnitudes give the signed sum's bytes). Both sums add the inputs in
+    # order, entry by entry, which is the order of an axis-0 sum.
+    trimmed *= elected
+    agree = trimmed > 0.0
+    np.maximum(trimmed, 0.0, out=trimmed)
+    trimmed *= w[:, None]
+    den = (agree * w[:, None]).sum(axis=0)
+    num = trimmed.sum(axis=0) * elected
+    np.divide(num, den, out=out[cols], where=live)
 
 
 def ties(mats: Sequence, weights: Sequence[float], trim_fraction: float,

@@ -31,11 +31,13 @@ leaves a partial regular file at the target path.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import math
 import os
 import re
 import secrets
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -128,15 +130,28 @@ def write_container(path, tensors: Mapping[str, np.ndarray], dtype: str | None =
 def read_container(path) -> dict[str, np.ndarray]:
     """Read all tensors from `path` as a name -> array dict, in header (sorted-name) order.
 
-    The file is read once; the header and payload are views of that one
-    buffer, and each tensor is copied out of it exactly once.
+    The file is read once, front to back: the header is parsed and checked
+    first, then each tensor's bytes are read straight into its own
+    native-order array. No buffer of the whole file is held and no tensor is
+    copied after it is read; a byte-swap, where the stored order is not
+    native, is done in place.
     """
-    blob = memoryview(Path(path).read_bytes())
-    if len(blob) < _HEADER_LEN.size:
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            return _read_container(path, fh, info.st_size)
+        # A pipe or device has no size up front: read it whole first.
+        blob = fh.read()
+    return _read_container(path, io.BytesIO(blob), len(blob))
+
+
+def _read_container(path, fh, size: int) -> dict[str, np.ndarray]:
+    """`read_container` on the open binary file `fh` of `size` bytes, read from its start."""
+    prefix = fh.read(_HEADER_LEN.size)
+    if len(prefix) < _HEADER_LEN.size:
         raise ContainerError(f"{path}: file too short for header length prefix")
-    (header_len,) = _HEADER_LEN.unpack_from(blob)
-    body = blob[_HEADER_LEN.size:]
-    if header_len > len(body):
+    (header_len,) = _HEADER_LEN.unpack(prefix)
+    if header_len > size - _HEADER_LEN.size:
         raise ContainerError(f"{path}: truncated file (header length {header_len} exceeds file size)")
 
     def unique_keys(pairs):
@@ -148,7 +163,7 @@ def read_container(path) -> dict[str, np.ndarray]:
         return obj
 
     try:
-        header = json.loads(bytes(body[:header_len]).decode("utf-8"), object_pairs_hook=unique_keys)
+        header = json.loads(fh.read(header_len).decode("utf-8"), object_pairs_hook=unique_keys)
     except ContainerError:
         raise
     except (ValueError, RecursionError) as exc:
@@ -157,7 +172,7 @@ def read_container(path) -> dict[str, np.ndarray]:
         raise ContainerError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
     if not isinstance(header, dict):
         raise ContainerError(f"{path}: header must be a JSON object")
-    payload = body[header_len:]
+    payload_len = size - _HEADER_LEN.size - header_len
 
     entries = []
     for name, meta in header.items():
@@ -178,7 +193,7 @@ def read_container(path) -> dict[str, np.ndarray]:
         if end - begin != expected:
             raise ContainerError(
                 f"{path}: entry {name!r} byte range {end - begin} does not match shape (expected {expected})")
-        if end > len(payload):
+        if end > payload_len:
             raise ContainerError(f"{path}: truncated file (entry {name!r} ends past payload)")
         entries.append((name, dtype, shape, begin, end))
 
@@ -192,17 +207,22 @@ def read_container(path) -> dict[str, np.ndarray]:
         if bb > ea:
             raise ContainerError(f"{path}: gap of {bb - ea} bytes between {na!r} and {nb!r}")
     used = by_begin[-1][4] if by_begin else 0
-    if used != len(payload):
-        raise ContainerError(f"{path}: {len(payload) - used} trailing bytes after the last tensor")
+    if used != payload_len:
+        raise ContainerError(f"{path}: {payload_len - used} trailing bytes after the last tensor")
 
     out = {}
-    for name, dtype, shape, begin, end in entries:
+    for name, dtype, shape, _, _ in entries:
         try:
-            arr = np.frombuffer(payload[begin:end], dtype=_DTYPES[dtype]).reshape(shape)
+            out[name] = np.empty(shape, dtype=_DTYPES[dtype].newbyteorder("="))
         except ValueError as exc:
             # Zero-size shapes with huge or too many dimensions pass the byte-size check.
             raise ContainerError(f"{path}: entry {name!r} has shape {shape} numpy cannot hold: {exc}") from exc
-        out[name] = arr.astype(arr.dtype.newbyteorder("="))
+    for name, dtype, _, begin, end in by_begin:
+        arr = out[name]
+        if fh.readinto(memoryview(arr.reshape(-1)).cast("B")) != end - begin:
+            raise ContainerError(f"{path}: truncated file (entry {name!r} ends past payload)")
+        if not _DTYPES[dtype].isnative:
+            arr.byteswap(inplace=True)
     return out
 
 

@@ -16,6 +16,7 @@ from pivotmerge import (
     ties,
     weight_average,
 )
+from pivotmerge import operators
 from pivotmerge.operators import _CHUNK, _trim_keep_count, _trim_mask
 from conftest import make_checkpoint
 from ties_oracle import kept_indices, ties_reference
@@ -312,8 +313,9 @@ def test_ties_rejects_non_finite_inputs(bad, trim):
 
 # --- chunked elect and merge ----------------------------------------------
 
-# 125 * 1573 = 3 * _CHUNK + 17 entries: three chunks, the last one 17 columns wider.
-CHUNKED_SHAPE = (125, 1573)
+# Three chunks, the last one less than a row wider: 125 * 394 = 3 * _CHUNK + 98 entries
+# at a chunk of 2^14, 125 * 1573 = 3 * _CHUNK + 17 at 2^16.
+CHUNKED_SHAPE = (125, 3 * _CHUNK // 125 + 1)
 TIE_RUN = 200   # equal magnitudes centred on the first chunk boundary
 RUN_KEPT = 150  # of which trimming at 0.2 keeps the first 150
 # Exactly cancelling values for unit weights, all above the tie run's magnitude.
@@ -331,7 +333,7 @@ def _chunk_boundary_inputs(n_inputs):
     """
     gen = np.random.default_rng(8128 + n_inputs)
     n_entries = math.prod(CHUNKED_SHAPE)
-    assert n_entries == 3 * _CHUNK + 17
+    assert 3 * _CHUNK < n_entries <= 3 * _CHUNK + CHUNKED_SHAPE[0]
     run_start = _CHUNK - TIE_RUN // 2
     # The same positions hold each input's largest magnitudes: exactly enough of
     # them that trimming at 0.2 also keeps the first RUN_KEPT entries of the run.
@@ -397,6 +399,44 @@ def test_row_scale_matches_merging_scaled_copies(op):
     np.testing.assert_array_equal(_bytes(got), _bytes(want))
     single = merge_weighted(op, mats[:1], [1.0], row_scale=s)
     np.testing.assert_array_equal(_bytes(single), _bytes(s[:, None] * mats[0]))
+
+
+@pytest.mark.parametrize("width", [1 << 10, 1 << 16])
+def test_ties_bytes_do_not_depend_on_the_chunk_width(width, monkeypatch):
+    mats, _ = _chunk_boundary_inputs(5)
+    s = np.random.default_rng(17).uniform(0.5, 4.0, CHUNKED_SHAPE[0])
+    weights = [0.5, 1.0, 2.0, 1.0, 0.5]
+    calls = [(trim, scale) for trim in (1.0, 0.2) for scale in (None, s)]
+    want = [ties(mats, weights, trim, row_scale=scale) for trim, scale in calls]
+    monkeypatch.setattr(operators, "_CHUNK", width)
+    for (trim, scale), expected in zip(calls, want):
+        np.testing.assert_array_equal(_bytes(ties(mats, weights, trim, row_scale=scale)),
+                                      _bytes(expected))
+
+
+def _signed_zero_and_subnormal_inputs(n_entries):
+    """Four inputs of quarter steps (many exact zeros of both signs and exact
+    cancellations), some entries replaced by subnormal magnitudes."""
+    gen = np.random.default_rng(n_entries)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    mats = []
+    for _ in range(4):
+        flat = np.round(gen.standard_normal(n_entries) * 2.0) / 4.0
+        kind = gen.integers(0, 4, n_entries)
+        flat[kind == 1] = gen.integers(-3, 4, np.count_nonzero(kind == 1)) * tiny
+        flat[kind == 2] *= 1e-310
+        mats.append(flat)
+    assert any(np.signbit(m[m == 0.0]).any() for m in mats)
+    return mats
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, _CHUNK + 1], ids=["C-1", "C", "C+1", "2C+1"])
+@pytest.mark.parametrize("trim", [1.0, 0.5])
+def test_ties_matches_stacked_on_signed_zeros_subnormals_and_zero_weights(offset, trim):
+    mats = _signed_zero_and_subnormal_inputs(_CHUNK + offset)
+    for weights in ([0.0, 0.3, 1.7, 0.9], [1.0, 0.0, 0.0, 2.5]):
+        np.testing.assert_array_equal(_bytes(ties(mats, weights, trim)),
+                                      _bytes(stacked_ties(mats, weights, trim)))
 
 
 def test_row_scale_needs_a_magnitude_operator_and_one_factor_per_row():

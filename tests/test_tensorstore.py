@@ -18,6 +18,7 @@ from pivotmerge import (
     save_checkpoint,
     write_container,
 )
+from pivotmerge import tensorstore
 from pivotmerge.tensorstore import add_delta, layer_deltas
 
 
@@ -578,6 +579,51 @@ def test_write_container_stores_the_given_dtype(tmp_path):
     with pytest.raises(ValueError, match="unsupported dtype 'int32'"):
         write_container(tmp_path / "u.tensors", {"a": values}, "int32")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.tensors"]
+
+
+def test_read_container_returns_writable_independent_arrays(tmp_path):
+    path = tmp_path / "t.tensors"
+    write_container(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.arange(4, dtype=np.float32),
+                           "c": np.zeros(0)})
+    before = path.read_bytes()
+    out = read_container(path)
+    assert all(t.flags.owndata and t.flags.writeable for t in out.values())
+    out["a"][:] = -1.0
+    out["b"] *= 2.0
+    np.testing.assert_array_equal(out["a"], np.full((2, 3), -1.0))
+    np.testing.assert_array_equal(out["b"], np.arange(4, dtype=np.float32) * 2.0)
+    again = read_container(path)
+    np.testing.assert_array_equal(again["a"], np.arange(6.0).reshape(2, 3))
+    np.testing.assert_array_equal(again["b"], np.arange(4, dtype=np.float32))
+    assert path.read_bytes() == before
+
+
+def test_read_container_from_pipe(tmp_path):
+    path = tmp_path / "t.tensors"
+    write_container(path, {"a": np.arange(3.0), "b": np.ones((2, 2), dtype=np.float32)})
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+    writer.start()
+    out = read_container(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    for name, want in read_container(path).items():
+        np.testing.assert_array_equal(out[name], want)
+        assert out[name].dtype == want.dtype
+
+
+def test_non_native_stored_order_is_swapped_in_place(tmp_path, monkeypatch):
+    big = {"float32": np.dtype(">f4"), "float64": np.dtype(">f8")}
+    monkeypatch.setattr(tensorstore, "_DTYPES", big)
+    path = tmp_path / "be.tensors"
+    values = {"a": np.linspace(-2.0, 3.0, 7), "b": np.arange(6, dtype=np.float32).reshape(2, 3)}
+    write_container(path, values)
+    out = read_container(path)
+    for name, want in values.items():
+        assert out[name].dtype.isnative and out[name].flags.owndata
+        assert out[name].dtype == want.dtype
+        np.testing.assert_array_equal(out[name], want)
 
 
 # --- layer matrix and views --------------------------------------------
