@@ -5,6 +5,12 @@ residuals and the pairwise mean principal angle between model-level
 subspaces. Model-level subspaces are built by horizontally concatenating a
 model's per-layer matrices (this requires a uniform row count across layers)
 and orthonormalizing.
+
+Both measurements read one collector pass (`_collect`). It decomposes layer
+by layer through the merge kernel's stages, which build each layer's deltas
+and drop them once they are consumed, and it keeps only what the report
+reads: the raw and filtered residuals, or the raw deltas and the filtered
+coefficients. Each model's parts are then joined one model at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import ZERO_NORM, _basis_angles, cosine, orthonormal_basis
-from .pivot import PivotConfig, decompose_layer, task_vectors
+from .pivot import PivotConfig, _decompose
 from .tensorstore import (ProjectorCheckpoint, atomic_write, layer_deltas, sorted_experts,
                           write_json)
 
@@ -80,11 +86,15 @@ def model_subspace(layer_mats: Sequence) -> np.ndarray:
     mats = [np.asarray(m, dtype=np.float64) for m in layer_mats]
     if not mats:
         raise ValueError("need at least one layer matrix")
-    rows = {m.shape[0] for m in mats}
+    _require_uniform_rows(m.shape[0] for m in mats)
+    return np.hstack(mats)
+
+
+def _require_uniform_rows(rows) -> None:
+    rows = sorted(set(rows))
     if len(rows) != 1:
         raise ValueError(
-            f"model-level subspaces need a uniform row count across layers, got {sorted(rows)}")
-    return np.hstack(mats)
+            f"model-level subspaces need a uniform row count across layers, got {rows}")
 
 
 def mean_offdiagonal(matrix: np.ndarray) -> float:
@@ -99,19 +109,56 @@ def collect_residuals(experts: Sequence[ProjectorCheckpoint], base: ProjectorChe
                       ) -> tuple[list[np.ndarray], list[np.ndarray], list[dict]]:
     """Per-model flattened residuals before and after filtering, plus per-layer filter stats.
 
-    Residual vectors concatenate all layers per model; experts are handled in
-    lexicographic id order, matching the merge. Each layer's deltas are built
-    just before it is decomposed, so only one layer's deltas are alive at a time,
-    and only its raw and filtered residuals outlive its decomposition. Each
-    model's vector is concatenated and its blocks released before the next,
-    so the blocks and the vectors are held twice over for one model at most.
+    Residual vectors concatenate all layers per model, in the pass of
+    `_collect`: only each layer's raw and filtered residuals outlive its
+    decomposition.
+    """
+    raw_parts, filt_parts, layer_stats = _collect(experts, base, config, sources=False)
+    return _join(raw_parts, np.concatenate), _join(filt_parts, np.concatenate), layer_stats
+
+
+def collect_coefficients(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
+                         config: PivotConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-model subspace sources: raw deltas and filtered coefficients (core + residual).
+
+    Each source concatenates all layers per model (`model_subspace`), in the
+    pass of `_collect`. A chain whose layers differ in row count is rejected
+    before any layer is decomposed.
+    """
+    raw_parts, filt_parts, _ = _collect(experts, base, config, sources=True)
+    return _join(raw_parts, model_subspace), _join(filt_parts, model_subspace)
+
+
+def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
+             config: PivotConfig, sources: bool
+             ) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]], list[dict]]:
+    """The one per-layer pass behind both analysis modes: per-model parts and filter stats.
+
+    Experts are handled in lexicographic id order, matching the merge. Each
+    layer goes through the merge kernel's decomposition (`pivot._decompose`),
+    which builds the layer's deltas itself and drops them once the
+    coefficients are projected, so only one layer's deltas are alive at a
+    time. Without `sources` (residual-sim) each model keeps its layer's raw
+    and filtered residuals, flattened, and the cores go. With `sources`
+    (principal-angles) each model keeps its layer's delta as the raw part;
+    the residuals go first, then each filtered block becomes core + filtered
+    in place and the cores go.
     """
     ordered = sorted_experts(experts, base)
+    if sources:
+        _require_uniform_rows(d_out for d_out, _ in base.layer_shapes())
     raw_parts = [[] for _ in ordered]
     filt_parts = [[] for _ in ordered]
     layer_stats = []
     for li in range(base.num_layers):
-        dec = decompose_layer(layer_deltas(ordered, base, li), config)[1]
+        def make_deltas(li=li):
+            deltas = layer_deltas(ordered, base, li)
+            if sources:
+                for parts, delta in zip(raw_parts, deltas):
+                    parts.append(delta)
+            return deltas
+
+        dec = _decompose(make_deltas, config)[1]
         mask = dec.mask
         layer_stats.append({
             "layer": li + 1,
@@ -120,27 +167,28 @@ def collect_residuals(experts: Sequence[ProjectorCheckpoint], base: ProjectorChe
             "mask_min": float(mask.min()) if mask.size else None,
             "mask_max": float(mask.max()) if mask.size else None,
         })
-        for parts, block in zip(raw_parts + filt_parts, dec.residuals + dec.filtered):
-            parts.append(block.ravel())
-        # Only the residuals are kept: free the cores before the next layer.
-        del dec
-    # Popping a model's blocks frees them as soon as its vector is built.
-    raw = [np.concatenate(raw_parts.pop(0)) for _ in ordered]
-    filt = [np.concatenate(filt_parts.pop(0)) for _ in ordered]
-    return raw, filt, layer_stats
+        if sources:
+            cores, filtered = dec.cores, dec.filtered
+            del dec
+            for core, block in zip(cores, filtered):
+                # IEEE addition commutes: the bits of core + block.
+                block += core
+            del cores
+            for parts, block in zip(filt_parts, filtered):
+                parts.append(block)
+        else:
+            for parts, block in zip(raw_parts + filt_parts, dec.residuals + dec.filtered):
+                parts.append(block.ravel())
+            del dec
+    return raw_parts, filt_parts, layer_stats
 
 
-def collect_coefficients(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
-                         config: PivotConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-model subspace sources: raw deltas and filtered coefficients (core + residual)."""
-    delta_layers = task_vectors(experts, base)
-    coeff_layers = []
-    for deltas in delta_layers:
-        _, dec = decompose_layer(deltas, config)
-        coeff_layers.append([a + b for a, b in zip(dec.cores, dec.filtered)])
-    raw = [model_subspace(parts) for parts in zip(*delta_layers)]
-    filt = [model_subspace(parts) for parts in zip(*coeff_layers)]
-    return raw, filt
+def _join(model_parts: list[list[np.ndarray]], join) -> list[np.ndarray]:
+    """Join each model's parts, popping them so they are freed as its output is built.
+
+    The parts and the outputs are held twice over for one model at most.
+    """
+    return [join(model_parts.pop(0)) for _ in range(len(model_parts))]
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:

@@ -75,14 +75,24 @@ def _canonical_signs(u: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _gram_eigh(m: np.ndarray, wide: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """Ascending eigenpairs of M M^T (wide) or M^T M; None when that Gram matrix overflows."""
+def _gram_eigh(m: np.ndarray, wide: bool, vectors: bool = True
+               ) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """Ascending eigenpairs of M M^T (wide) or M^T M; None when that Gram matrix overflows.
+
+    Without `vectors` only the eigenvalues are computed and the second item is None.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            evals, evecs = np.linalg.eigh(m @ m.T if wide else m.T @ m)
+            gram = m @ m.T if wide else m.T @ m
+            evals, evecs = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
         except np.linalg.LinAlgError:
             return None
     return (evals, evecs) if np.isfinite(evals).all() else None
+
+
+def _gram_certified(evals: np.ndarray) -> bool:
+    """The GRAM_COND_RTOL certificate on ascending Gram eigenvalues, clear of underflow."""
+    return bool(evals[0] > max(GRAM_COND_RTOL * evals[-1], _GRAM_FLOOR))
 
 
 def _gram_left_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -97,7 +107,7 @@ def _gram_left_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if eig is None:
         return None
     evals, evecs = eig
-    if not evals[0] > max(GRAM_COND_RTOL * evals[-1], _GRAM_FLOOR):
+    if not _gram_certified(evals):
         return None
     u = evecs[:, ::-1]
     return u * _canonical_signs(u), np.sqrt(evals[::-1])
@@ -149,17 +159,18 @@ def orthonormal_basis(mat) -> np.ndarray:
     """Orthonormal basis for the column space, with rank detected from the spectrum.
 
     A strictly wide matrix (rows < cols) whose Gram matrix M M^T passes the
-    GRAM_COND_RTOL certificate has every singular value above RANK_RTOL, so
-    its rank is exactly `rows` and the Gram eigenvectors (signs as in
-    thin_svd) are the basis. Any other input (tall or square, or wide but
-    rank deficient, ill conditioned, or with a Gram matrix that over- or
-    underflows) takes the thin SVD's leading left singular vectors.
-    Raises ValueError for a zero matrix.
+    GRAM_COND_RTOL certificate (from its eigenvalues alone) has every
+    singular value above RANK_RTOL, so its rank is exactly `rows`: it spans
+    the whole ambient space and the identity is its basis. Any other input
+    (tall or square, or wide but rank deficient, ill conditioned, or with a
+    Gram matrix that over- or underflows) takes the thin SVD's leading left
+    singular vectors. Raises ValueError for a zero matrix.
     """
     m = _as_matrix(mat)
-    gram = _gram_left_factors(m) if 0 < m.shape[0] < m.shape[1] else None
-    if gram is not None:
-        return gram[0]
+    if 0 < m.shape[0] < m.shape[1]:
+        eig = _gram_eigh(m, wide=True, vectors=False)
+        if eig is not None and _gram_certified(eig[0]):
+            return np.eye(m.shape[0])
     factors = thin_svd(m)
     if factors.s.size == 0 or factors.s[0] <= 0.0:
         raise ValueError("zero matrix has no column space")
@@ -191,8 +202,8 @@ def _basis_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
 def principal_angles(a, b) -> np.ndarray:
     """Principal angles (degrees, ascending) between the column spaces of a and b.
 
-    Both inputs are orthonormalized first (`orthonormal_basis`: a certified
-    Gram eigenbasis for a well-conditioned wide input, the thin SVD
+    Both inputs are orthonormalized first (`orthonormal_basis`: the identity
+    for a wide input certified to have full row rank, the thin SVD
     otherwise); returns min(rank(a), rank(b)) angles. An input of full row
     rank spans the whole ambient space, so its angles are exactly 0 with no
     SVD of the basis product. Raises ValueError for zero matrices or

@@ -21,6 +21,7 @@ from pivotmerge import (
 from pivotmerge import analysis
 from pivotmerge.analysis import collect_coefficients, collect_residuals, write_matrix_csv
 from pivotmerge.linalg import ZERO_NORM, principal_angles
+from pivotmerge.pivot import decompose_layer, task_vectors
 
 
 def test_residual_similarity_identical(rng):
@@ -181,30 +182,47 @@ def test_residual_stats_match_merge_diagnostics():
 
 
 def test_collect_residuals_builds_one_layer_of_deltas_at_a_time(monkeypatch):
+    check_one_layer_of_deltas_at_a_time(monkeypatch, collect_residuals)
+
+
+def test_collect_coefficients_builds_one_layer_of_deltas_at_a_time(monkeypatch):
+    check_one_layer_of_deltas_at_a_time(monkeypatch, collect_coefficients)
+
+
+def check_one_layer_of_deltas_at_a_time(monkeypatch, collect):
     spec = SynthSpec.from_chain([6, 8, 8, 8], experts=3, core_rank=2, seed=4)
     base, experts, _ = generate(spec)
     config = PivotConfig(rank=2)
     events = []
-    real_deltas, real_decompose = analysis.layer_deltas, analysis.decompose_layer
+    real_deltas, real_decompose = analysis.layer_deltas, analysis._decompose
 
     def deltas(ordered, base_ck, li):
         events.append(("deltas", li))
         return real_deltas(ordered, base_ck, li)
 
-    def decompose(layer, cfg):
+    def decompose(make_deltas, cfg):
         events.append("decompose")
-        return real_decompose(layer, cfg)
+        out = real_decompose(make_deltas, cfg)
+        events.append("decomposed")
+        return out
 
     monkeypatch.setattr(analysis, "layer_deltas", deltas)
-    monkeypatch.setattr(analysis, "decompose_layer", decompose)
-    raw, filt, _ = collect_residuals(list(reversed(experts)), base, config)
-    assert events == [e for li in range(3) for e in (("deltas", li), "decompose")]
-    decs = [real_decompose(d, config)[1] for d in analysis.task_vectors(experts, base)]
+    monkeypatch.setattr(analysis, "_decompose", decompose)
+    raw, filt = collect(list(reversed(experts)), base, config)[:2]
+    # Each layer's deltas are built inside its decomposition, one layer at a time.
+    assert events == [e for li in range(3) for e in ("decompose", ("deltas", li), "decomposed")]
+    delta_layers = task_vectors(experts, base)
+    decs = [decompose_layer(d, config)[1] for d in delta_layers]
     for i in range(len(experts)):
-        np.testing.assert_array_equal(
-            raw[i], np.concatenate([d.residuals[i].ravel() for d in decs]))
-        np.testing.assert_array_equal(
-            filt[i], np.concatenate([d.filtered[i].ravel() for d in decs]))
+        if collect is collect_residuals:
+            np.testing.assert_array_equal(
+                raw[i], np.concatenate([d.residuals[i].ravel() for d in decs]))
+            np.testing.assert_array_equal(
+                filt[i], np.concatenate([d.filtered[i].ravel() for d in decs]))
+        else:
+            np.testing.assert_array_equal(raw[i], np.hstack([d[i] for d in delta_layers]))
+            np.testing.assert_array_equal(
+                filt[i], np.hstack([d.cores[i] + d.filtered[i] for d in decs]))
 
 
 def test_collect_residuals_holds_its_output_about_once():
@@ -223,6 +241,53 @@ def test_collect_residuals_holds_its_output_about_once():
     returned = sum(v.nbytes for v in raw + filt)
     assert returned == 2 * 4 * 8 * 64 * 65 * 8
     assert peak - before < 1.4 * returned
+
+
+def test_collect_coefficients_holds_its_output_about_once():
+    # Eight 64x65 layers: every layer's deltas and blocks were alive while the
+    # sources were stacked, a peak of 2.21x the returned sources.
+    spec = SynthSpec.from_chain([64] * 9, experts=4, core_rank=2, seed=6)
+    base, experts, _ = generate(spec)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        raw, filt = collect_coefficients(experts, base, PivotConfig(rank=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(v.nbytes for v in raw + filt)
+    assert returned == 2 * 4 * 8 * 64 * 65 * 8
+    assert peak - before < 1.4 * returned
+
+
+def test_collect_coefficients_matches_the_stagewise_formula():
+    spec = SynthSpec.from_chain([12, 24, 24, 24], experts=4, core_rank=3, residual_scale=2.0,
+                                seed=8)
+    base, experts, _ = generate(spec)
+    config = PivotConfig(rank=3)
+    raw, filt = collect_coefficients(experts, base, config)
+    delta_layers = task_vectors(experts, base)
+    coeff_layers = []
+    for deltas in delta_layers:
+        dec = decompose_layer(deltas, config)[1]
+        coeff_layers.append([a + b for a, b in zip(dec.cores, dec.filtered)])
+    assert len(raw) == len(filt) == len(experts)
+    for i, (r, f) in enumerate(zip(raw, filt)):
+        np.testing.assert_array_equal(r, model_subspace([d[i] for d in delta_layers]))
+        np.testing.assert_array_equal(f, model_subspace([c[i] for c in coeff_layers]))
+
+
+def test_collect_coefficients_rejects_non_uniform_rows_before_decomposing(monkeypatch):
+    spec = SynthSpec.from_chain([6, 8, 10], experts=3, core_rank=2, seed=9)
+    base, experts, _ = generate(spec)
+
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("a layer was decomposed")
+
+    monkeypatch.setattr(analysis, "_decompose", no_decompose)
+    with pytest.raises(ValueError, match=r"uniform row count across layers, got \[8, 10\]"):
+        collect_coefficients(experts, base, PivotConfig(rank=2))
 
 
 def test_emit_report_empty(tmp_path):

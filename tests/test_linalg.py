@@ -304,3 +304,17 @@ def test_sigmoid_values():
     out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
     assert np.all(np.isfinite(out))
     assert out[0] >= 0.0 and out[2] <= 1.0
+
+
+def test_orthonormal_basis_certified_wide_is_the_identity_without_eigenvectors(monkeypatch):
+    m = random_matrix(32, 9, 20)
+
+    def forbidden(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"np.linalg.{name} called")
+        return fail
+
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden(name))
+    q = orthonormal_basis(m)
+    np.testing.assert_array_equal(q, np.eye(9))
