@@ -122,8 +122,9 @@ def collect_coefficients(experts: Sequence[ProjectorCheckpoint], base: Projector
     """Per-model subspace sources: raw deltas and filtered coefficients (core + residual).
 
     Each source concatenates all layers per model (`model_subspace`), in the
-    pass of `_collect`. A chain whose layers differ in row count is rejected
-    before any layer is decomposed.
+    pass of `_collect`. A chain whose layers differ in d_out or in the joint
+    rank min(d_out, N * (d_in + bias)) (a tall layer) is rejected before any
+    layer is decomposed; an all-zero layer (rank 0) still fails after it.
     """
     raw_parts, filt_parts, _ = _collect(experts, base, config, sources=True)
     return _join(raw_parts, model_subspace), _join(filt_parts, model_subspace)
@@ -146,7 +147,14 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
     """
     ordered = sorted_experts(experts, base)
     if sources:
-        _require_uniform_rows(d_out for d_out, _ in base.layer_shapes())
+        shapes = [layer.matrix.shape for layer in base.layers]
+        _require_uniform_rows(d_out for d_out, _ in shapes)
+        ranks = [min(d_out, len(ordered) * width) for d_out, width in shapes]
+        if len(set(ranks)) > 1:
+            tall = [f"layer {li} of shape {shape}" for li, shape in enumerate(shapes, start=1)
+                    if ranks[li - 1] < shape[0]]
+            raise ValueError("model-level subspaces need a uniform joint rank min(d_out, N * (d_in"
+                             f" + bias)) across layers, got {ranks}; tall: {', '.join(tall)}")
     raw_parts = [[] for _ in ordered]
     filt_parts = [[] for _ in ordered]
     layer_stats = []

@@ -35,11 +35,6 @@ signed zero only meets a nonzero term or an entry whose output is 0. Each
 chunk adds the inputs in input order, entry by entry, so the result does not
 depend on the chunk width.
 
-A row scale (`merge_weighted(..., row_scale=s)`, magnitude-based operators
-only) merges the inputs with row r multiplied by s[r], with the bytes of
-merging scaled copies but without forming them: TIES multiplies each chunk
-as it reads it, and DARE scales each input just before dropping entries.
-
 DARE zeroes each entry independently with probability `drop_rate` using a
 Philox stream keyed by (seed, input ordinal), scaling survivors by
 1/(1 - drop_rate).
@@ -175,31 +170,18 @@ def _trim_keep_count(trim_fraction: float, n_entries: int) -> int:
     return max(1, int(math.floor(trim_fraction * n_entries + 1e-9)))
 
 
-def _magnitudes(row: np.ndarray, col: np.ndarray | None, out: np.ndarray) -> None:
-    """|row| of a flattened input, or |row * col| with col a (rows, 1) row scale, into `out`."""
-    if col is None:
-        np.abs(row, out=out)
-    else:
-        grid = out.reshape(col.shape[0], -1)
-        # An overflow shows as Inf here and is rejected when the chunk is merged.
-        with np.errstate(over="ignore"):
-            np.multiply(row.reshape(grid.shape), col, out=grid)
-        np.abs(out, out=out)
-
-
-def _trim_mask(rows: Sequence[np.ndarray], keep: int, col: np.ndarray | None = None
-               ) -> np.ndarray:
-    """Per flattened input (row-scaled by `col`), mark the `keep` largest magnitudes; ties at the cutoff keep lower flat indices."""
+def _trim_mask(rows: Sequence[np.ndarray], keep: int) -> np.ndarray:
+    """Per flattened input, mark the `keep` largest magnitudes; ties at the cutoff keep lower flat indices."""
     n_entries = rows[0].size
     cut = n_entries - keep
     kept = np.empty((len(rows), n_entries), dtype=bool)
     mag = np.empty(n_entries)
     for row, out in zip(rows, kept):
-        _magnitudes(row, col, mag)
+        np.abs(row, out=mag)
         mag.partition(cut)
         cutoff = mag[cut]
         # Partitioning reorders the buffer; recompute rather than hold a second copy.
-        _magnitudes(row, col, mag)
+        np.abs(row, out=mag)
         np.greater(mag, cutoff, out=out)
         # At most keep - 1 entries exceed the cutoff, so at least one tied entry is taken.
         # Scan for the first `need` ties one chunk at a time: on sparse inputs the
@@ -215,17 +197,11 @@ def _trim_mask(rows: Sequence[np.ndarray], keep: int, col: np.ndarray | None = N
 
 
 def _merge_chunk(w: np.ndarray, flats: list[np.ndarray], kept: np.ndarray | None,
-                 cols: slice, out: np.ndarray, factors: np.ndarray | None = None) -> None:
-    """Elect and merge the columns `cols` of the flattened inputs (times `factors`) into `out[cols]`."""
+                 cols: slice, out: np.ndarray) -> None:
+    """Elect and merge the columns `cols` of the flattened inputs into `out[cols]`."""
     trimmed = np.empty((len(flats), cols.stop - cols.start))
     for i, (row, flat) in enumerate(zip(trimmed, flats)):
-        if factors is None:
-            row[:] = flat[cols]
-        else:
-            with np.errstate(over="ignore"):
-                np.multiply(flat[cols], factors, out=row)
-            if not np.isfinite(row).all():
-                raise ValueError(f"ties input {i} contains NaN or Inf once scaled")
+        row[:] = flat[cols]
         if kept is not None:
             row *= kept[i, cols]
     weighted_sum = w @ trimmed
@@ -244,13 +220,8 @@ def _merge_chunk(w: np.ndarray, flats: list[np.ndarray], kept: np.ndarray | None
     np.divide(num, den, out=out[cols], where=live)
 
 
-def ties(mats: Sequence, weights: Sequence[float], trim_fraction: float,
-         row_scale: np.ndarray | None = None) -> np.ndarray:
-    """Trim-elect-merge: see the module docstring for the pinned semantics.
-
-    With `row_scale` the 2-D inputs are merged as if row r of each were
-    multiplied by row_scale[r]; each chunk's entries are scaled as they are read.
-    """
+def ties(mats: Sequence, weights: Sequence[float], trim_fraction: float) -> np.ndarray:
+    """Trim-elect-merge: see the module docstring for the pinned semantics."""
     if not 0.0 < trim_fraction <= 1.0:
         raise ValueError(f"trim_fraction must be in (0, 1], got {trim_fraction}")
     arrs = _as_stack(mats)
@@ -258,31 +229,19 @@ def ties(mats: Sequence, weights: Sequence[float], trim_fraction: float,
     for i, a in enumerate(arrs):
         if not np.isfinite(a).all():
             raise ValueError(f"ties input {i} contains NaN or Inf")
-    shape = arrs[0].shape
-    col = None if row_scale is None else _row_scale(row_scale, shape)
     flats = [a.ravel() for a in arrs]
     n_entries = flats[0].size
 
     keep = _trim_keep_count(trim_fraction, n_entries)
-    kept = _trim_mask(flats, keep, col) if keep < n_entries else None
+    kept = _trim_mask(flats, keep) if keep < n_entries else None
     out = np.zeros(n_entries)
     # The last chunk also takes the remainder: numpy sums a one-column (N, 1)
     # chunk over axis 0 pairwise, not in input order, which changes the bytes.
     n_chunks = max(1, n_entries // _CHUNK)
     for k in range(n_chunks):
         stop = n_entries if k == n_chunks - 1 else (k + 1) * _CHUNK
-        cols = slice(k * _CHUNK, stop)
-        factors = None if col is None else col[np.arange(cols.start, stop) // max(shape[1], 1), 0]
-        _merge_chunk(w, flats, kept, cols, out, factors)
-    return out.reshape(shape)
-
-
-def _row_scale(row_scale, shape: tuple[int, ...]) -> np.ndarray:
-    """The row factors as a (rows, 1) column, checked against 2-D inputs of `shape`."""
-    col = np.asarray(row_scale, dtype=np.float64).reshape(-1, 1)
-    if len(shape) != 2 or col.shape[0] != shape[0]:
-        raise ValueError(f"row_scale of {col.shape[0]} factors does not fit inputs of shape {shape}")
-    return col
+        _merge_chunk(w, flats, kept, slice(k * _CHUNK, stop), out)
+    return out.reshape(arrs[0].shape)
 
 
 def dare(mat, drop_rate: float, seed: int, stream: int = 0) -> np.ndarray:
@@ -299,34 +258,24 @@ def dare(mat, drop_rate: float, seed: int, stream: int = 0) -> np.ndarray:
     return np.where(u < drop_rate, 0.0, arr / (1.0 - drop_rate))
 
 
-def merge_weighted(op: MergeOperator, mats: Sequence, weights: Sequence[float],
-                   row_scale: np.ndarray | None = None) -> np.ndarray:
+def merge_weighted(op: MergeOperator, mats: Sequence, weights: Sequence[float]) -> np.ndarray:
     """Normalize weights to sum to N and dispatch.
 
-    A single input is returned unchanged regardless of the operator. With
-    `row_scale` (magnitude-based operators only) the inputs are merged as if
-    row r of each 2-D input were multiplied by row_scale[r], with the bytes of
-    merging such scaled copies, none of which is formed whole at once.
+    A single input is returned unchanged regardless of the operator.
     """
     arrs = _as_stack(mats)
     n = len(arrs)
     w = normalize_weights(weights, n)
-    col = None
-    if row_scale is not None:
-        if not op.magnitude_based:
-            raise ValueError(f"row_scale is not supported by {op.kind}")
-        col = _row_scale(row_scale, arrs[0].shape)
     if n == 1:
-        return arrs[0].copy() if col is None else col * arrs[0]
+        return arrs[0].copy()
     if op.kind == "weight_average":
         return weight_average(arrs, w)
     if op.kind == "task_arithmetic":
         return task_arithmetic(arrs, w, op.scale)
     if op.kind == "ties":
-        return ties(arrs, w, op.trim_fraction, row_scale)
+        return ties(arrs, w, op.trim_fraction)
     if op.kind == "dare_ties":
-        dropped = [dare(a if col is None else col * a, op.drop_rate, op.seed, stream=i)
-                   for i, a in enumerate(arrs)]
+        dropped = [dare(a, op.drop_rate, op.seed, stream=i) for i, a in enumerate(arrs)]
         return ties(dropped, w, op.trim_fraction)
     raise ValueError(f"unknown operator kind {op.kind!r}")
 

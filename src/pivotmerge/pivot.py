@@ -24,8 +24,8 @@ Each projector layer is merged independently through five stages:
 For magnitude-based inner operators (ties, dare_ties) both branches are
 pre-scaled row-wise by S before merging and un-scaled afterwards, because
 scale information lives in the spectrum rather than the coefficients. The
-operator applies that row scale as it reads each block, so no scaled copy
-is formed.
+kernel scales the cores and filtered blocks it owns in place, so no scaled
+copy is formed, and then runs the plain operator.
 
 Working set: the merge kernel forms a layer's deltas itself and frees each
 per-expert block set as soon as the next stage has consumed it. The deltas
@@ -287,9 +287,19 @@ def merge_layer(shared: SharedSpaceLayer, dec: DecoupledLayer, alphas: Sequence[
     Cores use the per-layer alignment weights; residuals use uniform weights.
     For a magnitude-based operator both branches are scaled row-wise by the
     spectrum before the operator and un-scaled afterwards (rows with singular
-    value below SPECTRUM_FLOOR come back as zero). The operator applies the
-    scaling as it reads each block, so no scaled copy of a block is formed.
+    value below SPECTRUM_FLOOR come back as zero). The inputs are left
+    unchanged: the blocks are scaled as copies, where the kernel scales the
+    blocks it owns in place.
     """
+    if op.magnitude_based:
+        dec = replace(dec, cores=tuple(b.copy() for b in dec.cores),
+                      filtered=tuple(b.copy() for b in dec.filtered))
+    return _merge_owned(shared, dec, alphas, op)
+
+
+def _merge_owned(shared: SharedSpaceLayer, dec: DecoupledLayer, alphas: Sequence[float],
+                 op: MergeOperator) -> np.ndarray:
+    """`merge_layer` on blocks the caller gives up: a magnitude-based operator scales them in place."""
     uniform = [1.0] * len(dec.cores)
     if not op.magnitude_based:
         return merge_weighted(op, dec.cores, alphas) + merge_weighted(op, dec.filtered, uniform)
@@ -297,7 +307,11 @@ def merge_layer(shared: SharedSpaceLayer, dec: DecoupledLayer, alphas: Sequence[
     live = col >= SPECTRUM_FLOOR
 
     def branch(blocks, weights):
-        merged = merge_weighted(op, blocks, weights, row_scale=shared.s)
+        # An overflow shows as Inf, which the operator rejects naming the input.
+        with np.errstate(over="ignore"):
+            for block in blocks:
+                block *= col
+        merged = merge_weighted(op, blocks, weights)
         return np.divide(merged, col, out=np.zeros_like(merged), where=live)
 
     return branch(dec.cores, alphas) + branch(dec.filtered, uniform)
@@ -324,7 +338,7 @@ def _merge_one_layer(layer_index: int, ordered: Sequence[ProjectorCheckpoint],
         "effective_rank": dec.effective_rank,
     }
     dec = replace(dec, residuals=())
-    merged_coeffs = merge_layer(shared, dec, alphas_col, config.inner)
+    merged_coeffs = _merge_owned(shared, dec, alphas_col, config.inner)
     del dec
     return reconstruct(shared, merged_coeffs, base.layers[layer_index]), record
 

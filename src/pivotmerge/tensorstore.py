@@ -336,8 +336,8 @@ def layer_deltas(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoi
     return [ck.layers[layer_index].matrix - base_mat for ck in experts]
 
 
-def load_checkpoint(path, checkpoint_id: str | None = None) -> ProjectorCheckpoint:
-    """Load a checkpoint container; the id defaults to the file stem."""
+def load_checkpoint(path) -> ProjectorCheckpoint:
+    """Load a checkpoint container; its id is the file stem."""
     tensors = read_container(path)
     weights: dict[int, str] = {}
     biases: dict[int, str] = {}
@@ -377,9 +377,8 @@ def load_checkpoint(path, checkpoint_id: str | None = None) -> ProjectorCheckpoi
             layers.append(Layer(np.concatenate(columns, axis=1, dtype=np.float64), b is not None))
         except ValueError as exc:
             raise ValueError(f"{path}: layer.{i}: {exc}") from exc
-    ckpt_id = checkpoint_id if checkpoint_id is not None else Path(path).stem
     try:
-        return ProjectorCheckpoint(id=ckpt_id, layers=tuple(layers), dtype=dtypes.pop())
+        return ProjectorCheckpoint(id=Path(path).stem, layers=tuple(layers), dtype=dtypes.pop())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

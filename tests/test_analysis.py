@@ -290,6 +290,20 @@ def test_collect_coefficients_rejects_non_uniform_rows_before_decomposing(monkey
         collect_coefficients(experts, base, PivotConfig(rank=2))
 
 
+def test_collect_coefficients_rejects_a_tall_layer_before_decomposing(monkeypatch):
+    # Layer 1 is 64 x (4 + 1): with 2 experts its joint rank is 10, not 64.
+    spec = SynthSpec.from_chain([4, 64, 64], experts=2, core_rank=2, seed=9)
+    base, experts, _ = generate(spec)
+
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("a layer was decomposed")
+
+    monkeypatch.setattr(analysis, "_decompose", no_decompose)
+    with pytest.raises(ValueError, match=r"uniform joint rank .* got \[10, 64\]; "
+                                         r"tall: layer 1 of shape \(64, 5\)$"):
+        collect_coefficients(experts, base, PivotConfig(rank=2))
+
+
 def test_emit_report_empty(tmp_path):
     emit_report({"layers": [], "expert_ids": []}, {}, tmp_path / "report")
     summary = json.loads((tmp_path / "report" / "summary.json").read_text())

@@ -385,33 +385,18 @@ def test_chunked_dare_ties_matches_stacked_formulation(n_inputs, trim):
     np.testing.assert_array_equal(_bytes(got), _bytes(want))
 
 
-@pytest.mark.parametrize("op", [MergeOperator.ties(1.0), MergeOperator.ties(0.2),
-                                MergeOperator.dare_ties(0.2, 0.5, seed=11)],
-                         ids=["ties-1.0", "ties-0.2", "dare-ties-0.2"])
-def test_row_scale_matches_merging_scaled_copies(op):
-    mats, _ = _chunk_boundary_inputs(5)
-    gen = np.random.default_rng(17)
-    s = gen.uniform(0.5, 4.0, CHUNKED_SHAPE[0])
-    s[3] = 0.0
-    weights = [0.5, 1.0, 2.0, 1.0, 0.5]
-    got = merge_weighted(op, mats, weights, row_scale=s)
-    want = merge_weighted(op, [s[:, None] * m for m in mats], weights)
-    np.testing.assert_array_equal(_bytes(got), _bytes(want))
-    single = merge_weighted(op, mats[:1], [1.0], row_scale=s)
-    np.testing.assert_array_equal(_bytes(single), _bytes(s[:, None] * mats[0]))
-
-
 @pytest.mark.parametrize("width", [1 << 10, 1 << 16])
 def test_ties_bytes_do_not_depend_on_the_chunk_width(width, monkeypatch):
     mats, _ = _chunk_boundary_inputs(5)
+    # The pivot kernel merges blocks pre-scaled row-wise by the spectrum.
     s = np.random.default_rng(17).uniform(0.5, 4.0, CHUNKED_SHAPE[0])
+    scaled = [s[:, None] * m for m in mats]
     weights = [0.5, 1.0, 2.0, 1.0, 0.5]
-    calls = [(trim, scale) for trim in (1.0, 0.2) for scale in (None, s)]
-    want = [ties(mats, weights, trim, row_scale=scale) for trim, scale in calls]
+    calls = [(trim, inputs) for trim in (1.0, 0.2) for inputs in (mats, scaled)]
+    want = [ties(inputs, weights, trim) for trim, inputs in calls]
     monkeypatch.setattr(operators, "_CHUNK", width)
-    for (trim, scale), expected in zip(calls, want):
-        np.testing.assert_array_equal(_bytes(ties(mats, weights, trim, row_scale=scale)),
-                                      _bytes(expected))
+    for (trim, inputs), expected in zip(calls, want):
+        np.testing.assert_array_equal(_bytes(ties(inputs, weights, trim)), _bytes(expected))
 
 
 def _signed_zero_and_subnormal_inputs(n_entries):
@@ -437,36 +422,6 @@ def test_ties_matches_stacked_on_signed_zeros_subnormals_and_zero_weights(offset
     for weights in ([0.0, 0.3, 1.7, 0.9], [1.0, 0.0, 0.0, 2.5]):
         np.testing.assert_array_equal(_bytes(ties(mats, weights, trim)),
                                       _bytes(stacked_ties(mats, weights, trim)))
-
-
-def test_row_scale_needs_a_magnitude_operator_and_one_factor_per_row():
-    mats = [np.ones((3, 2)), np.ones((3, 2))]
-    with pytest.raises(ValueError, match="not supported by weight_average"):
-        merge_weighted(MergeOperator.average(), mats, [1.0, 1.0], row_scale=np.ones(3))
-    with pytest.raises(ValueError, match="row_scale of 2 factors"):
-        merge_weighted(MergeOperator.ties(1.0), mats, [1.0, 1.0], row_scale=np.ones(2))
-    with pytest.raises(ValueError, match="ties input 1 contains NaN or Inf once scaled"):
-        ties([np.ones((3, 2)), np.full((3, 2), 1e300)], [1.0, 1.0], 1.0,
-             row_scale=np.full(3, 1e10))
-
-
-def test_ties_row_scale_forms_no_scaled_copies():
-    # Scaled copies of the inputs would add four inputs to the unscaled peak;
-    # the row scale adds one input's worth of entry factors.
-    gen = np.random.default_rng(3)
-    mats = [gen.standard_normal((512, 513)) for _ in range(4)]
-    s = gen.uniform(0.1, 2.0, 512)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        got = ties(mats, [1.0] * 4, 0.2, row_scale=s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - before < 4 * mats[0].nbytes
-    want = stacked_ties([s[:, None] * m for m in mats], [1.0] * 4, 0.2)
-    np.testing.assert_array_equal(_bytes(got), _bytes(want))
 
 
 def test_ties_peak_memory_stays_under_four_inputs():

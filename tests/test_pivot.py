@@ -12,6 +12,7 @@ from pivotmerge import (
     filter_residuals,
     joint_decompose,
     merge_layer,
+    merge_weighted,
     pivot_merge,
     reconstruct,
     task_vectors,
@@ -455,6 +456,45 @@ def test_merge_layer_linear_inner_is_mean(rng):
     np.testing.assert_allclose(merged, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("op", [MergeOperator.ties(1.0), MergeOperator.ties(0.2),
+                                MergeOperator.dare_ties(0.2, 0.5, seed=11)],
+                         ids=["ties-1.0", "ties-0.2", "dare-ties-0.2"])
+@pytest.mark.parametrize("n", [1, 4])
+def test_merge_layer_matches_merging_scaled_copies(op, n):
+    # 125 x 420 blocks span four TIES column chunks; one singular value is zero
+    gen = np.random.default_rng(17 + n)
+    s = np.sort(gen.uniform(0.5, 4.0, 125))[::-1]
+    s[-1] = 0.0
+    shared = pivot.SharedSpaceLayer(u=np.eye(125), s=s, coeffs=())
+    dec = pivot.DecoupledLayer(cores=tuple(gen.standard_normal((125, 420)) for _ in range(n)),
+                               residuals=(), effective_rank=8,
+                               filtered=tuple(gen.standard_normal((125, 420)) for _ in range(n)))
+    alphas = gen.uniform(0.1, 1.0, n)
+    col = s[:, None]
+
+    def scaled_merge(blocks, weights):
+        merged = merge_weighted(op, [col * b for b in blocks], weights)
+        return np.divide(merged, col, out=np.zeros_like(merged), where=col >= pivot.SPECTRUM_FLOOR)
+
+    got = merge_layer(shared, dec, alphas, op)
+    want = scaled_merge(dec.cores, alphas) + scaled_merge(dec.filtered, [1.0] * n)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert not got[-1].any()
+
+
+@pytest.mark.parametrize("op", [MergeOperator.ties(1.0), MergeOperator.dare_ties(0.2, 0.5, seed=11)],
+                         ids=["ties-1.0", "dare-ties-0.2"])
+def test_merge_layer_rejects_a_spectrum_overflow_naming_the_input(op):
+    shared = pivot.SharedSpaceLayer(u=np.eye(3), s=np.full(3, 1e10), coeffs=())
+    blocks = (np.ones((3, 2)), np.full((3, 2), 1e300))
+    dec = pivot.DecoupledLayer(cores=blocks, residuals=(), effective_rank=2, filtered=blocks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="ties input 1 contains NaN or Inf"):
+            merge_layer(shared, dec, [0.5, 0.5], op)
+    assert dec.cores[1][0, 0] == 1e300
+
+
 def test_reconstruct_zero_coeffs_returns_base(rng):
     base = make_checkpoint("base", rng, [4, 6])
     deltas = [rng.standard_normal((6, 5))]
@@ -555,6 +595,29 @@ def test_pivot_merge_peak_memory_stays_under_sixteen_layer_blocks(rng):
     finally:
         tracemalloc.stop()
     assert (peak - before) / block < 16
+    assert np.isfinite(merged.layers[0].matrix).all()
+
+
+@pytest.mark.parametrize("op, bound", [(MergeOperator.ties(0.2), 16.0),
+                                       (MergeOperator.dare_ties(0.2, 0.5, seed=11), 16.7)],
+                         ids=["ties-0.2", "dare-ties-0.2"])
+def test_pivot_merge_scales_its_blocks_without_copies(rng, op, bound):
+    # The layer of the test above, whose default inner op is ties 1.0. The
+    # kernel scales its cores and filtered blocks by the spectrum in place;
+    # scaled copies of dare-ties' N inputs before dropping peaked at 17.2 blocks.
+    base = make_checkpoint("base", rng, [512, 512])
+    experts = [make_checkpoint(f"e{i}", rng, [512, 512]) for i in range(4)]
+    block = base.layers[0].matrix.nbytes
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        merged, _ = pivot_merge(experts, base, uniform_table(experts, 1),
+                                PivotConfig(rank=64, inner=op))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / block < bound
     assert np.isfinite(merged.layers[0].matrix).all()
 
 
