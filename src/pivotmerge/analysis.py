@@ -8,8 +8,8 @@ and orthonormalizing.
 
 Both measurements read one collector pass (`_collect`). It decomposes layer
 by layer through the merge kernel's stages, which build each layer's deltas
-and drop them once they are consumed, and it keeps only what the report
-reads: the raw and filtered residuals, or the raw deltas and the filtered
+and overwrite the blocks they own, and it keeps only what the report reads:
+the raw and filtered residuals, or the raw deltas and the filtered
 coefficients. Each model's parts are then joined one model at a time.
 """
 
@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import ZERO_NORM, _basis_angles, cosine, orthonormal_basis
-from .pivot import PivotConfig, _decompose
+from .pivot import PivotConfig, _decompose, _dense, _filter_owned, _stacked, filter_residuals
 from .tensorstore import (ProjectorCheckpoint, atomic_write, layer_deltas, sorted_experts,
                           write_json)
 
@@ -137,13 +137,13 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
 
     Experts are handled in lexicographic id order, matching the merge. Each
     layer goes through the merge kernel's decomposition (`pivot._decompose`),
-    which builds the layer's deltas itself and drops them once the
-    coefficients are projected, so only one layer's deltas are alive at a
-    time. Without `sources` (residual-sim) each model keeps its layer's raw
-    and filtered residuals, flattened, and the cores go. With `sources`
-    (principal-angles) each model keeps its layer's delta as the raw part;
-    the residuals go first, then each filtered block becomes core + filtered
-    in place and the cores go.
+    which builds the layer's deltas and their stack itself and drops the
+    stack after the joint step, so only one layer's deltas are alive at a
+    time. Without `sources` (residual-sim) the residuals are filtered as
+    copies and each model keeps its layer's raw and filtered residuals,
+    flattened; the cores go. With `sources` (principal-angles) each model
+    keeps its layer's delta as the raw part; each residual is filtered in
+    place, then becomes core + filtered in place, and the cores go.
     """
     ordered = sorted_experts(experts, base)
     if sources:
@@ -159,35 +159,36 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
     filt_parts = [[] for _ in ordered]
     layer_stats = []
     for li in range(base.num_layers):
-        def make_deltas(li=li):
+        def make_stack(li=li):
             deltas = layer_deltas(ordered, base, li)
             if sources:
                 for parts, delta in zip(raw_parts, deltas):
                     parts.append(delta)
-            return deltas
+            return _stacked(deltas)
 
-        dec = _decompose(make_deltas, config)[1]
-        mask = dec.mask
+        dec = _decompose(make_stack, config)[1]
+        if sources:
+            cores, blocks = dec.cores, list(dec.residuals)
+            del dec
+            mask, _, tau, _ = _filter_owned(blocks, config.gamma, config.rho)
+            for core, block in zip(cores, blocks):
+                # IEEE addition commutes: the bits of core + block.
+                block += _dense(core)
+            del cores
+            for parts, block in zip(filt_parts, blocks):
+                parts.append(block)
+        else:
+            filtered, mask, _, tau = filter_residuals(dec.residuals, config.gamma, config.rho)
+            for parts, block in zip(raw_parts + filt_parts, dec.residuals + filtered):
+                parts.append(block.ravel())
+            del dec, filtered
         layer_stats.append({
             "layer": li + 1,
-            "tau": None if dec.tau is None else float(dec.tau),
+            "tau": None if tau is None else float(tau),
             "mask_mean": float(mask.mean()) if mask.size else None,
             "mask_min": float(mask.min()) if mask.size else None,
             "mask_max": float(mask.max()) if mask.size else None,
         })
-        if sources:
-            cores, filtered = dec.cores, dec.filtered
-            del dec
-            for core, block in zip(cores, filtered):
-                # IEEE addition commutes: the bits of core + block.
-                block += core
-            del cores
-            for parts, block in zip(filt_parts, filtered):
-                parts.append(block)
-        else:
-            for parts, block in zip(raw_parts + filt_parts, dec.residuals + dec.filtered):
-                parts.append(block.ravel())
-            del dec
     return raw_parts, filt_parts, layer_stats
 
 

@@ -126,18 +126,39 @@ def truncate_rank(mat, rank: int) -> np.ndarray:
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     m = _as_matrix(mat)
-    rows, cols = m.shape
-    if r >= min(rows, cols):
+    if r >= min(m.shape):
         return m.copy()
-    wide = rows <= cols
+    left, right, _ = _rank_factors(m, r)
+    return left @ right
+
+
+def _rank_factors(mat, r: int) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """`truncate_rank`'s core as owned factors (left, right), plus the energy it keeps.
+
+    Requires 1 <= r < min(m, n). The core is left @ right: (Q, Q^T M) on the
+    wide Gram route, (M Q, Q^T) on the tall one and (U_r S_r, V_r^T) on the
+    SVD fallback. Each factor owns its data, so no view keeps the whole
+    eigenvector matrix or V^T alive. The energy is sum(top-r lambda) /
+    sum(lambda) over the Gram eigenvalues, or the same over s^2 on the SVD
+    fallback; None for a zero matrix.
+    """
+    m = _as_matrix(mat)
+    wide = m.shape[0] <= m.shape[1]
     eig = _gram_eigh(m, wide)
     if eig is not None:
         evals, evecs = eig
         if evals[-r] - evals[-r - 1] > EIG_GAP_RTOL * evals[-1]:
-            q = evecs[:, -r:]
-            return q @ (q.T @ m) if wide else (m @ q) @ q.T
+            q = evecs[:, -r:].copy()
+            # Shares of lambda_max, so the sums cannot overflow.
+            unit = evals / evals[-1]
+            energy = float(unit[-r:].sum() / unit.sum())
+            return (q, q.T @ m, energy) if wide else (m @ q, q.T.copy(), energy)
     factors = thin_svd(m)
-    return (factors.u[:, :r] * factors.s[:r]) @ factors.vt[:r]
+    energy = None
+    if factors.s[0] > 0.0:
+        unit = (factors.s / factors.s[0]) ** 2
+        energy = float(unit[:r].sum() / unit.sum())
+    return factors.u[:, :r] * factors.s[:r], factors.vt[:r].copy(), energy
 
 
 def cosine(a, b) -> float:

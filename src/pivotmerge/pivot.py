@@ -27,14 +27,19 @@ scale information lives in the spectrum rather than the coefficients. The
 kernel scales the cores and filtered blocks it owns in place, so no scaled
 copy is formed, and then runs the plain operator.
 
-Working set: the merge kernel forms a layer's deltas itself and frees each
-per-expert block set as soon as the next stage has consumed it. The deltas
-go once the coefficients are projected, and the concatenation before that.
-The coefficient blocks go once the cores and residuals exist, and the raw
-residuals once they are filtered. Filtering scores one row chunk of every
-expert at a time instead of stacking all N blocks. With N experts about
-3N + 2 layer-sized blocks are alive at the peak stage, down from 7N + 2.
-Every public stage function leaves its inputs untouched.
+Working set: the merge kernel overwrites the per-expert blocks it owns
+instead of allocating a new block set at each stage; the public stage
+functions copy their inputs and run the same code. Counted in layer blocks
+with N experts: the joint step fills one (d_out, N * w) concatenation
+expert by expert, factors it as it is and projects each coefficient block
+from its delta's column slice, 2N + 1 blocks with U at the peak. Decoupling
+forms each residual in its coefficient block's storage and keeps each core
+as rank-r factors (left, right); filtering scores one row chunk of every
+expert at a time and rescales each residual in place; the merge takes the
+filtered branch first and multiplies the cores out only after dropping the
+filtered blocks. Each of those stages peaks below N + 4 blocks. LAPACK
+workspace and allocator retention are not traced allocations, so resident
+memory, not tracemalloc, sizes the gain.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import RANK_RTOL, ZERO_NORM, _gram_left_factors, sigmoid, thin_svd, truncate_rank
+from .linalg import RANK_RTOL, ZERO_NORM, _gram_left_factors, _rank_factors, sigmoid, thin_svd
 from .operators import MergeOperator, merge_weighted
 from .scores import ScoreTable, layer_weights, score_increments, threshold_from_ratio
 from .tensorstore import Layer, ProjectorCheckpoint, add_delta, layer_deltas, sorted_experts
@@ -68,9 +73,13 @@ class SharedSpaceLayer:
 
 @dataclass(frozen=True)
 class DecoupledLayer:
-    """Per-expert cores and residuals, plus filtering outputs once applied."""
+    """Per-expert cores and residuals, plus filtering outputs once applied.
 
-    cores: tuple[np.ndarray, ...]
+    The public stages return dense cores; inside the merge kernel a core
+    below full rank is its factor pair (left, right) until the merge.
+    """
+
+    cores: tuple[np.ndarray | tuple[np.ndarray, np.ndarray], ...]
     residuals: tuple[np.ndarray, ...]
     effective_rank: int
     filtered: tuple[np.ndarray, ...] | None = None
@@ -123,7 +132,18 @@ def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
     a pure function of (U, S, D_i), so bit-identical deltas give bit-identical
     blocks even where the spectrum is degenerate. Rows at numerically-zero
     singular values carry no reconstruction content and are set to zero. The
-    concatenation is freed before the blocks are projected.
+    deltas are copied once, into C, and left unchanged; each block is
+    projected from its delta's column slice of C, which is freed once the
+    blocks exist.
+    """
+    return _joint_owned(_stacked(deltas))
+
+
+def _stacked(deltas: Sequence[np.ndarray]) -> np.ndarray:
+    """Equal-shape deltas copied into one (d_out, N, w) stack.
+
+    The stack's (d_out, N * w) reshape is a view, and it is the deltas'
+    concatenation; delta i is the column slice stack[:, i].
     """
     n = len(deltas)
     if n < 1:
@@ -133,18 +153,24 @@ def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
     for i, m in enumerate(mats):
         if m.shape != (d_out, width):
             raise ValueError(f"delta {i} has shape {m.shape}, expected {(d_out, width)}")
-    if not any(m.any() for m in mats):
+    return np.stack(mats, axis=1)
+
+
+def _joint_owned(stack: np.ndarray) -> SharedSpaceLayer:
+    """`joint_decompose` of a (d_out, N, w) delta stack, which is factored as C without a copy."""
+    d_out, n, width = stack.shape
+    if not stack.any():
         warnings.warn("all task vectors are zero; layer has an empty shared space")
         return SharedSpaceLayer(
             u=np.zeros((d_out, 0)), s=np.zeros(0),
             coeffs=tuple(np.zeros((0, width)) for _ in range(n)))
-    u, s = _left_factors(np.concatenate(mats, axis=1))
+    u, s = _left_factors(stack.reshape(d_out, n * width))
     live = s > RANK_RTOL * s[0]
     inv_s = np.zeros_like(s)
     inv_s[live] = 1.0 / s[live]
     coeffs = []
-    for m in mats:
-        block = u.T @ m
+    for i in range(n):
+        block = u.T @ stack[:, i]
         block *= inv_s[:, None]
         coeffs.append(block)
     return SharedSpaceLayer(u=u, s=s, coeffs=tuple(coeffs))
@@ -166,25 +192,50 @@ def decouple(coeffs: Sequence[np.ndarray], rank: int) -> DecoupledLayer:
     Ranks beyond min(k, w) are clamped with a warning so small layers still
     decompose. At rank min(k, w) the core is the whole block: cores are
     copies of the blocks and residuals are exact zeros, with no factorization.
+    The blocks are copied and left unchanged. The merge kernel runs the same
+    code on the blocks it owns: each residual is formed in its block's
+    storage, and each core stays as its rank-r factors until the merge.
+    """
+    dec, _ = _decouple_owned([np.array(c, dtype=np.float64) for c in coeffs], rank)
+    return replace(dec, cores=tuple(_dense(c) for c in dec.cores))
+
+
+def _decouple_owned(blocks: list[np.ndarray], rank: int
+                    ) -> tuple[DecoupledLayer, list[float | None]]:
+    """`decouple` on blocks the caller gives up, plus the energy share each core keeps.
+
+    Below full rank each residual is its block overwritten as block - core,
+    and each core is kept as its factors (left, right) from `_rank_factors`.
+    At full rank the blocks are the cores. The share is sum(top-r lambda) /
+    sum(lambda) of the block's Gram eigenvalues: 1.0 at full rank, None for a
+    zero block.
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    blocks = [np.asarray(c, dtype=np.float64) for c in coeffs]
     k, w = blocks[0].shape
     max_rank = min(k, w)
     if max_rank == 0:
-        zero = tuple(np.zeros((k, w)) for _ in blocks)
-        return DecoupledLayer(cores=zero, residuals=tuple(b.copy() for b in blocks),
-                              effective_rank=0)
+        return DecoupledLayer(cores=tuple(np.zeros((k, w)) for _ in blocks),
+                              residuals=tuple(blocks), effective_rank=0), [None] * len(blocks)
     if rank > max_rank:
         warnings.warn(f"rank {rank} exceeds block rank limit {max_rank}; clamping")
     if rank >= max_rank:
-        return DecoupledLayer(cores=tuple(b.copy() for b in blocks),
+        energy = [1.0 if b.any() else None for b in blocks]
+        return DecoupledLayer(cores=tuple(blocks),
                               residuals=tuple(np.zeros((k, w)) for _ in blocks),
-                              effective_rank=max_rank)
-    cores = tuple(truncate_rank(b, rank) for b in blocks)
-    residuals = tuple(b - a for b, a in zip(blocks, cores))
-    return DecoupledLayer(cores=cores, residuals=residuals, effective_rank=rank)
+                              effective_rank=max_rank), energy
+    cores, energy = [], []
+    for block in blocks:
+        left, right, share = _rank_factors(block, rank)
+        block -= left @ right
+        cores.append((left, right))
+        energy.append(share)
+    return DecoupledLayer(cores=tuple(cores), residuals=tuple(blocks), effective_rank=rank), energy
+
+
+def _dense(core) -> np.ndarray:
+    """A core as one block: a dense core as it is, a factored one (left, right) multiplied out."""
+    return core if isinstance(core, np.ndarray) else core[0] @ core[1]
 
 
 def filter_residuals(residuals: Sequence[np.ndarray], gamma: float, rho: float
@@ -193,13 +244,26 @@ def filter_residuals(residuals: Sequence[np.ndarray], gamma: float, rho: float
 
     Returns (filtered residuals, mask, consistencies, tau). With a single
     expert the residuals pass through untouched (mask of ones, tau None).
-    Besides the N filtered blocks it returns, the filter holds one row chunk
-    of unit rows per expert and one temporary block; each filtered block is
-    rescaled in place.
+    The residuals are copied and left unchanged; each copy is then rescaled
+    in place as its filtered block, which is what the merge kernel does to
+    the residuals it owns. Besides the N blocks, the filter holds one row
+    chunk of unit rows per expert and one temporary block.
+    """
+    mats = [np.array(b, dtype=np.float64) for b in residuals]
+    mask, consistencies, tau, _ = _filter_owned(mats, gamma, rho)
+    return tuple(mats), mask, consistencies, tau
+
+
+def _filter_owned(mats: list[np.ndarray], gamma: float, rho: float
+                  ) -> tuple[np.ndarray, np.ndarray, float | None, list[float | None]]:
+    """`filter_residuals` on residuals the caller gives up: each becomes its filtered block.
+
+    Returns (mask, consistencies, tau, kept). kept is each residual's masked
+    over raw L1 mass, before compensation: 1.0 for a single expert, None for
+    a zero residual.
     """
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    mats = [np.asarray(b, dtype=np.float64) for b in residuals]
     n = len(mats)
     if n < 1:
         raise ValueError("need at least one residual")
@@ -210,24 +274,24 @@ def filter_residuals(residuals: Sequence[np.ndarray], gamma: float, rho: float
     k = shape[0]
     if n == 1 or k == 0:
         ones = np.ones(k)
-        return tuple(m.copy() for m in mats), ones, ones.copy(), None
+        return ones, ones.copy(), None, [1.0 if m.any() else None for m in mats]
 
     consistencies = _consistencies(mats)
     tau = threshold_from_ratio(consistencies, rho)
     mask = sigmoid(gamma * (consistencies - tau))
 
-    filtered = []
+    kept = []
     for b in mats:
         total = np.abs(b).sum()
-        masked = mask[:, None] * b
-        masked_total = np.abs(masked).sum()
+        b *= mask[:, None]
+        masked_total = np.abs(b).sum()
+        kept.append(float(masked_total / total) if total > 0.0 else None)
         if masked_total < 1e-12:
             if total > 0.0:
                 warnings.warn("masked residual mass is near zero; skipping L1 compensation")
         else:
-            masked *= total / masked_total
-        filtered.append(masked)
-    return tuple(filtered), mask, consistencies, tau
+            b *= total / masked_total
+    return mask, consistencies, tau, kept
 
 
 def _consistencies(mats: list[np.ndarray]) -> np.ndarray:
@@ -264,20 +328,27 @@ def decompose_layer(deltas: Sequence[np.ndarray], config: PivotConfig
     """Stages 2-4 for one layer: joint decomposition, decoupling, then residual filtering.
 
     The returned shared layer holds U and S only: its coefficient blocks are
-    dropped once the cores and residuals exist.
+    dropped once the cores and residuals exist. The decoupled layer holds
+    dense cores, the raw residuals and their filtered copies.
     """
-    return _decompose(lambda: deltas, config)
-
-
-def _decompose(make_deltas: Callable[[], Sequence[np.ndarray]], config: PivotConfig
-               ) -> tuple[SharedSpaceLayer, DecoupledLayer]:
-    # The deltas live only while joint_decompose runs, unless the caller keeps them.
-    shared = joint_decompose(make_deltas())
-    dec = decouple(shared.coeffs, config.rank)
-    shared = replace(shared, coeffs=())
+    shared, dec, _ = _decompose(lambda: _stacked(deltas), config)
     filtered, mask, consistencies, tau = filter_residuals(dec.residuals, config.gamma, config.rho)
-    return shared, replace(dec, filtered=filtered, mask=mask, consistencies=consistencies,
-                           tau=tau)
+    return shared, replace(dec, cores=tuple(_dense(c) for c in dec.cores), filtered=filtered,
+                           mask=mask, consistencies=consistencies, tau=tau)
+
+
+def _decompose(make_stack: Callable[[], np.ndarray], config: PivotConfig
+               ) -> tuple[SharedSpaceLayer, DecoupledLayer, list[float | None]]:
+    """Stages 2-3 on the (d_out, N, w) delta stack that `make_stack` builds.
+
+    Returns the shared layer (U and S only), the decoupled layer from
+    `_decouple_owned` (cores possibly factored, residuals in the coefficient
+    blocks' storage) and each core's energy share. The stack lives only
+    while the joint step runs; each caller filters the residuals.
+    """
+    shared = _joint_owned(make_stack())
+    dec, energy = _decouple_owned(list(shared.coeffs), config.rank)
+    return replace(shared, coeffs=()), dec, energy
 
 
 def merge_layer(shared: SharedSpaceLayer, dec: DecoupledLayer, alphas: Sequence[float],
@@ -288,33 +359,51 @@ def merge_layer(shared: SharedSpaceLayer, dec: DecoupledLayer, alphas: Sequence[
     For a magnitude-based operator both branches are scaled row-wise by the
     spectrum before the operator and un-scaled afterwards (rows with singular
     value below SPECTRUM_FLOOR come back as zero). The inputs are left
-    unchanged: the blocks are scaled as copies, where the kernel scales the
-    blocks it owns in place.
+    unchanged: a magnitude-based operator scales copies of the blocks, where
+    the kernel scales the blocks it owns in place.
     """
-    if op.magnitude_based:
-        dec = replace(dec, cores=tuple(b.copy() for b in dec.cores),
-                      filtered=tuple(b.copy() for b in dec.filtered))
-    return _merge_owned(shared, dec, alphas, op)
+    own = (lambda blocks: [b.copy() for b in blocks]) if op.magnitude_based else list
+    return _merge_owned(shared.s, own(dec.cores), own(dec.filtered), alphas, op)
 
 
-def _merge_owned(shared: SharedSpaceLayer, dec: DecoupledLayer, alphas: Sequence[float],
-                 op: MergeOperator) -> np.ndarray:
-    """`merge_layer` on blocks the caller gives up: a magnitude-based operator scales them in place."""
-    uniform = [1.0] * len(dec.cores)
+def _merge_owned(s: np.ndarray, cores: list, filtered: list[np.ndarray],
+                 alphas: Sequence[float], op: MergeOperator) -> np.ndarray:
+    """`merge_layer` on blocks the caller gives up; it empties both lists.
+
+    The filtered branch merges first and its blocks are dropped. Then the
+    cores, dense or factored as (left, right), are multiplied out and merged.
+    The result is merged cores + merged filtered blocks, as in `merge_layer`:
+    IEEE addition commutes and DARE's streams are keyed by (seed, input), so
+    the branch order does not change the bits.
+    """
+    merged = _merge_branch(s, filtered, [1.0] * len(filtered), op)
+    filtered.clear()
+    blocks = [_dense(c) for c in cores]
+    cores.clear()
+    merged_cores = _merge_branch(s, blocks, alphas, op)
+    merged_cores += merged
+    return merged_cores
+
+
+def _merge_branch(s: np.ndarray, blocks: list[np.ndarray], weights: Sequence[float],
+                  op: MergeOperator) -> np.ndarray:
+    """One branch's merge; a magnitude-based operator scales the blocks by S in place.
+
+    The merged block is then divided by S in place; its rows with S below
+    SPECTRUM_FLOOR come back as zero.
+    """
     if not op.magnitude_based:
-        return merge_weighted(op, dec.cores, alphas) + merge_weighted(op, dec.filtered, uniform)
-    col = shared.s[:, None]
+        return merge_weighted(op, blocks, weights)
+    col = s[:, None]
+    # An overflow shows as Inf, which the operator rejects naming the input.
+    with np.errstate(over="ignore"):
+        for block in blocks:
+            block *= col
+    merged = merge_weighted(op, blocks, weights)
     live = col >= SPECTRUM_FLOOR
-
-    def branch(blocks, weights):
-        # An overflow shows as Inf, which the operator rejects naming the input.
-        with np.errstate(over="ignore"):
-            for block in blocks:
-                block *= col
-        merged = merge_weighted(op, blocks, weights)
-        return np.divide(merged, col, out=np.zeros_like(merged), where=live)
-
-    return branch(dec.cores, alphas) + branch(dec.filtered, uniform)
+    np.divide(merged, col, out=merged, where=live)
+    merged[~live[:, 0]] = 0.0
+    return merged
 
 
 def reconstruct(shared: SharedSpaceLayer, merged_coeffs: np.ndarray,
@@ -323,23 +412,36 @@ def reconstruct(shared: SharedSpaceLayer, merged_coeffs: np.ndarray,
     return add_delta(base_layer, (shared.u * shared.s) @ merged_coeffs)
 
 
+def _delta_stack(ordered: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
+                 layer_index: int) -> np.ndarray:
+    """One layer's (d_out, N, w) delta stack, each delta written into its slice."""
+    base_mat = base.layers[layer_index].matrix
+    stack = np.empty((base_mat.shape[0], len(ordered), base_mat.shape[1]))
+    for i, ck in enumerate(ordered):
+        np.subtract(ck.layers[layer_index].matrix, base_mat, out=stack[:, i])
+    return stack
+
+
 def _merge_one_layer(layer_index: int, ordered: Sequence[ProjectorCheckpoint],
                      base: ProjectorCheckpoint, alphas_col: np.ndarray, config: PivotConfig
                      ) -> tuple[Layer, dict]:
-    """The per-layer kernel: it forms the layer's deltas and frees each block set after use."""
-    shared, dec = _decompose(lambda: layer_deltas(ordered, base, layer_index), config)
+    """The per-layer kernel: each stage overwrites the per-expert blocks it owns."""
+    shared, dec, energy = _decompose(lambda: _delta_stack(ordered, base, layer_index), config)
+    cores, blocks, effective_rank = list(dec.cores), list(dec.residuals), dec.effective_rank
+    del dec
+    mask, consistencies, tau, kept = _filter_owned(blocks, config.gamma, config.rho)
     record = {
         "layer": layer_index + 1,
         "alpha": [float(a) for a in alphas_col],
-        "tau": None if dec.tau is None else float(dec.tau),
-        "consistency": [float(c) for c in dec.consistencies],
-        "mask": [float(m) for m in dec.mask],
+        "tau": None if tau is None else float(tau),
+        "consistency": [float(c) for c in consistencies],
+        "mask": [float(m) for m in mask],
+        "residual_mass_kept": kept,
         "singular_values": [float(v) for v in shared.s],
-        "effective_rank": dec.effective_rank,
+        "effective_rank": effective_rank,
+        "core_energy": energy,
     }
-    dec = replace(dec, residuals=())
-    merged_coeffs = _merge_owned(shared, dec, alphas_col, config.inner)
-    del dec
+    merged_coeffs = _merge_owned(shared.s, cores, blocks, alphas_col, config.inner)
     return reconstruct(shared, merged_coeffs, base.layers[layer_index]), record
 
 

@@ -157,6 +157,23 @@ def test_truncate_rank_uncertified_gap_falls_back_to_svd(monkeypatch, mat, rank)
     np.testing.assert_array_equal(out, (f.u[:, :rank] * f.s[:rank]) @ f.vt[:rank])
 
 
+@pytest.mark.parametrize("mat, rank, svd_calls", [
+    (random_matrix(21, 9, 14), 3, 0),
+    (random_matrix(22, 14, 9), 3, 0),
+    (random_matrix(23, 8, 6, rank=2), 4, 1),
+    (np.diag([3.0, 2.0, 2.0, 1.0]), 2, 1),
+], ids=["wide-gram", "tall-gram", "svd-fallback", "tied-cut"])
+def test_truncate_rank_is_the_product_of_owned_rank_factors(monkeypatch, mat, rank, svd_calls):
+    calls = count_svd_calls(monkeypatch)
+    left, right, energy = linalg._rank_factors(mat, rank)
+    assert len(calls) == svd_calls
+    assert left.shape == (mat.shape[0], rank) and right.shape == (rank, mat.shape[1])
+    assert left.flags.owndata and right.flags.owndata
+    want = truncate_rank(mat, rank)
+    np.testing.assert_array_equal((left @ right).view(np.uint64), want.view(np.uint64))
+    assert abs(energy - np.sum(want ** 2) / np.sum(mat ** 2)) <= 1e-12
+
+
 def test_cosine_examples():
     assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
     assert cosine([1.0, 1.0], [2.0, 2.0]) == pytest.approx(1.0, abs=1e-15)

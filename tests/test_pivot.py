@@ -7,14 +7,18 @@ import pytest
 from pivotmerge import (
     MergeOperator,
     PivotConfig,
+    ProjectorCheckpoint,
     ScoreTable,
+    decompose_layer,
     decouple,
     filter_residuals,
     joint_decompose,
+    layer_weights,
     merge_layer,
     merge_weighted,
     pivot_merge,
     reconstruct,
+    score_increments,
     task_vectors,
     thin_svd,
     truncate_rank,
@@ -218,13 +222,13 @@ def test_decouple_full_rank_residual_zero(rng, monkeypatch):
 
 def test_decouple_below_full_rank_truncates(rng, monkeypatch):
     calls = []
-    real = pivot.truncate_rank
+    real = pivot._rank_factors
 
     def counting(block, rank):
         calls.append(rank)
         return real(block, rank)
 
-    monkeypatch.setattr(pivot, "truncate_rank", counting)
+    monkeypatch.setattr(pivot, "_rank_factors", counting)
     blocks = [rng.standard_normal((5, 4)) for _ in range(3)]
     dec = decouple(blocks, rank=3)
     assert calls == [3, 3, 3]
@@ -619,6 +623,110 @@ def test_pivot_merge_scales_its_blocks_without_copies(rng, op, bound):
         tracemalloc.stop()
     assert (peak - before) / block < bound
     assert np.isfinite(merged.layers[0].matrix).all()
+
+
+def _traced_merge_blocks(op):
+    rng = np.random.default_rng(12345)
+    base = make_checkpoint("base", rng, [512, 512])
+    experts = [make_checkpoint(f"e{i}", rng, [512, 512]) for i in range(4)]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        merged, _ = pivot_merge(experts, base, uniform_table(experts, 1),
+                                PivotConfig(rank=64, inner=op))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(merged.layers[0].matrix).all()
+    return (peak - before) / base.layers[0].matrix.nbytes
+
+
+@pytest.mark.parametrize("op, bound", [(MergeOperator.ties(1.0), 10.0),
+                                       (MergeOperator.ties(0.2), 10.0),
+                                       (MergeOperator.average(), 10.0),
+                                       (MergeOperator.dare_ties(0.2, 0.5, seed=11), 13.0)],
+                         ids=["ties-1.0", "ties-0.2", "average", "dare-ties-0.2"])
+def test_pivot_merge_kernel_stays_within_2n_plus_2_layer_blocks(op, bound):
+    # The layer above, N=4: 2N + 2 = 10 blocks, and dare-ties' N dropped copies
+    # on top. Stages that each allocated a new block set held 14.0 blocks
+    # (16.2 with dare-ties); overwriting the owned blocks and keeping the
+    # cores as rank-r factors peaks at the joint projection, 2N + 1.
+    assert _traced_merge_blocks(op) < bound
+
+
+def _single_layer_case(case, gen):
+    chain = {"wide": [16, 24], "tall": [3, 40], "r-svd": [9, 24], "full-rank": [3, 8],
+             "single": [16, 24], "all-zero": [5, 12]}[case]
+    base = make_checkpoint("base", gen, chain)
+    experts = [make_checkpoint(f"e{i}", gen, chain) for i in range(1 if case == "single" else 3)]
+    if case == "r-svd":
+        # A duplicated expert leaves the 24 x 30 concatenation of rank 20.
+        experts[2] = ProjectorCheckpoint(id="e2", layers=experts[0].layers)
+    if case == "all-zero":
+        experts = [ProjectorCheckpoint(id=e.id, layers=base.layers) for e in experts]
+    return base, experts
+
+
+@pytest.mark.parametrize("op", [MergeOperator.ties(1.0), MergeOperator.ties(0.2),
+                                MergeOperator.dare_ties(0.2, 0.5, seed=3),
+                                MergeOperator.average(), MergeOperator.arithmetic(0.7)],
+                         ids=["ties-1.0", "ties-0.2", "dare-ties", "average", "arithmetic"])
+@pytest.mark.parametrize("case, rank, joint_svd", [
+    ("wide", 4, []), ("tall", 2, [(40, 12)]), ("r-svd", 4, [(24, 24)]),
+    ("full-rank", 64, []), ("single", 4, [(24, 17)]), ("all-zero", 4, [])])
+def test_pivot_merge_matches_the_public_stage_chain_bit_for_bit(monkeypatch, op, case, rank,
+                                                                 joint_svd):
+    gen = np.random.default_rng(41)
+    base, experts = _single_layer_case(case, gen)
+    table = ScoreTable(expert_ids=tuple(e.id for e in experts),
+                       scores=gen.uniform(size=(len(experts), 1)), beta=0.05)
+    config = PivotConfig(rank=rank, inner=op)
+    shapes = []
+    real = pivot.thin_svd
+    monkeypatch.setattr(pivot, "thin_svd", lambda m: shapes.append(m.shape) or real(m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        merged, _ = pivot_merge(experts, base, table, config)
+        assert shapes == joint_svd
+        shared, dec = decompose_layer(task_vectors(experts, base)[0], config)
+    alphas = layer_weights(score_increments(table.rows_for(table.expert_ids)), 0.05)[:, 0]
+    want = reconstruct(shared, merge_layer(shared, dec, alphas, op), base.layers[0])
+    np.testing.assert_array_equal(merged.layers[0].matrix.view(np.uint64),
+                                  want.matrix.view(np.uint64))
+
+
+@pytest.mark.parametrize("n, rank", [(3, 4), (1, 4), (3, 64)], ids=["wide", "single", "full-rank"])
+def test_layer_records_report_core_energy_and_residual_mass_kept(n, rank):
+    gen = np.random.default_rng(29)
+    base = make_checkpoint("base", gen, [16, 24, 24])
+    experts = [make_checkpoint(f"e{i}", gen, [16, 24, 24]) for i in range(n)]
+    config = PivotConfig(rank=rank)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        records = [pivot_merge(experts, base, uniform_table(experts, 2), config)[1]["layers"]
+                   for _ in range(2)]
+        stages = []
+        for deltas in task_vectors(experts, base):
+            shared = joint_decompose(deltas)
+            dec = decouple(shared.coeffs, rank)
+            mask = filter_residuals(dec.residuals, config.gamma, config.rho)[1]
+            stages.append((shared.coeffs, dec, mask))
+
+    def fields(layers):
+        return [(r["core_energy"], r["residual_mass_kept"]) for r in layers]
+
+    assert fields(records[0]) == fields(records[1])
+    for record, (coeffs, dec, mask) in zip(records[0], stages):
+        for energy, kept, block, core, resid in zip(record["core_energy"],
+                                                    record["residual_mass_kept"],
+                                                    coeffs, dec.cores, dec.residuals):
+            assert abs(energy - np.sum(core ** 2) / np.sum(block ** 2)) <= 1e-12
+            if resid.any():
+                masked = np.abs(resid * mask[:, None]).sum() / np.abs(resid).sum()
+                assert abs(kept - masked) <= 1e-12
+            else:
+                assert kept is None
 
 
 def test_pivot_merge_expert_order_invariant(rng):
