@@ -22,9 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import ZERO_NORM, _basis_angles, cosine, orthonormal_basis
-from .pivot import PivotConfig, _decompose, _dense, _filter_owned, _stacked, filter_residuals
-from .tensorstore import (ProjectorCheckpoint, atomic_write, layer_deltas, sorted_experts,
-                          write_json)
+from .pivot import PivotConfig, _decompose, _delta_stack, _dense, _filter_owned, filter_residuals
+from .tensorstore import ProjectorCheckpoint, atomic_write, sorted_experts, write_json
 
 
 def residual_similarity(residuals: Sequence) -> np.ndarray:
@@ -137,12 +136,13 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
 
     Experts are handled in lexicographic id order, matching the merge. Each
     layer goes through the merge kernel's decomposition (`pivot._decompose`),
-    which builds the layer's deltas and their stack itself and drops the
-    stack after the joint step, so only one layer's deltas are alive at a
-    time. Without `sources` (residual-sim) the residuals are filtered as
-    copies and each model keeps its layer's raw and filtered residuals,
-    flattened; the cores go. With `sources` (principal-angles) each model
-    keeps its layer's delta as the raw part; each residual is filtered in
+    which builds the layer's delta stack itself (`pivot._delta_stack`, each
+    delta written straight into its slice) and drops it after the joint
+    step, so only one layer's deltas are alive at a time. Without `sources`
+    (residual-sim) the residuals are filtered as copies and each model keeps
+    its layer's raw and filtered residuals, flattened; the cores go. With
+    `sources` (principal-angles) each model keeps a copy of its layer's
+    slice of the stack as the raw part; each residual is filtered in
     place, then becomes core + filtered in place, and the cores go.
     """
     ordered = sorted_experts(experts, base)
@@ -160,11 +160,11 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
     layer_stats = []
     for li in range(base.num_layers):
         def make_stack(li=li):
-            deltas = layer_deltas(ordered, base, li)
+            stack = _delta_stack(ordered, base, li)
             if sources:
-                for parts, delta in zip(raw_parts, deltas):
-                    parts.append(delta)
-            return _stacked(deltas)
+                for i, parts in enumerate(raw_parts):
+                    parts.append(stack[:, i].copy())
+            return stack
 
         dec = _decompose(make_stack, config)[1]
         if sources:

@@ -17,13 +17,14 @@ RANK_RTOL = 1e-10
 # when the cut eigengap exceeds EIG_GAP_RTOL * lambda_max: by Davis-Kahan (SIAM
 # J. Numer. Anal. 1970) the subspace error is then bounded by rounding / gap.
 EIG_GAP_RTOL = 1e-8
-# A wide matrix's U and S come from its Gram matrix's eigenpairs only when
-# lambda_min > GRAM_COND_RTOL * lambda_max: every singular value is then live
-# under RANK_RTOL and has relative error about eps / (2 * GRAM_COND_RTOL).
-# lambda_min must also exceed _GRAM_FLOOR, far above the underflow threshold,
-# so Gram entries summed from products rounded to subnormals cannot perturb it.
+# A wide matrix's Gram eigenpairs certify its U and S when lambda_min >
+# GRAM_COND_RTOL * lambda_max: every singular value is then live under
+# RANK_RTOL and has relative error about eps / (2 * GRAM_COND_RTOL).
 GRAM_COND_RTOL = 1e-6
-_GRAM_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+# A Gram matrix is formed from M scaled by an exact power of two when max|M|
+# lies outside [2^-_GRAM_EXP, 2^_GRAM_EXP]: its entries and eigenvalues then
+# neither overflow nor meet subnormals at the scale of lambda_max.
+_GRAM_EXP = 400
 # Vectors with 2-norm below this are treated as zero (cosine convention).
 ZERO_NORM = 1e-12
 
@@ -76,41 +77,30 @@ def _canonical_signs(u: np.ndarray) -> np.ndarray:
 
 
 def _gram_eigh(m: np.ndarray, wide: bool, vectors: bool = True
-               ) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """Ascending eigenpairs of M M^T (wide) or M^T M; None when that Gram matrix overflows.
+               ) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """Ascending eigenpairs of G G^T (wide) or G^T G, G = 2^-shift M, and the shift.
 
-    Without `vectors` only the eigenvalues are computed and the second item is None.
+    shift is 0 unless max|M| lies outside [2^-_GRAM_EXP, 2^_GRAM_EXP]; then it
+    brings max|G| into [0.5, 1), and the eigenvalues are 4^-shift times M's.
+    Without `vectors` the second item is None. Raises ValueError for NaN or
+    Inf entries and NumericalError if the eigensolver fails.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            gram = m @ m.T if wide else m.T @ m
-            evals, evecs = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
-        except np.linalg.LinAlgError:
-            return None
-    return (evals, evecs) if np.isfinite(evals).all() else None
+    peak = max(m.max(), -m.min())
+    if not np.isfinite(peak):
+        raise ValueError("matrix contains NaN or Inf")
+    shift = 0 if 2.0 ** -_GRAM_EXP <= peak <= 2.0 ** _GRAM_EXP else int(np.frexp(peak)[1])
+    g = np.ldexp(m, -shift) if shift else m
+    gram = g @ g.T if wide else g.T @ g
+    try:
+        evals, evecs = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Gram eigensolve failed to converge on shape {m.shape}") from exc
+    return evals, evecs, shift
 
 
 def _gram_certified(evals: np.ndarray) -> bool:
-    """The GRAM_COND_RTOL certificate on ascending Gram eigenvalues, clear of underflow."""
-    return bool(evals[0] > max(GRAM_COND_RTOL * evals[-1], _GRAM_FLOOR))
-
-
-def _gram_left_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """U and S (descending) of a wide matrix from the eigenpairs of M M^T, or None.
-
-    None unless the certificate lambda_min > GRAM_COND_RTOL * lambda_max holds
-    (and lambda_min is clear of underflow): a rank-deficient, ill-conditioned,
-    overflowing or underflowing Gram matrix is left to an SVD. U's signs
-    follow thin_svd's rule.
-    """
-    eig = _gram_eigh(m, wide=True)
-    if eig is None:
-        return None
-    evals, evecs = eig
-    if not _gram_certified(evals):
-        return None
-    u = evecs[:, ::-1]
-    return u * _canonical_signs(u), np.sqrt(evals[::-1])
+    """The GRAM_COND_RTOL certificate on ascending Gram eigenvalues."""
+    return bool(evals[0] > GRAM_COND_RTOL * evals[-1])
 
 
 def truncate_rank(mat, rank: int) -> np.ndarray:
@@ -144,15 +134,13 @@ def _rank_factors(mat, r: int) -> tuple[np.ndarray, np.ndarray, float | None]:
     """
     m = _as_matrix(mat)
     wide = m.shape[0] <= m.shape[1]
-    eig = _gram_eigh(m, wide)
-    if eig is not None:
-        evals, evecs = eig
-        if evals[-r] - evals[-r - 1] > EIG_GAP_RTOL * evals[-1]:
-            q = evecs[:, -r:].copy()
-            # Shares of lambda_max, so the sums cannot overflow.
-            unit = evals / evals[-1]
-            energy = float(unit[-r:].sum() / unit.sum())
-            return (q, q.T @ m, energy) if wide else (m @ q, q.T.copy(), energy)
+    evals, evecs, _ = _gram_eigh(m, wide)
+    if evals[-r] - evals[-r - 1] > EIG_GAP_RTOL * evals[-1]:
+        q = evecs[:, -r:].copy()
+        # Shares of lambda_max, so the sums cannot overflow.
+        unit = evals / evals[-1]
+        energy = float(unit[-r:].sum() / unit.sum())
+        return (q, q.T @ m, energy) if wide else (m @ q, q.T.copy(), energy)
     factors = thin_svd(m)
     energy = None
     if factors.s[0] > 0.0:
@@ -183,15 +171,13 @@ def orthonormal_basis(mat) -> np.ndarray:
     GRAM_COND_RTOL certificate (from its eigenvalues alone) has every
     singular value above RANK_RTOL, so its rank is exactly `rows`: it spans
     the whole ambient space and the identity is its basis. Any other input
-    (tall or square, or wide but rank deficient, ill conditioned, or with a
-    Gram matrix that over- or underflows) takes the thin SVD's leading left
-    singular vectors. Raises ValueError for a zero matrix.
+    (tall or square, or wide but rank deficient or ill conditioned) takes
+    the thin SVD's leading left singular vectors. Raises ValueError for a
+    zero matrix.
     """
     m = _as_matrix(mat)
-    if 0 < m.shape[0] < m.shape[1]:
-        eig = _gram_eigh(m, wide=True, vectors=False)
-        if eig is not None and _gram_certified(eig[0]):
-            return np.eye(m.shape[0])
+    if 0 < m.shape[0] < m.shape[1] and _gram_certified(_gram_eigh(m, True, vectors=False)[0]):
+        return np.eye(m.shape[0])
     factors = thin_svd(m)
     if factors.s.size == 0 or factors.s[0] <= 0.0:
         raise ValueError("zero matrix has no column space")

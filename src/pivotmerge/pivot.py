@@ -7,9 +7,9 @@ Each projector layer is merged independently through five stages:
 2. joint decomposition: the left singular vectors U and spectrum S of the
    column-wise concatenation of all deltas, and one coefficient block per
    expert projected through them. A wide concatenation takes U and S from
-   the eigenpairs of its Gram matrix when the GRAM_COND_RTOL certificate
-   holds, and from the SVD of the R factor of its transpose's QR (R-SVD)
-   when it does not; a tall one takes its thin SVD;
+   its Gram matrix's eigenpairs, refining the tail by a Rayleigh-Ritz step
+   when the GRAM_COND_RTOL certificate fails; a tall or square one takes its
+   thin SVD;
 3. decoupling: each coefficient block splits into a rank-r core (its best
    rank-r approximation, from the smaller Gram matrix's top eigenvectors)
    plus a residual;
@@ -50,7 +50,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import RANK_RTOL, ZERO_NORM, _gram_left_factors, _rank_factors, sigmoid, thin_svd
+from .linalg import (RANK_RTOL, ZERO_NORM, _canonical_signs, _gram_certified, _gram_eigh,
+                     _rank_factors, sigmoid, thin_svd)
 from .operators import MergeOperator, merge_weighted
 from .scores import ScoreTable, layer_weights, score_increments, threshold_from_ratio
 from .tensorstore import Layer, ProjectorCheckpoint, add_delta, layer_deltas, sorted_experts
@@ -60,6 +61,10 @@ from .tensorstore import Layer, ProjectorCheckpoint, add_delta, layer_deltas, so
 SPECTRUM_FLOOR = 1e-12
 # Entries per expert in one row chunk of the residual filter's unit rows.
 _FILTER_CHUNK = 1 << 16
+# An uncertified wide concatenation's Gram eigenvectors with lambda <= _TAIL_RTOL *
+# lambda_max form the tail that the Rayleigh-Ritz step refines; the head's singular
+# values sqrt(lambda) keep a relative error of about eps / (2 * _TAIL_RTOL).
+_TAIL_RTOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,7 @@ class SharedSpaceLayer:
     u: np.ndarray                    # (d_out, k)
     s: np.ndarray                    # (k,)
     coeffs: tuple[np.ndarray, ...]   # N blocks, each (k, w); empty once decoupled
+    joint_tail: int | None = None    # b on the wide Gram route; None for an SVD or zero layer
 
 
 @dataclass(frozen=True)
@@ -119,16 +125,16 @@ def task_vectors(experts: Sequence[ProjectorCheckpoint],
 def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
     """Shared basis U and spectrum S of [D_1, ..., D_N], one coefficient block per expert.
 
-    Only U and S are computed. When the concatenation C is wide (N * w > d_out)
-    and well conditioned they come from the eigenpairs of its Gram matrix
-    C C^T: S = sqrt(lambda), U the eigenvectors, with signs canonicalized as in
-    thin_svd. That route is certified by lambda_min > GRAM_COND_RTOL *
-    lambda_max, which keeps every singular value accurate to about 1e-10
-    relative. A wide C that fails the certificate (rank deficient, ill
-    conditioned, or a Gram matrix that over- or underflows) falls back to the
-    thin SVD of the square R^T, where R is the QR factor of C^T (R-SVD, T. F.
-    Chan, ACM TOMS 1982); a tall C takes its thin SVD directly. No (k, N * w)
-    right factor is ever formed. Each block is the projection inv(S) U^T D_i,
+    Only U and S are computed. A wide C (N * w > d_out) takes them from one
+    eigh of its Gram matrix C C^T, exactly power-of-two scaled when needed
+    (`linalg._gram_eigh`): S = sqrt(lambda), U the eigenvectors, signs as in
+    thin_svd. lambda_min > GRAM_COND_RTOL * lambda_max certifies every
+    singular value to about 1e-10 relative, and b = 0. Otherwise the b
+    eigenvectors U_t with lambda <= _TAIL_RTOL * lambda_max are rotated by
+    the left factor of thin_svd(U_t^T C), b x N * w, whose singular values
+    replace theirs (Rayleigh-Ritz; Parlett, The Symmetric Eigenvalue Problem,
+    ch. 11). b is kept as `joint_tail`. A tall or square C takes its thin
+    SVD. No (k, N * w) right factor is formed. Each block is inv(S) U^T D_i,
     a pure function of (U, S, D_i), so bit-identical deltas give bit-identical
     blocks even where the spectrum is degenerate. Rows at numerically-zero
     singular values carry no reconstruction content and are set to zero. The
@@ -164,7 +170,7 @@ def _joint_owned(stack: np.ndarray) -> SharedSpaceLayer:
         return SharedSpaceLayer(
             u=np.zeros((d_out, 0)), s=np.zeros(0),
             coeffs=tuple(np.zeros((0, width)) for _ in range(n)))
-    u, s = _left_factors(stack.reshape(d_out, n * width))
+    u, s, tail = _left_factors(stack.reshape(d_out, n * width))
     live = s > RANK_RTOL * s[0]
     inv_s = np.zeros_like(s)
     inv_s[live] = 1.0 / s[live]
@@ -173,17 +179,23 @@ def _joint_owned(stack: np.ndarray) -> SharedSpaceLayer:
         block = u.T @ stack[:, i]
         block *= inv_s[:, None]
         coeffs.append(block)
-    return SharedSpaceLayer(u=u, s=s, coeffs=tuple(coeffs))
+    return SharedSpaceLayer(u=u, s=s, coeffs=tuple(coeffs), joint_tail=tail)
 
 
-def _left_factors(concat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U and S of the concatenation, by the certified Gram route, the R-SVD or the thin SVD."""
-    wide = concat.shape[1] > concat.shape[0]
-    gram = _gram_left_factors(concat) if wide else None
-    if gram is not None:
-        return gram
-    factors = thin_svd(np.linalg.qr(concat.T, mode="r").T if wide else concat)
-    return factors.u, factors.s
+def _left_factors(concat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """U, S and the tail size b (None for a tall or square thin SVD) of the concatenation."""
+    if concat.shape[1] <= concat.shape[0]:
+        factors = thin_svd(concat)
+        return factors.u, factors.s, None
+    evals, evecs, shift = _gram_eigh(concat, wide=True)
+    b = 0 if _gram_certified(evals) else int(np.count_nonzero(evals <= _TAIL_RTOL * evals[-1]))
+    u = evecs[:, b:][:, ::-1]
+    s = np.ldexp(np.sqrt(evals[b:][::-1]), shift)
+    if b:
+        tail = thin_svd(evecs[:, :b].T @ concat)
+        u = np.concatenate([u, evecs[:, :b] @ tail.u], axis=1)
+        s = np.concatenate([s, tail.s])
+    return u * _canonical_signs(u), s, b
 
 
 def decouple(coeffs: Sequence[np.ndarray], rank: int) -> DecoupledLayer:
@@ -440,6 +452,7 @@ def _merge_one_layer(layer_index: int, ordered: Sequence[ProjectorCheckpoint],
         "singular_values": [float(v) for v in shared.s],
         "effective_rank": effective_rank,
         "core_energy": energy,
+        "joint_tail": shared.joint_tail,
     }
     merged_coeffs = _merge_owned(shared.s, cores, blocks, alphas_col, config.inner)
     return reconstruct(shared, merged_coeffs, base.layers[layer_index]), record

@@ -194,7 +194,7 @@ def check_one_layer_of_deltas_at_a_time(monkeypatch, collect):
     base, experts, _ = generate(spec)
     config = PivotConfig(rank=2)
     events = []
-    real_deltas, real_decompose = analysis.layer_deltas, analysis._decompose
+    real_deltas, real_decompose = analysis._delta_stack, analysis._decompose
 
     def deltas(ordered, base_ck, li):
         events.append(("deltas", li))
@@ -206,7 +206,7 @@ def check_one_layer_of_deltas_at_a_time(monkeypatch, collect):
         events.append("decomposed")
         return out
 
-    monkeypatch.setattr(analysis, "layer_deltas", deltas)
+    monkeypatch.setattr(analysis, "_delta_stack", deltas)
     monkeypatch.setattr(analysis, "_decompose", decompose)
     raw, filt = collect(list(reversed(experts)), base, config)[:2]
     # Each layer's deltas are built inside its decomposition, one layer at a time.

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pivotmerge import load_checkpoint, read_scores
+from pivotmerge import NumericalError, joint_decompose, load_checkpoint, read_scores
 from pivotmerge.cli import main
 from conftest import checkpoint_rel_error
 
@@ -413,6 +413,27 @@ def test_overflowing_beta_fails_without_output(synth_dir, tmp_path, capsys, comm
     assert main(args) == 1
     assert "beta 1e-310 is too small" in capsys.readouterr().err
     assert not any(p.exists() for p in written)
+
+
+def test_failed_gram_eigensolve_fails_naming_the_shape_without_output(synth_dir, tmp_path,
+                                                                     capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    gen = np.random.default_rng(3)
+    with pytest.raises(NumericalError, match=r"failed to converge on shape \(12, 24\)"):
+        joint_decompose([gen.standard_normal((12, 8)) for _ in range(3)])
+    out = tmp_path / "merged.tensors"
+    diag = tmp_path / "diag.json"
+    code = main(["merge", "--method", "pivot", "--base", str(synth_dir / "base.tensors")]
+                + [arg for p in expert_paths(synth_dir) for arg in ("--expert", p)]
+                + ["--out", str(out), "--scores", str(synth_dir / "scores.json"),
+                   "--diagnostics", str(diag)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "failed to converge on shape" in err
+    assert not out.exists() and not diag.exists()
 
 
 def test_analyze_requires_experts(synth_dir, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pivotmerge import (
+    Layer,
     MergeOperator,
     PivotConfig,
     ProjectorCheckpoint,
@@ -103,10 +104,15 @@ def record_svd_shapes(monkeypatch):
 
 def planted_wide(s_max, s_min):
     # 3 blocks of 8 columns over 12 rows, planted spectrum geomspace(s_max, s_min, 12)
-    gen = np.random.default_rng(5)
-    left, _ = np.linalg.qr(gen.standard_normal((12, 12)))
-    right, _ = np.linalg.qr(gen.standard_normal((24, 12)))
-    return (left * np.geomspace(s_max, s_min, 12)) @ right.T
+    return planted(np.geomspace(s_max, s_min, 12), 24)
+
+
+def planted(spectrum, width, seed=5):
+    # len(spectrum) rows and `width` columns with the given singular values
+    gen = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(gen.standard_normal((len(spectrum), len(spectrum))))
+    right, _ = np.linalg.qr(gen.standard_normal((width, len(spectrum))))
+    return (left * spectrum) @ right.T
 
 
 def test_joint_decompose_wide_well_conditioned_uses_gram(monkeypatch):
@@ -125,13 +131,14 @@ def test_joint_decompose_wide_well_conditioned_uses_gram(monkeypatch):
         np.testing.assert_allclose((shared.u * shared.s) @ block, delta, rtol=0, atol=1e-10)
 
 
-def test_joint_decompose_wide_ill_conditioned_uses_r_svd(monkeypatch):
-    # lambda_min / lambda_max = 1e-10 fails the certificate: one SVD of the square R^T
+def test_joint_decompose_wide_ill_conditioned_refines_the_gram_tail(monkeypatch):
+    # lambda_min / lambda_max = 1e-10 fails the certificate: the 7 eigenvectors with
+    # lambda <= 1e-4 lambda_max are refined by one SVD of their (7, 24) projection
     concat = planted_wide(10.0, 1e-4)
     ref = thin_svd(concat)
     shapes = record_svd_shapes(monkeypatch)
     shared = joint_decompose(np.split(concat, 3, axis=1))
-    assert shapes == [(12, 12)]
+    assert shapes == [(7, 24)]
     np.testing.assert_allclose(shared.u, ref.u, rtol=0, atol=1e-12)
     np.testing.assert_allclose(shared.s, ref.s, rtol=0, atol=1e-12)
 
@@ -141,20 +148,70 @@ def wide_blocks(scale):
     return [gen.standard_normal((12, 8)) * scale for _ in range(3)]
 
 
-@pytest.mark.parametrize("deltas", [
-    [wide_blocks(1.0)[0]] * 3,
-    wide_blocks(1e160),
-    wide_blocks(1e-160),
-], ids=["rank-deficient", "gram-overflows", "gram-underflows"])
-def test_joint_decompose_uncertified_gram_falls_back_to_r_svd(monkeypatch, deltas):
+@pytest.mark.parametrize("deltas, tail_svd", [
+    ([wide_blocks(1.0)[0]] * 3, [(4, 24)]),
+    (wide_blocks(1e160), []),
+    (wide_blocks(1e-160), []),
+], ids=["rank-deficient", "scaled-1e160", "scaled-1e-160"])
+def test_joint_decompose_wide_gram_route_handles_rank_deficiency_and_scale(monkeypatch, deltas,
+                                                                           tail_svd):
+    # A rank-8 C refines its 4 null directions; entries far from 1 are scaled by
+    # an exact power of two before the Gram matrix is formed, so it is certified.
     ref = thin_svd(np.concatenate(deltas, axis=1))
     shapes = record_svd_shapes(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         shared = joint_decompose(deltas)
-    assert shapes == [(12, 12)]
+    assert shapes == tail_svd
     assert np.isfinite(shared.u).all() and np.isfinite(shared.s).all()
     np.testing.assert_allclose(shared.s, ref.s, rtol=0, atol=1e-12 * ref.s[0])
+
+
+def gram_spectrum(tail_ratios, scale=1.0):
+    # 12 singular values whose lambda / lambda_max run geomspace(1, 1e-2) and then
+    # tail_ratios; every lambda gap is large enough to pin U to about 1e-12
+    ratios = np.r_[np.geomspace(1.0, 1e-2, 12 - len(tail_ratios)), tail_ratios]
+    return scale * np.sqrt(ratios)
+
+
+@pytest.mark.parametrize("spectrum, tail", [
+    (gram_spectrum([1e-3, 1.01e-6]), 0),
+    (gram_spectrum([1e-3, 0.99e-6]), 1),
+    (gram_spectrum([1.01e-4, 1e-8]), 1),
+    (gram_spectrum([0.99e-4, 1e-8]), 2),
+    (gram_spectrum([1e-5, 1e-7, 0.0, 0.0]), 4),
+    (gram_spectrum([1e-5, 1e-7, 1e-9], 1e160), 3),
+    (gram_spectrum([1e-5, 1e-7, 1e-9], 1e-160), 3),
+    (gram_spectrum([1e-3, 1e-5], 1e160), 0),
+    (gram_spectrum([1e-3, 1e-5], 1e-160), 0),
+], ids=["above-gram-cond", "below-gram-cond", "above-tail-cut", "below-tail-cut",
+        "rank-deficient", "tail-1e160", "tail-1e-160", "certified-1e160", "certified-1e-160"])
+def test_joint_decompose_gram_route_matches_thin_svd(spectrum, tail):
+    # U and S from one eigh, plus the Rayleigh-Ritz tail when the GRAM_COND_RTOL
+    # certificate fails, against the thin SVD; compared in units of the scale.
+    scale = spectrum[0]
+    concat = planted(spectrum, 24, seed=17)
+    ref = thin_svd(concat / scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shared = joint_decompose(np.split(concat, 3, axis=1))
+    assert shared.joint_tail == tail
+    live = int(np.count_nonzero(ref.s > 1e-8))
+    np.testing.assert_allclose(shared.s[:live] / scale, ref.s[:live], rtol=1e-10, atol=0)
+    np.testing.assert_allclose(shared.s[live:] / scale, 0.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(shared.u[:, :live], ref.u[:, :live], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(shared.u.T @ shared.u, np.eye(12), rtol=0, atol=1e-14)
+    unit = concat / scale
+    assert np.linalg.norm(unit - shared.u @ (shared.u.T @ unit)) <= 1e-14 * np.linalg.norm(unit)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("shape", [(4, 3), (8, 3)], ids=["wide", "tall"])
+def test_joint_decompose_rejects_non_finite_deltas(shape, bad):
+    delta = np.ones(shape)
+    delta[0, 0] = bad
+    with pytest.raises(ValueError, match="contains NaN or Inf"):
+        joint_decompose([delta, delta + 1.0])
 
 
 def test_joint_decompose_tall_keeps_direct_svd(rng, monkeypatch):
@@ -544,23 +601,41 @@ def test_pivot_merge_identical_experts_idempotent(rng):
     assert checkpoint_rel_error(merged, expert) <= 1e-8
 
 
+def _gram_tail_experts(base, n, gen):
+    # Experts whose one 12 x 5 layer's deltas concatenate to a planted 12 x 15 C with
+    # lambda_min / lambda_max = 1e-8 < GRAM_COND_RTOL. Only m = 12 - (n - 1) * 5 = 2
+    # coefficient eigenvalues are exactly 1, so a rank-3 cut is not a tied one.
+    matrix = base.layers[0].matrix
+    width = matrix.shape[1]
+    spectrum = np.geomspace(1.0, 1e-4, matrix.shape[0])
+    concat = planted(spectrum, n * width, seed=int(gen.integers(99)))
+    return [ProjectorCheckpoint(id=f"e{i}", layers=(
+        Layer(matrix + concat[:, i * width:(i + 1) * width], has_bias=True),)) for i in range(n)]
+
+
 def test_pivot_merge_matches_straight_line_oracle(rng):
+    # a random 3-layer chain on the certified Gram route, then one layer whose
+    # uncertified Gram eigenpairs take the Rayleigh-Ritz tail
     base = make_checkpoint("base", rng, [4, 7, 5, 6])
     experts = [make_checkpoint(f"e{i}", rng, [4, 7, 5, 6]) for i in range(3)]
     scores = np.array([[0.2, 0.5, 0.6], [0.1, 0.4, 0.45], [0.3, 0.35, 0.7]])
-    table = ScoreTable(expert_ids=("e0", "e1", "e2"), scores=scores, beta=0.05)
+    tail_base = make_checkpoint("base", rng, [4, 12])
+    cases = [(base, experts, scores, [0, 0, 0]),
+             (tail_base, _gram_tail_experts(tail_base, 3, rng), scores[:, :1], [6])]
     config = PivotConfig(rank=3, gamma=20.0, rho=0.5)
+    for base, experts, scores, tails in cases:
+        table = ScoreTable(expert_ids=("e0", "e1", "e2"), scores=scores, beta=0.05)
+        merged, diagnostics = pivot_merge(experts, base, table, config)
+        assert [layer["joint_tail"] for layer in diagnostics["layers"]] == tails
 
-    merged, _ = pivot_merge(experts, base, table, config)
-
-    base_layers = [(l.weight, l.bias) for l in base.layers]
-    expert_layers = [[(l.weight, l.bias) for l in ck.layers] for ck in experts]
-    want = reference_pivot_merge(base_layers, expert_layers, scores,
-                                 rank=3, gamma=20.0, rho=0.5, beta=0.05,
-                                 trim=1.0, magnitude=True)
-    for got, (w_want, b_want) in zip(merged.layers, want):
-        assert rel_error(got.weight, w_want) <= 1e-8
-        assert rel_error(got.bias, b_want) <= 1e-8
+        base_layers = [(l.weight, l.bias) for l in base.layers]
+        expert_layers = [[(l.weight, l.bias) for l in ck.layers] for ck in experts]
+        want = reference_pivot_merge(base_layers, expert_layers, scores,
+                                     rank=3, gamma=20.0, rho=0.5, beta=0.05,
+                                     trim=1.0, magnitude=True)
+        for got, (w_want, b_want) in zip(merged.layers, want):
+            assert rel_error(got.weight, w_want) <= 1e-8
+            assert rel_error(got.bias, b_want) <= 1e-8
 
 
 def test_pivot_merge_well_conditioned_wide_layer_factors_without_svd_or_qr(rng, monkeypatch):
@@ -656,11 +731,11 @@ def test_pivot_merge_kernel_stays_within_2n_plus_2_layer_blocks(op, bound):
 
 
 def _single_layer_case(case, gen):
-    chain = {"wide": [16, 24], "tall": [3, 40], "r-svd": [9, 24], "full-rank": [3, 8],
+    chain = {"wide": [16, 24], "tall": [3, 40], "gram-tail": [9, 24], "full-rank": [3, 8],
              "single": [16, 24], "all-zero": [5, 12]}[case]
     base = make_checkpoint("base", gen, chain)
     experts = [make_checkpoint(f"e{i}", gen, chain) for i in range(1 if case == "single" else 3)]
-    if case == "r-svd":
+    if case == "gram-tail":
         # A duplicated expert leaves the 24 x 30 concatenation of rank 20.
         experts[2] = ProjectorCheckpoint(id="e2", layers=experts[0].layers)
     if case == "all-zero":
@@ -673,7 +748,7 @@ def _single_layer_case(case, gen):
                                 MergeOperator.average(), MergeOperator.arithmetic(0.7)],
                          ids=["ties-1.0", "ties-0.2", "dare-ties", "average", "arithmetic"])
 @pytest.mark.parametrize("case, rank, joint_svd", [
-    ("wide", 4, []), ("tall", 2, [(40, 12)]), ("r-svd", 4, [(24, 24)]),
+    ("wide", 4, []), ("tall", 2, [(40, 12)]), ("gram-tail", 4, [(4, 30)]),
     ("full-rank", 64, []), ("single", 4, [(24, 17)]), ("all-zero", 4, [])])
 def test_pivot_merge_matches_the_public_stage_chain_bit_for_bit(monkeypatch, op, case, rank,
                                                                  joint_svd):
@@ -694,6 +769,22 @@ def test_pivot_merge_matches_the_public_stage_chain_bit_for_bit(monkeypatch, op,
     want = reconstruct(shared, merge_layer(shared, dec, alphas, op), base.layers[0])
     np.testing.assert_array_equal(merged.layers[0].matrix.view(np.uint64),
                                   want.matrix.view(np.uint64))
+
+
+@pytest.mark.parametrize("case, tail", [("wide", 0), ("gram-tail", 4), ("tall", None),
+                                        ("single", None), ("all-zero", None)])
+def test_layer_records_report_the_joint_tail(case, tail):
+    # b directions refined by the Rayleigh-Ritz step on the wide Gram route, 0 when
+    # certified; null for a tall or square layer's thin SVD and an all-zero layer
+    base, experts = _single_layer_case(case, np.random.default_rng(41))
+    table = uniform_table(experts, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        record = pivot_merge(experts, base, table, PivotConfig(rank=4))[1]["layers"][0]
+        shared = joint_decompose(task_vectors(experts, base)[0])
+    assert record["joint_tail"] == shared.joint_tail == tail
+    if tail:
+        assert np.count_nonzero(shared.s > linalg.RANK_RTOL * shared.s[0]) == 20
 
 
 @pytest.mark.parametrize("n, rank", [(3, 4), (1, 4), (3, 64)], ids=["wide", "single", "full-rank"])
