@@ -37,7 +37,6 @@ from .pivot import (
     DecoupledLayer,
     PivotConfig,
     SharedSpaceLayer,
-    decompose_layer,
     decouple,
     filter_residuals,
     joint_decompose,

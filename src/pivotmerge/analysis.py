@@ -6,11 +6,11 @@ subspaces. Model-level subspaces are built by horizontally concatenating a
 model's per-layer matrices (this requires a uniform row count across layers)
 and orthonormalizing.
 
-Both measurements read one collector pass (`_collect`). It decomposes layer
-by layer through the merge kernel's stages, which build each layer's deltas
-and overwrite the blocks they own, and it keeps only what the report reads:
-the raw and filtered residuals, or the raw deltas and the filtered
-coefficients. Each model's parts are then joined one model at a time.
+Both measurements read one collector pass (`_collect`). It calls the merge
+kernel's owned stages layer by layer, in the kernel's order, and keeps only
+what the report reads: the raw and filtered residuals, or the raw deltas
+and the filtered coefficients. Each model's parts are then joined one model
+at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import ZERO_NORM, _basis_angles, cosine, orthonormal_basis
-from .pivot import PivotConfig, _decompose, _delta_stack, _dense, _filter_owned, filter_residuals
+from .pivot import (PivotConfig, _decouple_owned, _delta_stack, _dense, _filter_owned,
+                    _joint_owned)
 from .tensorstore import ProjectorCheckpoint, atomic_write, sorted_experts, write_json
 
 
@@ -135,12 +136,12 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
     """The one per-layer pass behind both analysis modes: per-model parts and filter stats.
 
     Experts are handled in lexicographic id order, matching the merge. Each
-    layer goes through the merge kernel's decomposition (`pivot._decompose`),
-    which builds the layer's delta stack itself (`pivot._delta_stack`, each
-    delta written straight into its slice) and drops it after the joint
-    step, so only one layer's deltas are alive at a time. Without `sources`
-    (residual-sim) the residuals are filtered as copies and each model keeps
-    its layer's raw and filtered residuals, flattened; the cores go. With
+    layer's delta stack (`pivot._delta_stack`) goes through the joint step
+    (`pivot._joint_owned`) and is dropped with U, so only one layer's deltas
+    are alive at a time; then decoupling (`pivot._decouple_owned`) and
+    filtering (`pivot._filter_owned`) overwrite the blocks. Without
+    `sources` (residual-sim) the cores go, each model keeps a flattened copy
+    of its raw residual, and the residuals are filtered in place. With
     `sources` (principal-angles) each model keeps a copy of its layer's
     slice of the stack as the raw part; each residual is filtered in
     place, then becomes core + filtered in place, and the cores go.
@@ -159,17 +160,14 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
     filt_parts = [[] for _ in ordered]
     layer_stats = []
     for li in range(base.num_layers):
-        def make_stack(li=li):
-            stack = _delta_stack(ordered, base, li)
-            if sources:
-                for i, parts in enumerate(raw_parts):
-                    parts.append(stack[:, i].copy())
-            return stack
-
-        dec = _decompose(make_stack, config)[1]
+        stack = _delta_stack(ordered, base, li)
         if sources:
-            cores, blocks = dec.cores, list(dec.residuals)
-            del dec
+            for i, parts in enumerate(raw_parts):
+                parts.append(stack[:, i].copy())
+        blocks = list(_joint_owned(stack).coeffs)
+        del stack
+        cores = _decouple_owned(blocks, config.rank)[0]
+        if sources:
             mask, _, tau, _ = _filter_owned(blocks, config.gamma, config.rho)
             for core, block in zip(cores, blocks):
                 # IEEE addition commutes: the bits of core + block.
@@ -178,10 +176,12 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
             for parts, block in zip(filt_parts, blocks):
                 parts.append(block)
         else:
-            filtered, mask, _, tau = filter_residuals(dec.residuals, config.gamma, config.rho)
-            for parts, block in zip(raw_parts + filt_parts, dec.residuals + filtered):
+            del cores
+            for parts, block in zip(raw_parts, blocks):
+                parts.append(block.ravel().copy())
+            mask, _, tau, _ = _filter_owned(blocks, config.gamma, config.rho)
+            for parts, block in zip(filt_parts, blocks):
                 parts.append(block.ravel())
-            del dec, filtered
         layer_stats.append({
             "layer": li + 1,
             "tau": None if tau is None else float(tau),

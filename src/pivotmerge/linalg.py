@@ -122,17 +122,17 @@ def truncate_rank(mat, rank: int) -> np.ndarray:
     return left @ right
 
 
-def _rank_factors(mat, r: int) -> tuple[np.ndarray, np.ndarray, float | None]:
+def _rank_factors(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, float | None]:
     """`truncate_rank`'s core as owned factors (left, right), plus the energy it keeps.
 
-    Requires 1 <= r < min(m, n). The core is left @ right: (Q, Q^T M) on the
+    Requires a 2-D float64 array and 1 <= r < min(m, n); `_gram_eigh` rejects
+    NaN and Inf entries. The core is left @ right: (Q, Q^T M) on the
     wide Gram route, (M Q, Q^T) on the tall one and (U_r S_r, V_r^T) on the
     SVD fallback. Each factor owns its data, so no view keeps the whole
     eigenvector matrix or V^T alive. The energy is sum(top-r lambda) /
     sum(lambda) over the Gram eigenvalues, or the same over s^2 on the SVD
     fallback; None for a zero matrix.
     """
-    m = _as_matrix(mat)
     wide = m.shape[0] <= m.shape[1]
     evals, evecs, _ = _gram_eigh(m, wide)
     if evals[-r] - evals[-r - 1] > EIG_GAP_RTOL * evals[-1]:

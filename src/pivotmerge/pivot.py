@@ -27,8 +27,9 @@ scale information lives in the spectrum rather than the coefficients. The
 kernel scales the cores and filtered blocks it owns in place, so no scaled
 copy is formed, and then runs the plain operator.
 
-Working set: the merge kernel overwrites the per-expert blocks it owns
-instead of allocating a new block set at each stage; the public stage
+Working set: each stage has an owned variant that overwrites the per-expert
+blocks it is given; the merge kernel calls them in order (`_joint_owned`,
+`_decouple_owned`, `_filter_owned`, `_merge_owned`), and the public stage
 functions copy their inputs and run the same code. Counted in layer blocks
 with N experts: the joint step fills one (d_out, N * w) concatenation
 expert by expert, factors it as it is and projects each coefficient block
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -79,19 +80,11 @@ class SharedSpaceLayer:
 
 @dataclass(frozen=True)
 class DecoupledLayer:
-    """Per-expert cores and residuals, plus filtering outputs once applied.
+    """Per-expert dense cores and residuals, and the rank the cores were cut at."""
 
-    The public stages return dense cores; inside the merge kernel a core
-    below full rank is its factor pair (left, right) until the merge.
-    """
-
-    cores: tuple[np.ndarray | tuple[np.ndarray, np.ndarray], ...]
+    cores: tuple[np.ndarray, ...]
     residuals: tuple[np.ndarray, ...]
     effective_rank: int
-    filtered: tuple[np.ndarray, ...] | None = None
-    mask: np.ndarray | None = None
-    consistencies: np.ndarray | None = None
-    tau: float | None = None
 
 
 @dataclass(frozen=True)
@@ -142,15 +135,6 @@ def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
     projected from its delta's column slice of C, which is freed once the
     blocks exist.
     """
-    return _joint_owned(_stacked(deltas))
-
-
-def _stacked(deltas: Sequence[np.ndarray]) -> np.ndarray:
-    """Equal-shape deltas copied into one (d_out, N, w) stack.
-
-    The stack's (d_out, N * w) reshape is a view, and it is the deltas'
-    concatenation; delta i is the column slice stack[:, i].
-    """
     n = len(deltas)
     if n < 1:
         raise ValueError("need at least one delta matrix")
@@ -159,7 +143,7 @@ def _stacked(deltas: Sequence[np.ndarray]) -> np.ndarray:
     for i, m in enumerate(mats):
         if m.shape != (d_out, width):
             raise ValueError(f"delta {i} has shape {m.shape}, expected {(d_out, width)}")
-    return np.stack(mats, axis=1)
+    return _joint_owned(np.stack(mats, axis=1))
 
 
 def _joint_owned(stack: np.ndarray) -> SharedSpaceLayer:
@@ -208,41 +192,48 @@ def decouple(coeffs: Sequence[np.ndarray], rank: int) -> DecoupledLayer:
     code on the blocks it owns: each residual is formed in its block's
     storage, and each core stays as its rank-r factors until the merge.
     """
-    dec, _ = _decouple_owned([np.array(c, dtype=np.float64) for c in coeffs], rank)
-    return replace(dec, cores=tuple(_dense(c) for c in dec.cores))
+    blocks = [np.array(c, dtype=np.float64) for c in coeffs]
+    if not blocks:
+        raise ValueError("need at least one coefficient block")
+    for i, b in enumerate(blocks):
+        if b.ndim != 2 or b.shape != blocks[0].shape:
+            raise ValueError(f"coefficient block {i} has shape {b.shape}, "
+                             f"expected a 2-D {blocks[0].shape}")
+    cores, effective_rank, _ = _decouple_owned(blocks, rank)
+    return DecoupledLayer(cores=tuple(_dense(c) for c in cores), residuals=tuple(blocks),
+                          effective_rank=effective_rank)
 
 
 def _decouple_owned(blocks: list[np.ndarray], rank: int
-                    ) -> tuple[DecoupledLayer, list[float | None]]:
-    """`decouple` on blocks the caller gives up, plus the energy share each core keeps.
+                    ) -> tuple[list, int, list[float | None]]:
+    """`decouple` on blocks the caller gives up: (cores, effective rank, core energy).
 
-    Below full rank each residual is its block overwritten as block - core,
-    and each core is kept as its factors (left, right) from `_rank_factors`.
-    At full rank the blocks are the cores. The share is sum(top-r lambda) /
-    sum(lambda) of the block's Gram eigenvalues: 1.0 at full rank, None for a
-    zero block.
+    The residuals replace the blocks in the caller's list: below full rank
+    each is its block overwritten as block - core, the core kept as its
+    factors (left, right) from `_rank_factors`; at full rank the blocks are
+    the cores and the residuals new zero blocks. The energy is sum(top-r
+    lambda) / sum(lambda) of each block's Gram eigenvalues: 1.0 at full
+    rank, None for a zero block.
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     k, w = blocks[0].shape
     max_rank = min(k, w)
     if max_rank == 0:
-        return DecoupledLayer(cores=tuple(np.zeros((k, w)) for _ in blocks),
-                              residuals=tuple(blocks), effective_rank=0), [None] * len(blocks)
+        return [np.zeros((k, w)) for _ in blocks], 0, [None] * len(blocks)
     if rank > max_rank:
         warnings.warn(f"rank {rank} exceeds block rank limit {max_rank}; clamping")
     if rank >= max_rank:
-        energy = [1.0 if b.any() else None for b in blocks]
-        return DecoupledLayer(cores=tuple(blocks),
-                              residuals=tuple(np.zeros((k, w)) for _ in blocks),
-                              effective_rank=max_rank), energy
+        cores = blocks[:]
+        blocks[:] = [np.zeros((k, w)) for _ in cores]
+        return cores, max_rank, [1.0 if c.any() else None for c in cores]
     cores, energy = [], []
     for block in blocks:
         left, right, share = _rank_factors(block, rank)
         block -= left @ right
         cores.append((left, right))
         energy.append(share)
-    return DecoupledLayer(cores=tuple(cores), residuals=tuple(blocks), effective_rank=rank), energy
+    return cores, rank, energy
 
 
 def _dense(core) -> np.ndarray:
@@ -335,47 +326,19 @@ def _consistencies(mats: list[np.ndarray]) -> np.ndarray:
     return np.clip(pair_sum / (n * (n - 1)), -1.0, 1.0)
 
 
-def decompose_layer(deltas: Sequence[np.ndarray], config: PivotConfig
-                    ) -> tuple[SharedSpaceLayer, DecoupledLayer]:
-    """Stages 2-4 for one layer: joint decomposition, decoupling, then residual filtering.
-
-    The returned shared layer holds U and S only: its coefficient blocks are
-    dropped once the cores and residuals exist. The decoupled layer holds
-    dense cores, the raw residuals and their filtered copies.
-    """
-    shared, dec, _ = _decompose(lambda: _stacked(deltas), config)
-    filtered, mask, consistencies, tau = filter_residuals(dec.residuals, config.gamma, config.rho)
-    return shared, replace(dec, cores=tuple(_dense(c) for c in dec.cores), filtered=filtered,
-                           mask=mask, consistencies=consistencies, tau=tau)
-
-
-def _decompose(make_stack: Callable[[], np.ndarray], config: PivotConfig
-               ) -> tuple[SharedSpaceLayer, DecoupledLayer, list[float | None]]:
-    """Stages 2-3 on the (d_out, N, w) delta stack that `make_stack` builds.
-
-    Returns the shared layer (U and S only), the decoupled layer from
-    `_decouple_owned` (cores possibly factored, residuals in the coefficient
-    blocks' storage) and each core's energy share. The stack lives only
-    while the joint step runs; each caller filters the residuals.
-    """
-    shared = _joint_owned(make_stack())
-    dec, energy = _decouple_owned(list(shared.coeffs), config.rank)
-    return replace(shared, coeffs=()), dec, energy
-
-
-def merge_layer(shared: SharedSpaceLayer, dec: DecoupledLayer, alphas: Sequence[float],
-                op: MergeOperator) -> np.ndarray:
+def merge_layer(s: np.ndarray, cores: Sequence[np.ndarray], filtered: Sequence[np.ndarray],
+                alphas: Sequence[float], op: MergeOperator) -> np.ndarray:
     """Merge one layer's cores and filtered residuals into a single coefficient block.
 
     Cores use the per-layer alignment weights; residuals use uniform weights.
     For a magnitude-based operator both branches are scaled row-wise by the
-    spectrum before the operator and un-scaled afterwards (rows with singular
-    value below SPECTRUM_FLOOR come back as zero). The inputs are left
+    joint spectrum `s` before the operator and un-scaled afterwards (rows
+    with s below SPECTRUM_FLOOR come back as zero). The inputs are left
     unchanged: a magnitude-based operator scales copies of the blocks, where
     the kernel scales the blocks it owns in place.
     """
     own = (lambda blocks: [b.copy() for b in blocks]) if op.magnitude_based else list
-    return _merge_owned(shared.s, own(dec.cores), own(dec.filtered), alphas, op)
+    return _merge_owned(s, own(cores), own(filtered), alphas, op)
 
 
 def _merge_owned(s: np.ndarray, cores: list, filtered: list[np.ndarray],
@@ -438,9 +401,9 @@ def _merge_one_layer(layer_index: int, ordered: Sequence[ProjectorCheckpoint],
                      base: ProjectorCheckpoint, alphas_col: np.ndarray, config: PivotConfig
                      ) -> tuple[Layer, dict]:
     """The per-layer kernel: each stage overwrites the per-expert blocks it owns."""
-    shared, dec, energy = _decompose(lambda: _delta_stack(ordered, base, layer_index), config)
-    cores, blocks, effective_rank = list(dec.cores), list(dec.residuals), dec.effective_rank
-    del dec
+    shared = _joint_owned(_delta_stack(ordered, base, layer_index))
+    shared, blocks = replace(shared, coeffs=()), list(shared.coeffs)
+    cores, effective_rank, energy = _decouple_owned(blocks, config.rank)
     mask, consistencies, tau, kept = _filter_owned(blocks, config.gamma, config.rho)
     record = {
         "layer": layer_index + 1,

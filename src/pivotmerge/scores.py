@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import ZERO_NORM
-from .tensorstore import read_container, write_json
+from .tensorstore import LAYER_INDEX, read_container, write_json
 
 DEFAULT_BETA = 0.05
 
@@ -84,11 +84,13 @@ def compute_scores_from_features(layer_features: Sequence, texts) -> np.ndarray:
     """Mean per-sample cosine between each layer's features and the text embeddings.
 
     `layer_features` is one (M, d) array per layer; `texts` is (M, d).
-    Returns a length-L score vector.
+    Returns a length-L score vector. NaN or Inf entries raise ValueError.
     """
     t = np.asarray(texts, dtype=np.float64)
     if t.ndim != 2:
         raise ValueError(f"texts must be (samples, dim), got shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise ValueError("texts contain NaN or Inf")
     if t.shape[0] == 0:
         raise ValueError("need at least one sample")
     if len(layer_features) == 0:
@@ -99,6 +101,8 @@ def compute_scores_from_features(layer_features: Sequence, texts) -> np.ndarray:
         if f.shape != t.shape:
             raise ValueError(
                 f"layer {li + 1} features have shape {f.shape}, expected {t.shape}")
+        if not np.isfinite(f).all():
+            raise ValueError(f"layer {li + 1} features contain NaN or Inf")
         out[li] = _rowwise_cosine(f, t).mean()
     return out
 
@@ -209,17 +213,19 @@ def score_table_from_feature_container(path, beta: float = DEFAULT_BETA) -> Scor
     if "texts" not in tensors:
         raise ValueError(f"{path}: feature container is missing the 'texts' tensor")
     texts = tensors.pop("texts")
-    per_expert: dict[str, dict[int, np.ndarray]] = {}
-    for name, features in tensors.items():
+    per_expert: dict[str, dict[int, str]] = {}
+    for name in tensors:
         parts = name.split(".")
         if len(parts) < 4 or parts[0] != "expert" or parts[-3] != "layer" or parts[-1] != "features":
             raise ValueError(f"{path}: unexpected tensor name {name!r}")
-        eid = ".".join(parts[1:-3])
-        try:
-            layer = int(parts[-2])
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad layer index in {name!r}") from exc
-        per_expert.setdefault(eid, {})[layer] = features
+        if LAYER_INDEX.fullmatch(parts[-2]) is None:
+            raise ValueError(f"{path}: bad layer index in {name!r}")
+        eid, layer = ".".join(parts[1:-3]), int(parts[-2])
+        layers = per_expert.setdefault(eid, {})
+        if layer in layers:
+            raise ValueError(f"{path}: {layers[layer]!r} and {name!r} are both expert {eid!r}"
+                             f" layer {layer}")
+        layers[layer] = name
     if not per_expert:
         raise ValueError(f"{path}: no expert feature tensors found")
     ids = sorted(per_expert)
@@ -232,5 +238,9 @@ def score_table_from_feature_container(path, beta: float = DEFAULT_BETA) -> Scor
         layers = per_expert[eid]
         if sorted(layers) != list(range(1, depth + 1)):
             raise ValueError(f"{path}: expert {eid!r} layers must be 1..{depth} contiguous")
-        rows.append(compute_scores_from_features([layers[i] for i in range(1, depth + 1)], texts))
+        try:
+            rows.append(compute_scores_from_features(
+                [tensors[layers[i]] for i in range(1, depth + 1)], texts))
+        except ValueError as exc:
+            raise ValueError(f"{path}: expert {eid!r}: {exc}") from exc
     return ScoreTable(expert_ids=tuple(ids), scores=np.stack(rows), beta=beta)

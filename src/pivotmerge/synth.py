@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import orthonormal_basis, principal_angles
 from .rng import philox
-from .tensorstore import Layer, ProjectorCheckpoint
+from .tensorstore import LAYER_INDEX, Layer, ProjectorCheckpoint
 
 GROUND_TRUTH_NAME = "layer.{index}.core_basis"
 
@@ -133,15 +133,19 @@ def ground_truth_tensors(core_bases) -> dict[str, np.ndarray]:
 
 def load_ground_truth(tensors) -> list[np.ndarray]:
     """Recover per-layer core bases from a name -> array dict of ground-truth tensors."""
-    by_index = {}
-    for name, data in tensors.items():
+    names: dict[int, str] = {}
+    for name in tensors:
         parts = name.split(".")
-        if len(parts) != 3 or parts[0] != "layer" or parts[2] != "core_basis":
+        if (len(parts) != 3 or parts[0] != "layer" or LAYER_INDEX.fullmatch(parts[1]) is None
+                or parts[2] != "core_basis"):
             raise ValueError(f"unexpected ground-truth tensor name {name!r}")
-        by_index[int(parts[1])] = data
-    if sorted(by_index) != list(range(1, len(by_index) + 1)):
-        raise ValueError(f"ground-truth layers must be 1..L contiguous, got {sorted(by_index)}")
-    return [by_index[i] for i in range(1, len(by_index) + 1)]
+        index = int(parts[1])
+        if index in names:
+            raise ValueError(f"{names[index]!r} and {name!r} are both ground-truth layer {index}")
+        names[index] = name
+    if sorted(names) != list(range(1, len(names) + 1)):
+        raise ValueError(f"ground-truth layers must be 1..L contiguous, got {sorted(names)}")
+    return [tensors[names[i]] for i in range(1, len(names) + 1)]
 
 
 def recovery_score(merged: ProjectorCheckpoint, base: ProjectorCheckpoint,

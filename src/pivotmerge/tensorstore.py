@@ -47,7 +47,9 @@ import numpy as np
 
 _DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 _HEADER_LEN = struct.Struct("<Q")
-_LAYER_NAME = re.compile(r"layer\.([0-9]+)\.(weight|bias)")
+# A layer index in a tensor name: ASCII digits only, so no sign, space or "_".
+LAYER_INDEX = re.compile(r"[0-9]+")
+_LAYER_NAME = re.compile(rf"layer\.({LAYER_INDEX.pattern})\.(weight|bias)")
 
 
 class ContainerError(ValueError):

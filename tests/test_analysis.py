@@ -21,7 +21,7 @@ from pivotmerge import (
 from pivotmerge import analysis
 from pivotmerge.analysis import collect_coefficients, collect_residuals, write_matrix_csv
 from pivotmerge.linalg import ZERO_NORM, principal_angles
-from pivotmerge.pivot import decompose_layer, task_vectors
+from pivotmerge.pivot import decouple, filter_residuals, joint_decompose, task_vectors
 
 
 def test_residual_similarity_identical(rng):
@@ -194,35 +194,40 @@ def check_one_layer_of_deltas_at_a_time(monkeypatch, collect):
     base, experts, _ = generate(spec)
     config = PivotConfig(rank=2)
     events = []
-    real_deltas, real_decompose = analysis._delta_stack, analysis._decompose
+    real_deltas, real_joint, real_decouple = (analysis._delta_stack, analysis._joint_owned,
+                                              analysis._decouple_owned)
 
     def deltas(ordered, base_ck, li):
         events.append(("deltas", li))
         return real_deltas(ordered, base_ck, li)
 
-    def decompose(make_deltas, cfg):
-        events.append("decompose")
-        out = real_decompose(make_deltas, cfg)
-        events.append("decomposed")
-        return out
+    def joint(stack):
+        events.append("joint")
+        return real_joint(stack)
+
+    def decouple_owned(blocks, rank):
+        events.append("decouple")
+        return real_decouple(blocks, rank)
 
     monkeypatch.setattr(analysis, "_delta_stack", deltas)
-    monkeypatch.setattr(analysis, "_decompose", decompose)
+    monkeypatch.setattr(analysis, "_joint_owned", joint)
+    monkeypatch.setattr(analysis, "_decouple_owned", decouple_owned)
     raw, filt = collect(list(reversed(experts)), base, config)[:2]
-    # Each layer's deltas are built inside its decomposition, one layer at a time.
-    assert events == [e for li in range(3) for e in ("decompose", ("deltas", li), "decomposed")]
+    # Each layer's deltas are built and decoupled before the next layer's deltas.
+    assert events == [e for li in range(3) for e in (("deltas", li), "joint", "decouple")]
     delta_layers = task_vectors(experts, base)
-    decs = [decompose_layer(d, config)[1] for d in delta_layers]
+    decs = [decouple(joint_decompose(d).coeffs, config.rank) for d in delta_layers]
+    filts = [filter_residuals(d.residuals, config.gamma, config.rho)[0] for d in decs]
     for i in range(len(experts)):
         if collect is collect_residuals:
             np.testing.assert_array_equal(
                 raw[i], np.concatenate([d.residuals[i].ravel() for d in decs]))
             np.testing.assert_array_equal(
-                filt[i], np.concatenate([d.filtered[i].ravel() for d in decs]))
+                filt[i], np.concatenate([f[i].ravel() for f in filts]))
         else:
             np.testing.assert_array_equal(raw[i], np.hstack([d[i] for d in delta_layers]))
             np.testing.assert_array_equal(
-                filt[i], np.hstack([d.cores[i] + d.filtered[i] for d in decs]))
+                filt[i], np.hstack([d.cores[i] + f[i] for d, f in zip(decs, filts)]))
 
 
 def test_collect_residuals_holds_its_output_about_once():
@@ -270,8 +275,9 @@ def test_collect_coefficients_matches_the_stagewise_formula():
     delta_layers = task_vectors(experts, base)
     coeff_layers = []
     for deltas in delta_layers:
-        dec = decompose_layer(deltas, config)[1]
-        coeff_layers.append([a + b for a, b in zip(dec.cores, dec.filtered)])
+        dec = decouple(joint_decompose(deltas).coeffs, config.rank)
+        filtered = filter_residuals(dec.residuals, config.gamma, config.rho)[0]
+        coeff_layers.append([a + b for a, b in zip(dec.cores, filtered)])
     assert len(raw) == len(filt) == len(experts)
     for i, (r, f) in enumerate(zip(raw, filt)):
         np.testing.assert_array_equal(r, model_subspace([d[i] for d in delta_layers]))
@@ -285,7 +291,7 @@ def test_collect_coefficients_rejects_non_uniform_rows_before_decomposing(monkey
     def no_decompose(*args, **kwargs):
         raise AssertionError("a layer was decomposed")
 
-    monkeypatch.setattr(analysis, "_decompose", no_decompose)
+    monkeypatch.setattr(analysis, "_joint_owned", no_decompose)
     with pytest.raises(ValueError, match=r"uniform row count across layers, got \[8, 10\]"):
         collect_coefficients(experts, base, PivotConfig(rank=2))
 
@@ -298,7 +304,7 @@ def test_collect_coefficients_rejects_a_tall_layer_before_decomposing(monkeypatc
     def no_decompose(*args, **kwargs):
         raise AssertionError("a layer was decomposed")
 
-    monkeypatch.setattr(analysis, "_decompose", no_decompose)
+    monkeypatch.setattr(analysis, "_joint_owned", no_decompose)
     with pytest.raises(ValueError, match=r"uniform joint rank .* got \[10, 64\]; "
                                          r"tall: layer 1 of shape \(64, 5\)$"):
         collect_coefficients(experts, base, PivotConfig(rank=2))

@@ -161,6 +161,14 @@ def test_truncate_rank_uncertified_gap_falls_back_to_svd(monkeypatch, mat, rank)
     np.testing.assert_array_equal(out, (f.u[:, :rank] * f.s[:rank]) @ f.vt[:rank])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_truncate_rank_rejects_a_non_finite_entry(bad):
+    mat = random_matrix(24, 6, 5)
+    mat[2, 3] = bad
+    with pytest.raises(ValueError, match="matrix contains NaN or Inf"):
+        truncate_rank(mat, 2)
+
+
 @pytest.mark.parametrize("mat, rank, svd_calls", [
     (random_matrix(21, 9, 14), 3, 0),
     (random_matrix(22, 14, 9), 3, 0),

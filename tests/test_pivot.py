@@ -10,7 +10,6 @@ from pivotmerge import (
     PivotConfig,
     ProjectorCheckpoint,
     ScoreTable,
-    decompose_layer,
     decouple,
     filter_residuals,
     joint_decompose,
@@ -224,11 +223,10 @@ def test_joint_decompose_tall_keeps_direct_svd(rng, monkeypatch):
     np.testing.assert_array_equal(shared.s, ref.s)
 
 
-def test_decompose_layer_cores_bitwise_repeatable(rng):
+def test_stage_chain_cores_bitwise_repeatable(rng):
     deltas = [rng.standard_normal((40, 41)) for _ in range(3)]
-    config = PivotConfig(rank=8)
-    _, first = pivot.decompose_layer(deltas, config)
-    _, second = pivot.decompose_layer([d.copy() for d in deltas], config)
+    first = decouple(joint_decompose(deltas).coeffs, 8)
+    second = decouple(joint_decompose([d.copy() for d in deltas]).coeffs, 8)
     for a, b in zip(first.cores, second.cores):
         np.testing.assert_array_equal(a, b)
 
@@ -292,6 +290,25 @@ def test_decouple_below_full_rank_truncates(rng, monkeypatch):
     assert dec.effective_rank == 3
     for block, core in zip(blocks, dec.cores):
         np.testing.assert_array_equal(core, truncate_rank(block, 3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decouple_below_full_rank_rejects_a_non_finite_entry(rng, bad):
+    blocks = [rng.standard_normal((5, 4)) for _ in range(3)]
+    blocks[1][2, 3] = bad
+    with pytest.raises(ValueError, match="matrix contains NaN or Inf"):
+        decouple(blocks, rank=2)
+
+
+@pytest.mark.parametrize("blocks, shape", [
+    ([np.ones((4, 3)), np.ones((5, 3))], r"\(5, 3\)"),
+    ([np.ones((4, 3)), np.ones(3)], r"\(3,\)")])
+def test_decouple_rejects_a_mismatched_block(blocks, shape):
+    with pytest.raises(ValueError, match=rf"coefficient block 1 has shape {shape}, "
+                                         r"expected a 2-D \(4, 3\)"):
+        decouple(blocks, rank=2)
+    with pytest.raises(ValueError, match="need at least one coefficient block"):
+        decouple([], rank=2)
 
 
 def test_decouple_diagonal_example():
@@ -462,15 +479,13 @@ def test_stage_functions_leave_their_inputs_unchanged(rng):
     assert snapshot(shared.coeffs) == before
     assert all(r.any() for r in dec.residuals)
     before = snapshot(dec.residuals)
-    filtered, mask, consist, tau = filter_residuals(dec.residuals, 20.0, 0.5)
+    filtered = filter_residuals(dec.residuals, 20.0, 0.5)[0]
     assert snapshot(dec.residuals) == before
-    from dataclasses import replace
-    dec = replace(dec, filtered=filtered, mask=mask, consistencies=consist, tau=tau)
-    before = snapshot([shared.u, shared.s, *dec.cores, *dec.filtered])
+    before = snapshot([shared.s, *dec.cores, *filtered])
     for op in (MergeOperator.ties(1.0), MergeOperator.ties(0.3),
                MergeOperator.dare_ties(0.3, 0.5, seed=2), MergeOperator.average()):
-        merge_layer(shared, dec, [0.2, 0.3, 0.5], op)
-        assert snapshot([shared.u, shared.s, *dec.cores, *dec.filtered]) == before
+        merge_layer(shared.s, dec.cores, filtered, [0.2, 0.3, 0.5], op)
+        assert snapshot([shared.s, *dec.cores, *filtered]) == before
 
 
 # --- layer merge and reconstruction ------------------------------------------
@@ -480,19 +495,14 @@ def _decomposed_layer(rng, n=3, d=8, w=5, rank=2):
     deltas = [rng.standard_normal((d, w)) for _ in range(n)]
     shared = joint_decompose(deltas)
     dec = decouple(shared.coeffs, rank)
-    filtered, mask, consist, tau = filter_residuals(dec.residuals, 20.0, 0.5)
-    from dataclasses import replace
-    return shared, replace(dec, filtered=filtered, mask=mask,
-                           consistencies=consist, tau=tau)
+    return shared, dec.cores, filter_residuals(dec.residuals, 20.0, 0.5)[0]
 
 
 def test_merge_layer_single_expert_passthrough(rng):
     deltas = [rng.standard_normal((6, 4))]
     shared = joint_decompose(deltas)
     dec = decouple(shared.coeffs, 2)
-    from dataclasses import replace
-    dec = replace(dec, filtered=dec.residuals)
-    merged = merge_layer(shared, dec, [1.0], MergeOperator.ties(1.0))
+    merged = merge_layer(shared.s, dec.cores, dec.residuals, [1.0], MergeOperator.ties(1.0))
     np.testing.assert_allclose(merged, shared.coeffs[0], atol=1e-10)
 
 
@@ -503,17 +513,15 @@ def test_merge_layer_identical_experts(rng):
     d = rng.standard_normal((6, 4))
     shared = joint_decompose([d, d, d])
     dec = decouple(shared.coeffs, 4)
-    filtered, mask, consist, tau = filter_residuals(dec.residuals, 20.0, 0.5)
-    from dataclasses import replace
-    dec = replace(dec, filtered=filtered, mask=mask, consistencies=consist, tau=tau)
-    merged = merge_layer(shared, dec, [1 / 3] * 3, MergeOperator.ties(1.0))
+    filtered = filter_residuals(dec.residuals, 20.0, 0.5)[0]
+    merged = merge_layer(shared.s, dec.cores, filtered, [1 / 3] * 3, MergeOperator.ties(1.0))
     assert rel_error((shared.u * shared.s) @ merged, d) <= 1e-8
 
 
 def test_merge_layer_linear_inner_is_mean(rng):
-    shared, dec = _decomposed_layer(rng)
-    merged = merge_layer(shared, dec, [1 / 3] * 3, MergeOperator.average())
-    expected = np.mean([a + b for a, b in zip(dec.cores, dec.filtered)], axis=0)
+    shared, cores, filtered = _decomposed_layer(rng)
+    merged = merge_layer(shared.s, cores, filtered, [1 / 3] * 3, MergeOperator.average())
+    expected = np.mean([a + b for a, b in zip(cores, filtered)], axis=0)
     np.testing.assert_allclose(merged, expected, atol=1e-12)
 
 
@@ -526,10 +534,8 @@ def test_merge_layer_matches_merging_scaled_copies(op, n):
     gen = np.random.default_rng(17 + n)
     s = np.sort(gen.uniform(0.5, 4.0, 125))[::-1]
     s[-1] = 0.0
-    shared = pivot.SharedSpaceLayer(u=np.eye(125), s=s, coeffs=())
-    dec = pivot.DecoupledLayer(cores=tuple(gen.standard_normal((125, 420)) for _ in range(n)),
-                               residuals=(), effective_rank=8,
-                               filtered=tuple(gen.standard_normal((125, 420)) for _ in range(n)))
+    cores = [gen.standard_normal((125, 420)) for _ in range(n)]
+    filtered = [gen.standard_normal((125, 420)) for _ in range(n)]
     alphas = gen.uniform(0.1, 1.0, n)
     col = s[:, None]
 
@@ -537,8 +543,8 @@ def test_merge_layer_matches_merging_scaled_copies(op, n):
         merged = merge_weighted(op, [col * b for b in blocks], weights)
         return np.divide(merged, col, out=np.zeros_like(merged), where=col >= pivot.SPECTRUM_FLOOR)
 
-    got = merge_layer(shared, dec, alphas, op)
-    want = scaled_merge(dec.cores, alphas) + scaled_merge(dec.filtered, [1.0] * n)
+    got = merge_layer(s, cores, filtered, alphas, op)
+    want = scaled_merge(cores, alphas) + scaled_merge(filtered, [1.0] * n)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     assert not got[-1].any()
 
@@ -546,14 +552,12 @@ def test_merge_layer_matches_merging_scaled_copies(op, n):
 @pytest.mark.parametrize("op", [MergeOperator.ties(1.0), MergeOperator.dare_ties(0.2, 0.5, seed=11)],
                          ids=["ties-1.0", "dare-ties-0.2"])
 def test_merge_layer_rejects_a_spectrum_overflow_naming_the_input(op):
-    shared = pivot.SharedSpaceLayer(u=np.eye(3), s=np.full(3, 1e10), coeffs=())
-    blocks = (np.ones((3, 2)), np.full((3, 2), 1e300))
-    dec = pivot.DecoupledLayer(cores=blocks, residuals=(), effective_rank=2, filtered=blocks)
+    blocks = [np.ones((3, 2)), np.full((3, 2), 1e300)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="ties input 1 contains NaN or Inf"):
-            merge_layer(shared, dec, [0.5, 0.5], op)
-    assert dec.cores[1][0, 0] == 1e300
+            merge_layer(np.full(3, 1e10), blocks, blocks, [0.5, 0.5], op)
+    assert blocks[1][0, 0] == 1e300
 
 
 def test_reconstruct_zero_coeffs_returns_base(rng):
@@ -614,24 +618,34 @@ def _gram_tail_experts(base, n, gen):
 
 
 def test_pivot_merge_matches_straight_line_oracle(rng):
-    # a random 3-layer chain on the certified Gram route, then one layer whose
-    # uncertified Gram eigenpairs take the Rayleigh-Ritz tail
+    # a random 3-layer chain on the certified Gram route, at rank 3 and at rank 64
+    # (every cut full rank, every residual zero); one layer whose uncertified Gram
+    # eigenpairs take the Rayleigh-Ritz tail; one tall layer, a 20 x 15 concatenation
+    # on the thin-SVD route, at rank 5 = w (below w its cut is tied, so the
+    # oracle's SVD would pick an arbitrary core)
     base = make_checkpoint("base", rng, [4, 7, 5, 6])
     experts = [make_checkpoint(f"e{i}", rng, [4, 7, 5, 6]) for i in range(3)]
     scores = np.array([[0.2, 0.5, 0.6], [0.1, 0.4, 0.45], [0.3, 0.35, 0.7]])
     tail_base = make_checkpoint("base", rng, [4, 12])
-    cases = [(base, experts, scores, [0, 0, 0]),
-             (tail_base, _gram_tail_experts(tail_base, 3, rng), scores[:, :1], [6])]
-    config = PivotConfig(rank=3, gamma=20.0, rho=0.5)
-    for base, experts, scores, tails in cases:
+    tall_base = make_checkpoint("base", rng, [4, 20])
+    tall_experts = [make_checkpoint(f"e{i}", rng, [4, 20]) for i in range(3)]
+    cases = [(base, experts, scores, [0, 0, 0], 3),
+             (tail_base, _gram_tail_experts(tail_base, 3, rng), scores[:, :1], [6], 3),
+             (tall_base, tall_experts, scores[:, :1], [None], 5),
+             (base, experts, scores, [0, 0, 0], 64)]
+    for base, experts, scores, tails, rank in cases:
+        config = PivotConfig(rank=rank, gamma=20.0, rho=0.5)
         table = ScoreTable(expert_ids=("e0", "e1", "e2"), scores=scores, beta=0.05)
-        merged, diagnostics = pivot_merge(experts, base, table, config)
+        with warnings.catch_warnings():
+            # rank 64 clamps to each block's rank limit
+            warnings.simplefilter("ignore")
+            merged, diagnostics = pivot_merge(experts, base, table, config)
         assert [layer["joint_tail"] for layer in diagnostics["layers"]] == tails
 
         base_layers = [(l.weight, l.bias) for l in base.layers]
         expert_layers = [[(l.weight, l.bias) for l in ck.layers] for ck in experts]
         want = reference_pivot_merge(base_layers, expert_layers, scores,
-                                     rank=3, gamma=20.0, rho=0.5, beta=0.05,
+                                     rank=rank, gamma=20.0, rho=0.5, beta=0.05,
                                      trim=1.0, magnitude=True)
         for got, (w_want, b_want) in zip(merged.layers, want):
             assert rel_error(got.weight, w_want) <= 1e-8
@@ -764,9 +778,12 @@ def test_pivot_merge_matches_the_public_stage_chain_bit_for_bit(monkeypatch, op,
         warnings.simplefilter("ignore")
         merged, _ = pivot_merge(experts, base, table, config)
         assert shapes == joint_svd
-        shared, dec = decompose_layer(task_vectors(experts, base)[0], config)
+        shared = joint_decompose(task_vectors(experts, base)[0])
+        dec = decouple(shared.coeffs, rank)
+        filtered = filter_residuals(dec.residuals, config.gamma, config.rho)[0]
     alphas = layer_weights(score_increments(table.rows_for(table.expert_ids)), 0.05)[:, 0]
-    want = reconstruct(shared, merge_layer(shared, dec, alphas, op), base.layers[0])
+    merged_coeffs = merge_layer(shared.s, dec.cores, filtered, alphas, op)
+    want = reconstruct(shared, merged_coeffs, base.layers[0])
     np.testing.assert_array_equal(merged.layers[0].matrix.view(np.uint64),
                                   want.matrix.view(np.uint64))
 

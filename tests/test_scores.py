@@ -235,6 +235,58 @@ def test_scores_dimension_mismatch():
         compute_scores_from_features([np.ones((0, 2))], np.ones((0, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["texts", "features"])
+def test_scores_reject_non_finite_inputs(bad, where):
+    texts = np.array([[1.0, 0.0], [0.0, 1.0]])
+    feats = [texts.copy(), texts.copy()]
+    if where == "texts":
+        texts[1, 0] = bad
+        match = "texts contain NaN or Inf"
+    else:
+        feats[1][1, 0] = bad
+        match = "layer 2 features contain NaN or Inf"
+    with pytest.raises(ValueError, match=match):
+        compute_scores_from_features(feats, texts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name, match", [
+    ("texts", "texts contain NaN or Inf"),
+    ("expert.b.layer.1.features", "layer 1 features contain NaN or Inf")])
+def test_feature_container_rejects_non_finite_entries_naming_path_and_expert(tmp_path, bad,
+                                                                             name, match):
+    tensors = {"texts": np.eye(2), "expert.a.layer.1.features": np.eye(2),
+               "expert.b.layer.1.features": np.eye(2)}
+    tensors[name] = tensors[name].copy()
+    tensors[name][0, 1] = bad
+    path = tmp_path / "features.tensors"
+    write_container(path, tensors)
+    expert = "a" if name == "texts" else "b"
+    with pytest.raises(ValueError, match=rf"features\.tensors: expert '{expert}': {match}"):
+        score_table_from_feature_container(path)
+
+
+def test_feature_container_rejects_two_names_for_one_layer(tmp_path):
+    path = tmp_path / "features.tensors"
+    write_container(path, {"texts": np.eye(2), "expert.a.layer.1.features": np.eye(2),
+                           "expert.a.layer.01.features": -np.eye(2)})
+    # the container lists its tensors sorted by name
+    with pytest.raises(ValueError, match=r"features\.tensors: 'expert\.a\.layer\.01\.features' "
+                                         r"and 'expert\.a\.layer\.1\.features' are both "
+                                         r"expert 'a' layer 1"):
+        score_table_from_feature_container(path)
+
+
+@pytest.mark.parametrize("index", ["1_0", "+1", " 1", "1 ", "-1", "\u0661"])
+def test_feature_container_rejects_a_non_digit_layer_index(tmp_path, index):
+    path = tmp_path / "features.tensors"
+    name = f"expert.a.layer.{index}.features"
+    write_container(path, {"texts": np.eye(2), name: np.eye(2)})
+    with pytest.raises(ValueError, match="bad layer index"):
+        score_table_from_feature_container(path)
+
+
 def test_score_table_from_feature_container(tmp_path):
     texts = np.array([[1.0, 0.0], [0.0, 1.0]])
     tensors = {"texts": texts}

@@ -113,6 +113,19 @@ def test_ground_truth_tensors_roundtrip():
         np.testing.assert_array_equal(a, b)
 
 
+def test_load_ground_truth_rejects_two_names_for_one_layer():
+    tensors = {"layer.1.core_basis": np.eye(2), "layer.01.core_basis": np.eye(2)[:, :1]}
+    with pytest.raises(ValueError, match=r"'layer\.1\.core_basis' and 'layer\.01\.core_basis' "
+                                         r"are both ground-truth layer 1"):
+        load_ground_truth(tensors)
+
+
+@pytest.mark.parametrize("index", ["1_0", "+1", " 1", "-1", "\u0661"])
+def test_load_ground_truth_rejects_a_non_digit_layer_index(index):
+    with pytest.raises(ValueError, match="unexpected ground-truth tensor name"):
+        load_ground_truth({f"layer.{index}.core_basis": np.eye(2)})
+
+
 def test_recovery_score_exact_core():
     spec = spec_from(chain=(8, 24), core_rank=3, residual_scale=0.0)
     base, experts, cores = generate(spec)
