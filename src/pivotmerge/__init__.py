@@ -62,6 +62,7 @@ from .tensorstore import (
     Layer,
     ProjectorCheckpoint,
     load_checkpoint,
+    open_checkpoint,
     read_container,
     save_checkpoint,
     sorted_experts,

@@ -148,7 +148,7 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
     """
     ordered = sorted_experts(experts, base)
     if sources:
-        shapes = [layer.matrix.shape for layer in base.layers]
+        shapes = [(d_out, d_in + base.has_bias) for d_out, d_in in base.layer_shapes()]
         _require_uniform_rows(d_out for d_out, _ in shapes)
         ranks = [min(d_out, len(ordered) * width) for d_out, width in shapes]
         if len(set(ranks)) > 1:
@@ -160,7 +160,7 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
     filt_parts = [[] for _ in ordered]
     layer_stats = []
     for li in range(base.num_layers):
-        stack = _delta_stack(ordered, base, li)
+        stack = _delta_stack(ordered, base.layers[li], li)
         if sources:
             for i, parts in enumerate(raw_parts):
                 parts.append(stack[:, i].copy())

@@ -11,11 +11,19 @@ including an expert set with duplicate ids or a layout that does not match
 the base. Experts are always processed in lexicographic id order regardless
 of flag order. Layers run serially; BLAS threads are the only parallelism,
 and output is byte-identical run to run at a fixed BLAS thread count.
+
+`merge` and `analyze` open the base and every expert with
+`tensorstore.open_checkpoint` under one `contextlib.ExitStack`, so every
+header is checked before any layer is computed, and each kernel reads each
+layer of each input once, when it needs it. A fault in a layer's bytes (a
+NaN or Inf, or a file cut after it was opened) exits 1 naming the file and
+the layer or tensor; nothing is written then.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -25,7 +33,7 @@ from .operators import MergeOperator, merge_checkpoint_deltas
 from .pivot import PivotConfig, pivot_merge
 from .scores import DEFAULT_BETA, ScoreTable, layer_weights, read_scores, score_increments, write_scores
 from .synth import SynthSpec, generate, ground_truth_tensors
-from .tensorstore import (ContainerError, load_checkpoint, save_checkpoint, sorted_experts,
+from .tensorstore import (ContainerError, open_checkpoint, save_checkpoint, sorted_experts,
                           write_container, write_json)
 
 METHODS = ("average", "task-arithmetic", "ties", "dare-ties", "pivot")
@@ -175,10 +183,16 @@ def _operator_for(method: str, args, is_inner: bool) -> MergeOperator:
                                    _given(args.seed, DEFAULT_SEED))
 
 
-def _load_experts(parser: argparse.ArgumentParser, paths, base) -> list:
-    experts = [load_checkpoint(p) for p in paths]
+def _open_inputs(parser: argparse.ArgumentParser, stack: contextlib.ExitStack, args) -> tuple:
+    """The base and the experts in id order, opened on `stack` with every header checked.
+
+    No layer is read here: a malformed file, duplicate ids or a layout that
+    does not match the base fail before any layer is computed.
+    """
+    base = stack.enter_context(open_checkpoint(args.base))
+    experts = [stack.enter_context(open_checkpoint(p)) for p in args.expert]
     try:
-        return sorted_experts(experts, base)
+        return base, sorted_experts(experts, base)
     except ValueError as exc:
         parser.error(f"--expert: {exc}")
 
@@ -193,27 +207,26 @@ def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
     _check_operator_flags(parser, args)
     if args.method == "pivot" and not args.scores:
         parser.error("--scores is required when --method is pivot")
-    base = load_checkpoint(args.base)
-    experts = _load_experts(parser, args.expert, base)
-
-    if args.method == "pivot":
-        table = read_scores(args.scores)
-        config = _pivot_config(args, beta=args.beta,
-                               inner=_operator_for(inner, args, is_inner=True))
-        merged, diagnostics = pivot_merge(experts, base, table, config)
-    else:
-        op = _operator_for(args.method, args, is_inner=False)
-        merged = merge_checkpoint_deltas(experts, base, op)
-        diagnostics = {
-            "method": args.method,
-            "expert_ids": [e.id for e in experts],
-            "params": {
-                "trim_fraction": op.trim_fraction,
-                "scale": op.scale,
-                "drop_rate": op.drop_rate,
-                "seed": op.seed,
-            },
-        }
+    with contextlib.ExitStack() as stack:
+        base, experts = _open_inputs(parser, stack, args)
+        if args.method == "pivot":
+            table = read_scores(args.scores)
+            config = _pivot_config(args, beta=args.beta,
+                                   inner=_operator_for(inner, args, is_inner=True))
+            merged, diagnostics = pivot_merge(experts, base, table, config)
+        else:
+            op = _operator_for(args.method, args, is_inner=False)
+            merged = merge_checkpoint_deltas(experts, base, op)
+            diagnostics = {
+                "method": args.method,
+                "expert_ids": [e.id for e in experts],
+                "params": {
+                    "trim_fraction": op.trim_fraction,
+                    "scale": op.scale,
+                    "drop_rate": op.drop_rate,
+                    "seed": op.seed,
+                },
+            }
     save_checkpoint(args.out, merged)
     if args.diagnostics:
         write_json(args.diagnostics, diagnostics)
@@ -242,32 +255,31 @@ def cmd_analyze(parser: argparse.ArgumentParser, args) -> int:
         parser.error(f"--base and --expert are required for --mode {args.mode}")
     if len(args.expert) < 2:
         parser.error(f"--mode {args.mode} needs at least two --expert checkpoints")
-    base = load_checkpoint(args.base)
-    experts = _load_experts(parser, args.expert, base)
     config = _pivot_config(args)
-    ids = [e.id for e in experts]
-
-    if args.mode == "residual-sim":
-        raw, filtered, layer_stats = analysis.collect_residuals(experts, base, config)
-        before = analysis.residual_similarity(raw)
-        after = analysis.residual_similarity(filtered)
-        analysis.emit_report(
-            {"mode": args.mode, "expert_ids": ids,
-             "mean_offdiagonal_before": analysis.mean_offdiagonal(before),
-             "mean_offdiagonal_after": analysis.mean_offdiagonal(after),
-             "layers": layer_stats},
-            {"residual_similarity_before": before, "residual_similarity_after": after},
-            args.out)
-    else:
-        raw, filtered = analysis.collect_coefficients(experts, base, config)
-        before = analysis.pairwise_principal_angles(raw)
-        after = analysis.pairwise_principal_angles(filtered)
-        analysis.emit_report(
-            {"mode": args.mode, "expert_ids": ids,
-             "mean_angle_raw": analysis.mean_offdiagonal(before),
-             "mean_angle_filtered": analysis.mean_offdiagonal(after)},
-            {"principal_angles_raw": before, "principal_angles_filtered": after},
-            args.out)
+    with contextlib.ExitStack() as stack:
+        base, experts = _open_inputs(parser, stack, args)
+        ids = [e.id for e in experts]
+        if args.mode == "residual-sim":
+            raw, filtered, layer_stats = analysis.collect_residuals(experts, base, config)
+            before = analysis.residual_similarity(raw)
+            after = analysis.residual_similarity(filtered)
+            analysis.emit_report(
+                {"mode": args.mode, "expert_ids": ids,
+                 "mean_offdiagonal_before": analysis.mean_offdiagonal(before),
+                 "mean_offdiagonal_after": analysis.mean_offdiagonal(after),
+                 "layers": layer_stats},
+                {"residual_similarity_before": before, "residual_similarity_after": after},
+                args.out)
+        else:
+            raw, filtered = analysis.collect_coefficients(experts, base, config)
+            before = analysis.pairwise_principal_angles(raw)
+            after = analysis.pairwise_principal_angles(filtered)
+            analysis.emit_report(
+                {"mode": args.mode, "expert_ids": ids,
+                 "mean_angle_raw": analysis.mean_offdiagonal(before),
+                 "mean_angle_filtered": analysis.mean_offdiagonal(after)},
+                {"principal_angles_raw": before, "principal_angles_filtered": after},
+                args.out)
     print(f"wrote {args.mode} report to {args.out}")
     return 0
 

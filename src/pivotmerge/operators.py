@@ -290,6 +290,6 @@ def merge_checkpoint_deltas(experts: Sequence[ProjectorCheckpoint],
     """
     ordered = sorted_experts(experts, base)
     w = [1.0] * len(ordered)
-    merged_layers = [add_delta(layer, merge_weighted(op, layer_deltas(ordered, base, li), w))
+    merged_layers = [add_delta(layer, merge_weighted(op, layer_deltas(ordered, layer, li), w))
                      for li, layer in enumerate(base.layers)]
     return ProjectorCheckpoint(id="merged", layers=tuple(merged_layers), dtype=base.dtype)

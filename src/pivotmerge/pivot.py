@@ -112,7 +112,7 @@ def task_vectors(experts: Sequence[ProjectorCheckpoint],
                  base: ProjectorCheckpoint) -> list[list[np.ndarray]]:
     """Per-layer lists of augmented deltas (expert minus base), experts in id order."""
     ordered = sorted_experts(experts, base)
-    return [layer_deltas(ordered, base, li) for li in range(base.num_layers)]
+    return [layer_deltas(ordered, layer, li) for li, layer in enumerate(base.layers)]
 
 
 def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
@@ -139,10 +139,9 @@ def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
     if n < 1:
         raise ValueError("need at least one delta matrix")
     mats = [np.asarray(d, dtype=np.float64) for d in deltas]
-    d_out, width = mats[0].shape
     for i, m in enumerate(mats):
-        if m.shape != (d_out, width):
-            raise ValueError(f"delta {i} has shape {m.shape}, expected {(d_out, width)}")
+        if m.ndim != 2 or m.shape != mats[0].shape:
+            raise ValueError(f"delta {i} has shape {m.shape}, expected a 2-D {mats[0].shape}")
     return _joint_owned(np.stack(mats, axis=1))
 
 
@@ -387,10 +386,13 @@ def reconstruct(shared: SharedSpaceLayer, merged_coeffs: np.ndarray,
     return add_delta(base_layer, (shared.u * shared.s) @ merged_coeffs)
 
 
-def _delta_stack(ordered: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
+def _delta_stack(ordered: Sequence[ProjectorCheckpoint], base_layer: Layer,
                  layer_index: int) -> np.ndarray:
-    """One layer's (d_out, N, w) delta stack, each delta written into its slice."""
-    base_mat = base.layers[layer_index].matrix
+    """One layer's (d_out, N, w) delta stack against `base_layer`, each delta written into its slice.
+
+    Each expert's layer is read once and dropped once its delta is written.
+    """
+    base_mat = base_layer.matrix
     stack = np.empty((base_mat.shape[0], len(ordered), base_mat.shape[1]))
     for i, ck in enumerate(ordered):
         np.subtract(ck.layers[layer_index].matrix, base_mat, out=stack[:, i])
@@ -400,8 +402,12 @@ def _delta_stack(ordered: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoi
 def _merge_one_layer(layer_index: int, ordered: Sequence[ProjectorCheckpoint],
                      base: ProjectorCheckpoint, alphas_col: np.ndarray, config: PivotConfig
                      ) -> tuple[Layer, dict]:
-    """The per-layer kernel: each stage overwrites the per-expert blocks it owns."""
-    shared = _joint_owned(_delta_stack(ordered, base, layer_index))
+    """The per-layer kernel: each stage overwrites the per-expert blocks it owns.
+
+    The base layer is read once and serves both the deltas and the reconstruction.
+    """
+    base_layer = base.layers[layer_index]
+    shared = _joint_owned(_delta_stack(ordered, base_layer, layer_index))
     shared, blocks = replace(shared, coeffs=()), list(shared.coeffs)
     cores, effective_rank, energy = _decouple_owned(blocks, config.rank)
     mask, consistencies, tau, kept = _filter_owned(blocks, config.gamma, config.rho)
@@ -418,7 +424,7 @@ def _merge_one_layer(layer_index: int, ordered: Sequence[ProjectorCheckpoint],
         "joint_tail": shared.joint_tail,
     }
     merged_coeffs = _merge_owned(shared.s, cores, blocks, alphas_col, config.inner)
-    return reconstruct(shared, merged_coeffs, base.layers[layer_index]), record
+    return reconstruct(shared, merged_coeffs, base_layer), record
 
 
 def pivot_merge(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,

@@ -19,10 +19,18 @@ In memory a container is a dict from tensor name to numpy array.
 
 Checkpoints are containers holding ``layer.{i}.weight`` (2-D) and optionally
 ``layer.{i}.bias`` (1-D) tensors with 1-based contiguous layer indices. Bias
-presence must be uniform across layers. In memory a layer is one float64
+presence must be uniform across layers. A layer, once read, is one float64
 augmented matrix ``[W | b]``, the bias (if any) as its last column, into which
-loading writes the weight and bias once; the source dtype is recorded and
+reading writes the weight and bias once; the source dtype is recorded and
 reused when writing results.
+
+Checkpoint inputs are validated at one boundary, `open_checkpoint`: every
+check that needs only the header (the container format, the layer names,
+one dtype, the layer shapes, bias presence and the shape chain) runs when
+the file is opened. The file then stays open and each layer is read from
+its offsets when it is indexed, so no float64 copy of a whole checkpoint is
+held; that read checks the byte count and finiteness. `load_checkpoint` is
+`open_checkpoint` followed by reading every layer.
 
 Every output file is written through `atomic_write`: a crash or error never
 leaves a partial regular file at the target path.
@@ -39,9 +47,9 @@ import re
 import secrets
 import stat
 import struct
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -130,25 +138,54 @@ def write_container(path, tensors: Mapping[str, np.ndarray], dtype: str | None =
 
 
 def read_container(path) -> dict[str, np.ndarray]:
-    """Read all tensors from `path` as a name -> array dict, in header (sorted-name) order.
+    """Read all tensors from `path` as a name -> array dict, in header order.
 
-    The file is read once, front to back: the header is parsed and checked
-    first, then each tensor's bytes are read straight into its own
-    native-order array. No buffer of the whole file is held and no tensor is
+    The header is parsed and checked in full before any tensor is read. Each
+    tensor's bytes are then read straight into its own native-order array,
+    at its offset; for a container written by `write_container` that is one
+    pass front to back. No buffer of the whole file is held and no tensor is
     copied after it is read; a byte-swap, where the stored order is not
     native, is done in place.
+    """
+    with _open_container(path) as (fh, entries):
+        return {entry.name: _read_tensor(path, fh, entry) for entry in entries}
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """One checked header entry: its name, dtype name, shape and absolute byte range."""
+
+    name: str
+    dtype: str
+    shape: tuple[int, ...]
+    begin: int
+    end: int
+
+
+@contextlib.contextmanager
+def _open_container(path):
+    """The container at `path` open for reading, with its checked header entries in header order.
+
+    A regular file stays open for the `with` block and is read at offsets. A
+    pipe or device has no size up front, so it is read whole once and served
+    from memory.
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
         if stat.S_ISREG(info.st_mode):
-            return _read_container(path, fh, info.st_size)
-        # A pipe or device has no size up front: read it whole first.
+            yield fh, _read_header(path, fh, info.st_size)
+            return
         blob = fh.read()
-    return _read_container(path, io.BytesIO(blob), len(blob))
+    mem = io.BytesIO(blob)
+    yield mem, _read_header(path, mem, len(blob))
 
 
-def _read_container(path, fh, size: int) -> dict[str, np.ndarray]:
-    """`read_container` on the open binary file `fh` of `size` bytes, read from its start."""
+def _read_header(path, fh, size: int) -> list[_Entry]:
+    """The checked header entries of the container `fh` of `size` bytes, read from its start.
+
+    Every check that needs no payload byte runs here, so a malformed file
+    fails before any tensor is read.
+    """
     prefix = fh.read(_HEADER_LEN.size)
     if len(prefix) < _HEADER_LEN.size:
         raise ContainerError(f"{path}: file too short for header length prefix")
@@ -174,7 +211,8 @@ def _read_container(path, fh, size: int) -> dict[str, np.ndarray]:
         raise ContainerError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
     if not isinstance(header, dict):
         raise ContainerError(f"{path}: header must be a JSON object")
-    payload_len = size - _HEADER_LEN.size - header_len
+    payload_start = _HEADER_LEN.size + header_len
+    payload_len = size - payload_start
 
     entries = []
     for name, meta in header.items():
@@ -197,35 +235,45 @@ def _read_container(path, fh, size: int) -> dict[str, np.ndarray]:
                 f"{path}: entry {name!r} byte range {end - begin} does not match shape (expected {expected})")
         if end > payload_len:
             raise ContainerError(f"{path}: truncated file (entry {name!r} ends past payload)")
-        entries.append((name, dtype, shape, begin, end))
+        try:
+            # A zero-stride view allocates nothing, and numpy rejects the same shapes
+            # as np.empty: zero-size shapes with huge or too many dimensions pass the
+            # byte-size check.
+            np.broadcast_to(np.empty((), _DTYPES[dtype]), shape)
+        except ValueError as exc:
+            raise ContainerError(f"{path}: entry {name!r} has shape {shape} numpy cannot hold: {exc}") from exc
+        entries.append(_Entry(name, dtype, tuple(shape), payload_start + begin, payload_start + end))
 
-    by_begin = sorted(entries, key=lambda e: (e[3], e[4]))
-    if by_begin and by_begin[0][3] != 0:
-        raise ContainerError(
-            f"{path}: payload does not start at offset 0 ({by_begin[0][0]!r} begins at {by_begin[0][3]})")
-    for (na, _, _, _, ea), (nb, _, _, bb, _) in zip(by_begin, by_begin[1:]):
-        if bb < ea:
-            raise ContainerError(f"{path}: overlapping byte ranges for {na!r} and {nb!r}")
-        if bb > ea:
-            raise ContainerError(f"{path}: gap of {bb - ea} bytes between {na!r} and {nb!r}")
-    used = by_begin[-1][4] if by_begin else 0
+    by_begin = sorted(entries, key=lambda e: (e.begin, e.end))
+    if by_begin and by_begin[0].begin != payload_start:
+        raise ContainerError(f"{path}: payload does not start at offset 0 "
+                             f"({by_begin[0].name!r} begins at {by_begin[0].begin - payload_start})")
+    for a, b in zip(by_begin, by_begin[1:]):
+        if b.begin < a.end:
+            raise ContainerError(f"{path}: overlapping byte ranges for {a.name!r} and {b.name!r}")
+        if b.begin > a.end:
+            raise ContainerError(f"{path}: gap of {b.begin - a.end} bytes between {a.name!r} and {b.name!r}")
+    used = by_begin[-1].end - payload_start if by_begin else 0
     if used != payload_len:
         raise ContainerError(f"{path}: {payload_len - used} trailing bytes after the last tensor")
+    return entries
 
-    out = {}
-    for name, dtype, shape, _, _ in entries:
-        try:
-            out[name] = np.empty(shape, dtype=_DTYPES[dtype].newbyteorder("="))
-        except ValueError as exc:
-            # Zero-size shapes with huge or too many dimensions pass the byte-size check.
-            raise ContainerError(f"{path}: entry {name!r} has shape {shape} numpy cannot hold: {exc}") from exc
-    for name, dtype, _, begin, end in by_begin:
-        arr = out[name]
-        if fh.readinto(memoryview(arr.reshape(-1)).cast("B")) != end - begin:
-            raise ContainerError(f"{path}: truncated file (entry {name!r} ends past payload)")
-        if not _DTYPES[dtype].isnative:
-            arr.byteswap(inplace=True)
-    return out
+
+def _read_tensor(path, fh, entry: _Entry) -> np.ndarray:
+    """One tensor read from its offset into a fresh native-order array.
+
+    A short read, from a file cut after its header was checked, raises
+    ContainerError naming the path and the tensor; no partial array is
+    returned.
+    """
+    stored = _DTYPES[entry.dtype]
+    arr = np.empty(entry.shape, dtype=stored.newbyteorder("="))
+    fh.seek(entry.begin)
+    if fh.readinto(memoryview(arr.reshape(-1)).cast("B")) != entry.end - entry.begin:
+        raise ContainerError(f"{path}: truncated file (entry {entry.name!r} ends past payload)")
+    if not stored.isnative:
+        arr.byteswap(inplace=True)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -271,26 +319,39 @@ def add_delta(layer: Layer, delta: np.ndarray) -> Layer:
 
 @dataclass(frozen=True)
 class ProjectorCheckpoint:
-    """Ordered stack of projector layers plus an identifier and storage dtype."""
+    """Ordered stack of projector layers plus an identifier and storage dtype.
+
+    `layers` is a tuple of in-memory layers, or the layers of a container
+    opened by `open_checkpoint`, each read from the file when it is indexed.
+    Either way the layout (each layer's shape and bias presence) is known
+    without reading a layer, and it is checked here: uniform bias presence
+    and an unbroken shape chain.
+    """
 
     id: str
-    layers: tuple[Layer, ...]
+    layers: Sequence[Layer]
     dtype: str = "float64"
+    _layout: tuple[tuple[int, int, bool], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
             raise ValueError("checkpoint must contain at least one layer")
         if self.dtype not in _DTYPES:
             raise ValueError(f"unsupported checkpoint dtype {self.dtype!r}")
-        object.__setattr__(self, "layers", tuple(self.layers))
-        has_bias = self.layers[0].has_bias
-        for i, layer in enumerate(self.layers, start=1):
-            if layer.has_bias != has_bias:
+        if isinstance(self.layers, _LayerFile):
+            layout = self.layers.layout
+        else:
+            object.__setattr__(self, "layers", tuple(self.layers))
+            layout = tuple((l.d_out, l.d_in, l.has_bias) for l in self.layers)
+        object.__setattr__(self, "_layout", layout)
+        has_bias = layout[0][2]
+        for i, (_, _, layer_bias) in enumerate(layout, start=1):
+            if layer_bias != has_bias:
                 raise ValueError(
                     f"inconsistent bias presence: layer 1 {'has' if has_bias else 'lacks'} "
                     f"a bias but layer {i} does not match")
-        for i in range(len(self.layers) - 1):
-            d_out, nxt_in = self.layers[i].d_out, self.layers[i + 1].d_in
+        for i in range(len(layout) - 1):
+            d_out, nxt_in = layout[i][0], layout[i + 1][1]
             if nxt_in != d_out:
                 raise ValueError(
                     f"shape chain broken: layer {i + 1} outputs {d_out} but "
@@ -298,14 +359,43 @@ class ProjectorCheckpoint:
 
     @property
     def num_layers(self) -> int:
-        return len(self.layers)
+        return len(self._layout)
 
     @property
     def has_bias(self) -> bool:
-        return self.layers[0].has_bias
+        return self._layout[0][2]
 
     def layer_shapes(self) -> tuple[tuple[int, int], ...]:
-        return tuple((l.d_out, l.d_in) for l in self.layers)
+        return tuple((d_out, d_in) for d_out, d_in, _ in self._layout)
+
+
+class _LayerFile(Sequence):
+    """The layers of an open checkpoint container; indexing reads one layer from the file.
+
+    `[i]` reads layer i's weight and bias at their offsets, through the one
+    open file, into a fresh float64 Layer. A short read raises ContainerError
+    and a NaN or Inf raises ValueError, each naming the path and the tensor.
+    """
+
+    def __init__(self, path, fh, tensors: list[tuple[_Entry, _Entry | None]]):
+        self.path = path
+        self._fh = fh
+        self._tensors = tensors
+        self.layout = tuple((w.shape[0], w.shape[1], b is not None) for w, b in tensors)
+
+    def __len__(self) -> int:
+        return len(self._tensors)
+
+    def __getitem__(self, index: int) -> Layer:
+        li = range(len(self._tensors))[index]
+        weight, bias = self._tensors[li]
+        columns = [_read_tensor(self.path, self._fh, weight)]
+        if bias is not None:
+            columns.append(_read_tensor(self.path, self._fh, bias)[:, None])
+        try:
+            return Layer(np.concatenate(columns, axis=1, dtype=np.float64), bias is not None)
+        except ValueError as exc:
+            raise ValueError(f"{self.path}: layer.{li + 1}: {exc}") from exc
 
 
 def sorted_experts(experts: Sequence[ProjectorCheckpoint],
@@ -331,58 +421,76 @@ def sorted_experts(experts: Sequence[ProjectorCheckpoint],
     return ordered
 
 
-def layer_deltas(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
+def layer_deltas(experts: Sequence[ProjectorCheckpoint], base_layer: Layer,
                  layer_index: int) -> list[np.ndarray]:
-    """Augmented deltas (expert minus base) of one 0-based layer, in the given expert order."""
-    base_mat = base.layers[layer_index].matrix
-    return [ck.layers[layer_index].matrix - base_mat for ck in experts]
+    """Augmented deltas (expert minus `base_layer`) of one 0-based layer, in the given expert order.
+
+    Each expert's layer is read once. The caller reads the base layer, so a
+    caller that needs it again does not read it twice.
+    """
+    return [ck.layers[layer_index].matrix - base_layer.matrix for ck in experts]
+
+
+@contextlib.contextmanager
+def open_checkpoint(path):
+    """Open a checkpoint container for a `with` block; its layers are read one at a time.
+
+    Every check that needs no payload byte runs on entry: the container
+    format (dtypes, shapes, offsets, a dense payload), one name per layer
+    tensor, contiguous 1-based indices, one dtype, 2-D weights, bias lengths,
+    uniform bias presence and the shape chain. The file stays open inside
+    the block, and `layers[i]` reads only layer i (see `_LayerFile`); a pipe
+    or device is read whole once and served from memory. The id is the file
+    stem.
+    """
+    with _open_container(path) as (fh, entries):
+        weights: dict[int, _Entry] = {}
+        biases: dict[int, _Entry] = {}
+        for entry in entries:
+            m = _LAYER_NAME.fullmatch(entry.name)
+            if m is None:
+                raise ValueError(f"{path}: unexpected tensor name {entry.name!r} in checkpoint")
+            idx, kind = int(m.group(1)), m.group(2)
+            slot = weights if kind == "weight" else biases
+            if idx in slot:
+                raise ValueError(
+                    f"{path}: {slot[idx].name!r} and {entry.name!r} are both layer.{idx}.{kind}")
+            slot[idx] = entry
+        if not weights:
+            raise ValueError(f"{path}: checkpoint contains no layer weights")
+        dtypes = {entry.dtype for entry in entries}
+        if len(dtypes) > 1:
+            raise ValueError(f"{path}: mixed tensor dtypes in checkpoint: {sorted(dtypes)}")
+        num = len(weights)
+        missing = [i for i in range(1, num + 1) if i not in weights]
+        if missing or max(weights) != num:
+            raise ValueError(
+                f"{path}: layer indices must be 1..{num} contiguous, got {sorted(weights)}")
+        stray = sorted(set(biases) - set(weights))
+        if stray:
+            raise ValueError(f"{path}: bias without matching weight for layers {stray}")
+
+        tensors = []
+        for i in range(1, num + 1):
+            w, b = weights[i], biases.get(i)
+            if len(w.shape) != 2:
+                raise ValueError(f"{path}: layer.{i}: layer weight must be 2-D, got shape {w.shape}")
+            if b is not None and b.shape != (w.shape[0],):
+                raise ValueError(
+                    f"{path}: layer.{i}: bias length {b.shape} does not match output dim {w.shape[0]}")
+            tensors.append((w, b))
+        try:
+            ckpt = ProjectorCheckpoint(id=Path(path).stem, layers=_LayerFile(path, fh, tensors),
+                                       dtype=dtypes.pop())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        yield ckpt
 
 
 def load_checkpoint(path) -> ProjectorCheckpoint:
-    """Load a checkpoint container; its id is the file stem."""
-    tensors = read_container(path)
-    weights: dict[int, str] = {}
-    biases: dict[int, str] = {}
-    for name in tensors:
-        m = _LAYER_NAME.fullmatch(name)
-        if m is None:
-            raise ValueError(f"{path}: unexpected tensor name {name!r} in checkpoint")
-        idx, kind = int(m.group(1)), m.group(2)
-        slot = weights if kind == "weight" else biases
-        if idx in slot:
-            raise ValueError(f"{path}: {slot[idx]!r} and {name!r} are both layer.{idx}.{kind}")
-        slot[idx] = name
-    if not weights:
-        raise ValueError(f"{path}: checkpoint contains no layer weights")
-    dtypes = {str(arr.dtype) for arr in tensors.values()}
-    if len(dtypes) > 1:
-        raise ValueError(f"{path}: mixed tensor dtypes in checkpoint: {sorted(dtypes)}")
-    num = len(weights)
-    missing = [i for i in range(1, num + 1) if i not in weights]
-    if missing or max(weights) != num:
-        raise ValueError(
-            f"{path}: layer indices must be 1..{num} contiguous, got {sorted(weights)}")
-    stray = sorted(set(biases) - set(weights))
-    if stray:
-        raise ValueError(f"{path}: bias without matching weight for layers {stray}")
-
-    layers = []
-    for i in range(1, num + 1):
-        w = tensors.pop(weights[i])
-        b = tensors.pop(biases[i]) if i in biases else None
-        try:
-            if w.ndim != 2:
-                raise ValueError(f"layer weight must be 2-D, got shape {w.shape}")
-            if b is not None and (b.ndim != 1 or b.size != w.shape[0]):
-                raise ValueError(f"bias length {b.shape} does not match output dim {w.shape[0]}")
-            columns = [w] if b is None else [w, b[:, None]]
-            layers.append(Layer(np.concatenate(columns, axis=1, dtype=np.float64), b is not None))
-        except ValueError as exc:
-            raise ValueError(f"{path}: layer.{i}: {exc}") from exc
-    try:
-        return ProjectorCheckpoint(id=Path(path).stem, layers=tuple(layers), dtype=dtypes.pop())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    """`open_checkpoint` with every layer read into memory; its id is the file stem."""
+    with open_checkpoint(path) as ckpt:
+        return replace(ckpt, layers=tuple(ckpt.layers))
 
 
 def save_checkpoint(path, ckpt: ProjectorCheckpoint) -> None:

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pivotmerge import Layer, ProjectorCheckpoint
+from pivotmerge import Layer, ProjectorCheckpoint, tensorstore
 
 
 def rel_error(a, b):
@@ -37,3 +39,17 @@ def make_checkpoint(ckpt_id, rng, chain, with_bias=True, scale=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def tensor_reads(monkeypatch):
+    """Every container tensor read from here on, as (file stem, tensor name), in read order."""
+    reads = []
+    real = tensorstore._read_tensor
+
+    def counted(path, fh, entry):
+        reads.append((Path(path).stem, entry.name))
+        return real(path, fh, entry)
+
+    monkeypatch.setattr(tensorstore, "_read_tensor", counted)
+    return reads

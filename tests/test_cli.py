@@ -1,10 +1,15 @@
 import json
+import os
+import threading
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pivotmerge import NumericalError, joint_decompose, load_checkpoint, read_scores
+from pivotmerge import (NumericalError, joint_decompose, load_checkpoint, read_container,
+                        read_scores, write_container)
 from pivotmerge.cli import main
 from conftest import checkpoint_rel_error
 
@@ -18,6 +23,19 @@ def synth_dir(tmp_path):
 
 def expert_paths(synth_dir):
     return sorted(str(p) for p in synth_dir.glob("expert*.tensors"))
+
+
+def input_flags(synth_dir):
+    return ["--base", str(synth_dir / "base.tensors")] + [
+        arg for p in expert_paths(synth_dir) for arg in ("--expert", p)]
+
+
+def command_args(command, synth_dir, out):
+    """Arguments of `merge --method command`, or of `analyze --mode command`, on the synth inputs."""
+    if command in ("residual-sim", "principal-angles"):
+        return ["analyze", "--mode", command, *input_flags(synth_dir), "--out", str(out)]
+    scores = ["--scores", str(synth_dir / "scores.json")] if command == "pivot" else []
+    return ["merge", "--method", command, *input_flags(synth_dir), "--out", str(out), *scores]
 
 
 def test_synth_outputs(synth_dir):
@@ -193,7 +211,7 @@ def test_analyze_duplicate_expert_paths_rejected(synth_dir, tmp_path):
     assert exc.value.code == 2
 
 
-def test_merge_layout_mismatch_is_usage_error(synth_dir, tmp_path, capsys):
+def test_merge_layout_mismatch_is_usage_error(synth_dir, tmp_path, capsys, tensor_reads):
     other = tmp_path / "other"
     assert main(["synth", "--out", str(other), "--dims", "8,16,12", "--experts", "2"]) == 0
     out = tmp_path / "x.tensors"
@@ -204,6 +222,103 @@ def test_merge_layout_mismatch_is_usage_error(synth_dir, tmp_path, capsys):
     assert exc.value.code == 2
     assert "'expert02' layer shapes" in capsys.readouterr().err
     assert not out.exists()
+    # The layouts come from the headers: no layer was read.
+    assert tensor_reads == []
+
+
+@pytest.mark.parametrize("command", ["pivot", "ties", "dare-ties", "residual-sim",
+                                     "principal-angles"])
+def test_every_input_tensor_is_read_exactly_once(synth_dir, tmp_path, tensor_reads, command):
+    stems = ["base"] + [Path(p).stem for p in expert_paths(synth_dir)]
+    expected = Counter((stem, name) for stem in stems
+                       for name in read_container(synth_dir / f"{stem}.tensors"))
+    tensor_reads.clear()
+    assert main(command_args(command, synth_dir, tmp_path / "out")) == 0
+    assert Counter(tensor_reads) == expected
+    assert set(expected.values()) == {1}
+
+
+@pytest.mark.parametrize("victim, name, bad", [
+    ("expert03", "layer.2.bias", np.nan),
+    ("base", "layer.2.weight", np.inf),
+], ids=["expert-bias-nan", "base-weight-inf"])
+@pytest.mark.parametrize("command", ["pivot", "ties", "residual-sim"])
+def test_a_bad_last_layer_fails_after_layer_one_without_output(synth_dir, tmp_path, capsys,
+                                                              tensor_reads, command, victim,
+                                                              name, bad):
+    path = synth_dir / f"{victim}.tensors"
+    tensors = read_container(path)
+    tensors[name].flat[-1] = bad
+    write_container(path, tensors)
+    out, diag = tmp_path / "out", tmp_path / "diag.json"
+    args = command_args(command, synth_dir, out)
+    if args[0] == "merge":
+        args += ["--diagnostics", str(diag)]
+    tensor_reads.clear()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    kind = name.rsplit(".", 1)[1]
+    assert err.startswith("error: ")
+    assert f"{victim}.tensors: layer.2: layer {kind} contains NaN or Inf" in err
+    # Every input's first layer was read before the fault showed.
+    assert {stem for stem, tensor in tensor_reads if tensor == "layer.1.weight"} == {
+        "base", *(Path(p).stem for p in expert_paths(synth_dir))}
+    assert not out.exists() and not diag.exists()
+
+    if args[0] == "merge":
+        out.write_bytes(b"earlier merge")
+        kept = {out: b"earlier merge"}
+    else:
+        out.mkdir()
+        (out / "summary.json").write_text("{}\n")
+        kept = {out / "summary.json": b"{}\n"}
+    diag.write_bytes(b"earlier diagnostics")
+    kept[diag] = b"earlier diagnostics"
+    assert main(args) == 1
+    assert {p: p.read_bytes() for p in kept} == kept
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diag.json", "out", "synth"]
+    if args[0] == "analyze":
+        assert [p.name for p in out.iterdir()] == ["summary.json"]
+
+
+def test_merge_reads_the_base_from_a_pipe(synth_dir, tmp_path):
+    args = command_args("pivot", synth_dir, tmp_path / "from-file.tensors")
+    assert main(args + ["--diagnostics", str(tmp_path / "from-file.json")]) == 0
+    fifo = tmp_path / "base.tensors"
+    os.mkfifo(fifo)
+    blob = (synth_dir / "base.tensors").read_bytes()
+    writer = threading.Thread(target=lambda: fifo.write_bytes(blob))
+    writer.start()
+    args = command_args("pivot", synth_dir, tmp_path / "from-pipe.tensors")
+    args[args.index("--base") + 1] = str(fifo)
+    assert main(args + ["--diagnostics", str(tmp_path / "from-pipe.json")]) == 0
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (tmp_path / "from-pipe.tensors").read_bytes() == \
+        (tmp_path / "from-file.tensors").read_bytes()
+    assert (tmp_path / "from-pipe.json").read_bytes() == (tmp_path / "from-file.json").read_bytes()
+
+
+def test_pivot_merge_holds_no_float64_copy_of_its_inputs(tmp_path):
+    # Eight 64x65 layers, N=4, in units of one float64 checkpoint (266 KiB):
+    # tracemalloc put one merge at 8.6 (2245 KiB) when the base and the
+    # experts were loaded whole, and at 4.0 (1044 KiB) with each layer read
+    # when the kernel needs it.
+    inputs = tmp_path / "in"
+    assert main(["synth", "--out", str(inputs), "--dims", ",".join(["64"] * 9),
+                 "--experts", "4", "--core-rank", "2", "--seed", "6"]) == 0
+    args = command_args("pivot", inputs, tmp_path / "merged.tensors") + ["--rank", "4"]
+    assert main(args) == 0
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    checkpoint = 8 * 64 * 65 * 8
+    assert peak - before < 8.6 / 2 * checkpoint
 
 
 def test_analyze_residual_sim_identical_experts(synth_dir, tmp_path):

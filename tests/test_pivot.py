@@ -213,6 +213,16 @@ def test_joint_decompose_rejects_non_finite_deltas(shape, bad):
         joint_decompose([delta, delta + 1.0])
 
 
+@pytest.mark.parametrize("deltas, message", [
+    ([np.ones(3)], r"delta 0 has shape \(3,\), expected a 2-D \(3,\)"),
+    ([np.ones((2, 3, 4)), np.ones((2, 3, 4))], r"delta 0 has shape \(2, 3, 4\), expected a 2-D"),
+    ([np.ones((4, 3)), np.ones(3)], r"delta 1 has shape \(3,\), expected a 2-D \(4, 3\)"),
+], ids=["1d-first", "3d-first", "1d-second"])
+def test_joint_decompose_rejects_a_delta_that_is_not_2d(deltas, message):
+    with pytest.raises(ValueError, match=message):
+        joint_decompose(deltas)
+
+
 def test_joint_decompose_tall_keeps_direct_svd(rng, monkeypatch):
     deltas = [rng.standard_normal((30, 6)) for _ in range(2)]
     ref = thin_svd(np.concatenate(deltas, axis=1))

@@ -14,6 +14,7 @@ from pivotmerge import (
     Layer,
     ProjectorCheckpoint,
     load_checkpoint,
+    open_checkpoint,
     read_container,
     save_checkpoint,
     write_container,
@@ -464,6 +465,103 @@ def test_second_tensor_for_one_layer_rejected(tmp_path, alias, message):
         load_checkpoint(path)
 
 
+def test_open_checkpoint_reads_one_layer_when_it_is_indexed(tmp_path, tensor_reads):
+    path = tmp_path / "ck.tensors"
+    write_container(path, _checkpoint_tensors())
+    with open_checkpoint(path) as ck:
+        assert (ck.id, ck.num_layers, ck.has_bias, ck.dtype) == ("ck", 2, True, "float64")
+        assert ck.layer_shapes() == ((4, 3), (5, 4))
+        assert tensor_reads == []
+        second = ck.layers[1]
+        assert tensor_reads == [("ck", "layer.2.weight"), ("ck", "layer.2.bias")]
+        layers = list(ck.layers)
+    for got, want in zip(layers, load_checkpoint(path).layers):
+        np.testing.assert_array_equal(got.matrix, want.matrix)
+        assert got.has_bias and got.matrix.flags.owndata
+    np.testing.assert_array_equal(second.matrix, layers[1].matrix)
+    # The file is closed when the block ends.
+    with pytest.raises(ValueError, match="closed file"):
+        ck.layers[0]
+
+
+@pytest.mark.parametrize("tensors, message", [
+    ({"layer.1.weight": np.zeros((4, 3)), "layer.3.weight": np.zeros((5, 4))}, "contiguous"),
+    (_checkpoint_tensors(with_bias=False) | {"layer.1.bias": np.ones(4)},
+     "inconsistent bias presence"),
+    (_checkpoint_tensors() | {"layer.2.weight": np.zeros(4)},
+     r"layer\.2: layer weight must be 2-D, got shape \(4,\)"),
+    (_checkpoint_tensors() | {"layer.2.bias": np.ones(3)},
+     r"layer\.2: bias length \(3,\) does not match output dim 5"),
+    ({"layer.1.weight": np.zeros((4, 3)), "layer.2.weight": np.zeros((5, 6))}, "shape chain broken"),
+    (_checkpoint_tensors() | {"layer.2.bias": np.ones(5, dtype=np.float32)}, "mixed tensor dtypes"),
+    (_checkpoint_tensors() | {"layer.02.bias": np.ones(5)}, "are both layer.2.bias"),
+    ({"layer.1.weight": np.zeros((4, 3)), "layer.2.bias": np.ones(4)}, "bias without matching weight"),
+    ({"layer.1.weight": np.zeros((4, 3)), "extra": np.ones(4)}, "unexpected tensor name 'extra'"),
+], ids=["gap", "bias-presence", "1d-weight", "bias-length", "chain", "mixed-dtypes", "alias",
+        "stray-bias", "stray-name"])
+def test_open_checkpoint_checks_the_whole_header_before_any_read(tmp_path, tensor_reads,
+                                                                 tensors, message):
+    path = tmp_path / "bad.tensors"
+    write_container(path, tensors)
+    with pytest.raises(ValueError, match=r"bad\.tensors: .*" + message):
+        with open_checkpoint(path):
+            pass
+    with pytest.raises(ValueError, match=r"bad\.tensors: .*" + message):
+        load_checkpoint(path)
+    assert tensor_reads == []
+
+
+@pytest.mark.parametrize("kind", ["weight", "bias"])
+def test_a_non_finite_layer_fails_when_it_is_read(tmp_path, kind):
+    ts = _checkpoint_tensors()
+    ts[f"layer.2.{kind}"].flat[-1] = np.nan
+    path = tmp_path / "bad.tensors"
+    write_container(path, ts)
+    with open_checkpoint(path) as ck:
+        np.testing.assert_array_equal(ck.layers[0].weight, ts["layer.1.weight"])
+        with pytest.raises(ValueError, match=rf"bad\.tensors: layer\.2: layer {kind} contains NaN"):
+            ck.layers[1]
+
+
+@pytest.mark.parametrize("keep, layer, tensor", [
+    (-8, 1, "layer.2.weight"),
+    (0, 0, "layer.1.weight"),
+], ids=["last-tensor", "whole-payload"])
+def test_file_cut_after_open_fails_naming_path_and_tensor(tmp_path, tensor_reads, keep, layer,
+                                                         tensor):
+    # The payload is in sorted-name order, so layer.2.weight is its last tensor.
+    # Both weights are larger than the read buffer that holds the header.
+    path = tmp_path / "cut.tensors"
+    write_container(path, {"layer.1.weight": np.ones((64, 32)), "layer.1.bias": np.ones(64),
+                           "layer.2.weight": np.ones((64, 64)), "layer.2.bias": np.ones(64)})
+    (header_len,) = struct.unpack_from("<Q", path.read_bytes())
+    with open_checkpoint(path) as ck:
+        os.truncate(path, os.path.getsize(path) + keep if keep else 8 + header_len)
+        for li in range(layer):
+            ck.layers[li]
+        with pytest.raises(ContainerError,
+                           match=rf"cut\.tensors: truncated file \(entry '{tensor}' ends past payload\)"):
+            ck.layers[layer]
+    assert tensor_reads[-1] == ("cut", tensor)
+
+
+def test_open_checkpoint_serves_a_pipe_from_memory(tmp_path):
+    path = tmp_path / "ck.tensors"
+    write_container(path, _checkpoint_tensors())
+    fifo = tmp_path / "piped"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+    writer.start()
+    with open_checkpoint(fifo) as ck:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (ck.id, ck.layer_shapes()) == ("piped", ((4, 3), (5, 4)))
+        layers = [ck.layers[1], ck.layers[0], ck.layers[1]]
+    want = load_checkpoint(path).layers
+    for got, li in zip(layers, (1, 0, 1)):
+        np.testing.assert_array_equal(got.matrix, want[li].matrix)
+
+
 def test_save_checkpoint_roundtrip(tmp_path, rng):
     from conftest import make_checkpoint
     ck = make_checkpoint("orig", rng, [3, 4, 2])
@@ -676,7 +774,7 @@ def test_layer_deltas_holds_one_matrix_per_expert():
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        deltas = layer_deltas(experts, base, 0)
+        deltas = layer_deltas(experts, base.layers[0], 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
