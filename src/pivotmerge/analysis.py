@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import ZERO_NORM, _basis_angles, cosine, orthonormal_basis
-from .pivot import (PivotConfig, _decouple_owned, _delta_stack, _dense, _filter_owned,
-                    _joint_owned)
+from .pivot import (PivotConfig, _decouple_owned, _dense, _filter_owned, _joint_owned,
+                    task_vectors)
 from .tensorstore import ProjectorCheckpoint, atomic_write, sorted_experts, write_json
 
 
@@ -136,7 +136,7 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
     """The one per-layer pass behind both analysis modes: per-model parts and filter stats.
 
     Experts are handled in lexicographic id order, matching the merge. Each
-    layer's delta stack (`pivot._delta_stack`) goes through the joint step
+    layer's delta stack (`pivot.task_vectors`) goes through the joint step
     (`pivot._joint_owned`) and is dropped with U, so only one layer's deltas
     are alive at a time; then decoupling (`pivot._decouple_owned`) and
     filtering (`pivot._filter_owned`) overwrite the blocks. Without
@@ -160,7 +160,7 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
     filt_parts = [[] for _ in ordered]
     layer_stats = []
     for li in range(base.num_layers):
-        stack = _delta_stack(ordered, base.layers[li], li)
+        stack = task_vectors(ordered, base.layers[li], li)
         if sources:
             for i, parts in enumerate(raw_parts):
                 parts.append(stack[:, i].copy())

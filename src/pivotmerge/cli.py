@@ -8,9 +8,13 @@ Subcommands::
 
 Exit codes: 0 on success, 1 on computation failure, 2 on usage errors,
 including an expert set with duplicate ids or a layout that does not match
-the base. Experts are always processed in lexicographic id order regardless
-of flag order. Layers run serially; BLAS threads are the only parallelism,
-and output is byte-identical run to run at a fixed BLAS thread count.
+the base. Each value is checked once, by the object that holds it: the
+`PivotConfig`, `MergeOperator` or `SynthSpec` built from the flags before any
+input is opened, whose rejection is a usage error naming the flag, or the
+`ScoreTable` read from the score file. Experts are always processed in
+lexicographic id order regardless of flag order. Layers run serially; BLAS
+threads are the only parallelism, and output is byte-identical run to run
+at a fixed BLAS thread count.
 
 `merge` and `analyze` open the base and every expert with
 `tensorstore.open_checkpoint` under one `contextlib.ExitStack`, so every
@@ -57,13 +61,12 @@ DEFAULT_LAMBDA = 1.0
 DEFAULT_DROP = 0.5
 DEFAULT_SEED = 0
 DEFAULT_INNER = "ties"
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+# The flag that sets each field of PivotConfig, MergeOperator and SynthSpec.
+FLAGS = {"rank": "--rank", "gamma": "--gamma", "rho": "--rho", "beta": "--beta",
+         "trim_fraction": "--trim", "scale": "--lambda", "drop_rate": "--drop",
+         "dims": "--dims", "experts": "--experts", "core_rank": "--core-rank",
+         "residual_scale": "--residual-scale", "shared_residual_fraction": "--shared-fraction",
+         "noise_scale": "--noise-scale"}
 
 
 def _add_checkpoint_flags(sub: argparse.ArgumentParser) -> None:
@@ -75,7 +78,7 @@ def _add_checkpoint_flags(sub: argparse.ArgumentParser) -> None:
 def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
     """Decompose and score flags, read by both merge and analyze."""
     sub.add_argument("--scores", help="score JSON file (required for pivot and layer-weights)")
-    sub.add_argument("--rank", type=_positive_int,
+    sub.add_argument("--rank", type=int,
                      help=f"core rank (default {PivotConfig.rank})")
     sub.add_argument("--gamma", type=float,
                      help=f"mask sharpness (default {PivotConfig.gamma})")
@@ -121,10 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = subs.add_parser("synth", help="generate synthetic experts with a planted core")
     synth.add_argument("--out", required=True, help="output directory")
-    synth.add_argument("--experts", type=_positive_int, default=5)
+    synth.add_argument("--experts", type=int, default=5)
     synth.add_argument("--dims", default="8,16,16",
                        help="dimension chain d0,d1,...,dL (default 8,16,16)")
-    synth.add_argument("--core-rank", type=_positive_int, default=4)
+    synth.add_argument("--core-rank", type=int, default=4)
     synth.add_argument("--residual-scale", type=float, default=0.5)
     synth.add_argument("--shared-fraction", type=float, default=0.0)
     synth.add_argument("--noise-scale", type=float, default=0.01)
@@ -134,34 +137,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_pipeline_flags(parser: argparse.ArgumentParser, args) -> None:
-    if args.rho is not None and not 0.0 < args.rho < 1.0:
-        parser.error(f"--rho must be in (0, 1), got {args.rho}")
-    if args.gamma is not None and not args.gamma > 0.0:
-        parser.error(f"--gamma must be positive, got {args.gamma}")
-    if args.beta is not None and not args.beta > 0.0:
-        parser.error(f"--beta must be positive, got {args.beta}")
-
-
 def _reject_unread_flags(parser: argparse.ArgumentParser, args, flags, reads, reader: str) -> None:
     for name in flags:
         if getattr(args, name) is not None and name not in reads:
             parser.error(f"--{name} is not read by {reader}")
 
 
-def _check_operator_flags(parser: argparse.ArgumentParser, args) -> None:
-    if args.trim is not None and not 0.0 < args.trim <= 1.0:
-        parser.error(f"--trim must be in (0, 1], got {args.trim}")
-    if args.drop is not None and not 0.0 <= args.drop < 1.0:
-        parser.error(f"--drop must be in [0, 1), got {args.drop}")
-    lam = getattr(args, "lambda")
-    if lam is not None and not lam > 0.0:
-        parser.error(f"--lambda must be positive, got {lam}")
+@contextlib.contextmanager
+def _flag_errors(parser: argparse.ArgumentParser):
+    """Turn a settings object's ValueError, which begins with the field, into one naming the flag."""
+    try:
+        yield
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        parser.error(f"{FLAGS.get(field, field)} {rest}")
 
 
 def _pivot_config(args, **fields) -> PivotConfig:
-    """PivotConfig from the decompose flags given; PivotConfig holds the defaults."""
-    given = {name: getattr(args, name) for name in ("rank", "gamma", "rho")
+    """PivotConfig from the pipeline flags given; PivotConfig holds the defaults."""
+    given = {name: getattr(args, name) for name in ("rank", "gamma", "rho", "beta")
              if getattr(args, name) is not None}
     return PivotConfig(**given, **fields)
 
@@ -203,19 +197,17 @@ def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
     if args.method == "pivot":
         reads, reader = reads + READS[inner], f"{reader} --inner {inner}"
     _reject_unread_flags(parser, args, PIPELINE_FLAGS + OPERATOR_FLAGS, reads, reader)
-    _check_pipeline_flags(parser, args)
-    _check_operator_flags(parser, args)
-    if args.method == "pivot" and not args.scores:
+    pivot = args.method == "pivot"
+    with _flag_errors(parser):
+        op = _operator_for(inner if pivot else args.method, args, is_inner=pivot)
+        config = _pivot_config(args, inner=op) if pivot else None
+    if pivot and not args.scores:
         parser.error("--scores is required when --method is pivot")
     with contextlib.ExitStack() as stack:
         base, experts = _open_inputs(parser, stack, args)
-        if args.method == "pivot":
-            table = read_scores(args.scores)
-            config = _pivot_config(args, beta=args.beta,
-                                   inner=_operator_for(inner, args, is_inner=True))
-            merged, diagnostics = pivot_merge(experts, base, table, config)
+        if pivot:
+            merged, diagnostics = pivot_merge(experts, base, read_scores(args.scores), config)
         else:
-            op = _operator_for(args.method, args, is_inner=False)
             merged = merge_checkpoint_deltas(experts, base, op)
             diagnostics = {
                 "method": args.method,
@@ -237,12 +229,13 @@ def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
 def cmd_analyze(parser: argparse.ArgumentParser, args) -> int:
     _reject_unread_flags(parser, args, ("base", "expert") + PIPELINE_FLAGS, READS[args.mode],
                          f"--mode {args.mode}")
-    _check_pipeline_flags(parser, args)
+    with _flag_errors(parser):
+        config = _pivot_config(args)
     if args.mode == "layer-weights":
         if not args.scores:
             parser.error("--scores is required for --mode layer-weights")
         table = read_scores(args.scores)
-        beta = args.beta if args.beta is not None else table.beta
+        beta = _given(config.beta, table.beta)
         alpha = layer_weights(score_increments(table.scores), beta)
         analysis.emit_report(
             {"mode": args.mode, "expert_ids": list(table.expert_ids), "beta": beta,
@@ -255,7 +248,6 @@ def cmd_analyze(parser: argparse.ArgumentParser, args) -> int:
         parser.error(f"--base and --expert are required for --mode {args.mode}")
     if len(args.expert) < 2:
         parser.error(f"--mode {args.mode} needs at least two --expert checkpoints")
-    config = _pivot_config(args)
     with contextlib.ExitStack() as stack:
         base, experts = _open_inputs(parser, stack, args)
         ids = [e.id for e in experts]
@@ -289,17 +281,11 @@ def cmd_synth(parser: argparse.ArgumentParser, args) -> int:
         chain = [int(part) for part in args.dims.split(",")]
     except ValueError:
         parser.error(f"--dims must be a comma-separated integer chain, got {args.dims!r}")
-    if not 0.0 <= args.shared_fraction <= 1.0:
-        parser.error(f"--shared-fraction must be in [0, 1], got {args.shared_fraction}")
-    if args.residual_scale < 0 or args.noise_scale < 0:
-        parser.error("--residual-scale and --noise-scale must be non-negative")
-    try:
+    with _flag_errors(parser):
         spec = SynthSpec.from_chain(chain, experts=args.experts, core_rank=args.core_rank,
                                     residual_scale=args.residual_scale,
                                     shared_residual_fraction=args.shared_fraction,
                                     noise_scale=args.noise_scale, seed=args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -75,17 +75,17 @@ class MergeOperator:
         needs_drop = self.kind == "dare_ties"
         if needs_trim:
             if self.trim_fraction is None or not 0.0 < self.trim_fraction <= 1.0:
-                raise ValueError(f"{self.kind} requires trim_fraction in (0, 1], got {self.trim_fraction}")
+                raise ValueError(f"trim_fraction must be in (0, 1], got {self.trim_fraction}")
         elif self.trim_fraction is not None:
             raise ValueError(f"trim_fraction is not a parameter of {self.kind}")
         if needs_scale:
-            if self.scale is None or not self.scale > 0.0:
-                raise ValueError(f"task_arithmetic requires scale > 0, got {self.scale}")
+            if self.scale is None or not 0.0 < self.scale < math.inf:
+                raise ValueError(f"scale must be positive and finite, got {self.scale}")
         elif self.scale is not None:
             raise ValueError(f"scale is not a parameter of {self.kind}")
         if needs_drop:
             if self.drop_rate is None or not 0.0 <= self.drop_rate < 1.0:
-                raise ValueError(f"dare_ties requires drop_rate in [0, 1), got {self.drop_rate}")
+                raise ValueError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
             if self.seed is None:
                 raise ValueError("dare_ties requires a seed")
         else:
@@ -222,8 +222,7 @@ def _merge_chunk(w: np.ndarray, flats: list[np.ndarray], kept: np.ndarray | None
 
 def ties(mats: Sequence, weights: Sequence[float], trim_fraction: float) -> np.ndarray:
     """Trim-elect-merge: see the module docstring for the pinned semantics."""
-    if not 0.0 < trim_fraction <= 1.0:
-        raise ValueError(f"trim_fraction must be in (0, 1], got {trim_fraction}")
+    MergeOperator.ties(trim_fraction)  # the range check
     arrs = _as_stack(mats)
     w = _validated_weights(weights, len(arrs))
     for i, a in enumerate(arrs):
@@ -249,8 +248,7 @@ def dare(mat, drop_rate: float, seed: int, stream: int = 0) -> np.ndarray:
 
     The dropout pattern is a pure function of (seed, stream, entry index).
     """
-    if not 0.0 <= drop_rate < 1.0:
-        raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
+    MergeOperator.dare_ties(1.0, drop_rate, seed)  # the range check
     arr = np.asarray(mat, dtype=np.float64)
     if drop_rate == 0.0:
         return arr.copy()
@@ -286,10 +284,16 @@ def merge_checkpoint_deltas(experts: Sequence[ProjectorCheckpoint],
     """Merge expert checkpoints through their augmented task vectors, uniformly weighted.
 
     Experts are processed in lexicographic id order; biases ride along as the
-    last column of each layer matrix. Output dtype follows the base.
+    last column of each layer matrix. Output dtype follows the base. A merged
+    layer that overflows float64 raises ValueError naming the layer.
     """
     ordered = sorted_experts(experts, base)
     w = [1.0] * len(ordered)
-    merged_layers = [add_delta(layer, merge_weighted(op, layer_deltas(ordered, layer, li), w))
-                     for li, layer in enumerate(base.layers)]
+    merged_layers = []
+    for li, layer in enumerate(base.layers):
+        delta = merge_weighted(op, layer_deltas(ordered, layer, li), w)
+        try:
+            merged_layers.append(add_delta(layer, delta))
+        except ValueError as exc:
+            raise ValueError(f"merged layer {li + 1} overflowed: {exc}") from None
     return ProjectorCheckpoint(id="merged", layers=tuple(merged_layers), dtype=base.dtype)

@@ -29,8 +29,9 @@ copy is formed, and then runs the plain operator.
 
 Working set: each stage has an owned variant that overwrites the per-expert
 blocks it is given; the merge kernel calls them in order (`_joint_owned`,
-`_decouple_owned`, `_filter_owned`, `_merge_owned`), and the public stage
-functions copy their inputs and run the same code. Counted in layer blocks
+`_decouple_owned`, `_filter_owned`, `_merge_owned`) on settings PivotConfig
+has checked, and the public stage functions check and copy their inputs and
+run the same code. Counted in layer blocks
 with N experts: the joint step fills one (d_out, N * w) concatenation
 expert by expert, factors it as it is and projects each coefficient block
 from its delta's column slice, 2N + 1 blocks with U at the peak. Decoupling
@@ -45,6 +46,7 @@ memory, not tracemalloc, sizes the gain.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -54,8 +56,8 @@ import numpy as np
 from .linalg import (RANK_RTOL, ZERO_NORM, _canonical_signs, _gram_certified, _gram_eigh,
                      _rank_factors, sigmoid, thin_svd)
 from .operators import MergeOperator, merge_weighted
-from .scores import ScoreTable, layer_weights, score_increments, threshold_from_ratio
-from .tensorstore import Layer, ProjectorCheckpoint, add_delta, layer_deltas, sorted_experts
+from .scores import ScoreTable, _check_beta, layer_weights, score_increments, threshold_from_ratio
+from .tensorstore import Layer, ProjectorCheckpoint, add_delta, sorted_experts
 
 # Rows whose singular value falls below this pass through as zero when
 # un-scaling from the spectrum-weighted space.
@@ -100,19 +102,30 @@ class PivotConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-        if self.beta is not None and not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if self.beta is not None:
+            _check_beta(self.beta)
 
 
-def task_vectors(experts: Sequence[ProjectorCheckpoint],
-                 base: ProjectorCheckpoint) -> list[list[np.ndarray]]:
-    """Per-layer lists of augmented deltas (expert minus base), experts in id order."""
-    ordered = sorted_experts(experts, base)
-    return [layer_deltas(ordered, layer, li) for li, layer in enumerate(base.layers)]
+def task_vectors(experts: Sequence[ProjectorCheckpoint], base_layer: Layer,
+                 layer_index: int) -> np.ndarray:
+    """One layer's (d_out, N, w) augmented delta stack against `base_layer`, experts as given.
+
+    Each delta is written into its slice, and each expert's layer is read
+    once and dropped once its delta is written.
+    """
+    base_mat = base_layer.matrix
+    stack = np.empty((base_mat.shape[0], len(experts), base_mat.shape[1]))
+    for i, ck in enumerate(experts):
+        mat = ck.layers[layer_index].matrix
+        if mat.shape != base_mat.shape:  # np.subtract would broadcast a (d_out, 1) matrix
+            raise ValueError(f"expert {ck.id!r} layer {layer_index + 1} has shape {mat.shape}")
+        np.subtract(mat, base_mat, out=stack[:, i])
+        del mat  # freed before the next expert's layer is read
+    return stack
 
 
 def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
@@ -135,14 +148,18 @@ def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
     projected from its delta's column slice of C, which is freed once the
     blocks exist.
     """
-    n = len(deltas)
-    if n < 1:
-        raise ValueError("need at least one delta matrix")
-    mats = [np.asarray(d, dtype=np.float64) for d in deltas]
-    for i, m in enumerate(mats):
-        if m.ndim != 2 or m.shape != mats[0].shape:
-            raise ValueError(f"delta {i} has shape {m.shape}, expected a 2-D {mats[0].shape}")
-    return _joint_owned(np.stack(mats, axis=1))
+    return _joint_owned(np.stack(_blocks(deltas, "delta"), axis=1))
+
+
+def _blocks(mats: Sequence[np.ndarray], what: str) -> list[np.ndarray]:
+    """A public stage's per-expert input as float64 arrays, checked to be equal-shape 2-D blocks."""
+    blocks = [np.asarray(m, dtype=np.float64) for m in mats]
+    if not blocks:
+        raise ValueError(f"need at least one {what}")
+    for i, b in enumerate(blocks):
+        if b.ndim != 2 or b.shape != blocks[0].shape:
+            raise ValueError(f"{what} {i} has shape {b.shape}, expected a 2-D {blocks[0].shape}")
+    return blocks
 
 
 def _joint_owned(stack: np.ndarray) -> SharedSpaceLayer:
@@ -191,13 +208,8 @@ def decouple(coeffs: Sequence[np.ndarray], rank: int) -> DecoupledLayer:
     code on the blocks it owns: each residual is formed in its block's
     storage, and each core stays as its rank-r factors until the merge.
     """
-    blocks = [np.array(c, dtype=np.float64) for c in coeffs]
-    if not blocks:
-        raise ValueError("need at least one coefficient block")
-    for i, b in enumerate(blocks):
-        if b.ndim != 2 or b.shape != blocks[0].shape:
-            raise ValueError(f"coefficient block {i} has shape {b.shape}, "
-                             f"expected a 2-D {blocks[0].shape}")
+    PivotConfig(rank=rank)  # the range check
+    blocks = [b.copy() for b in _blocks(coeffs, "coefficient block")]
     cores, effective_rank, _ = _decouple_owned(blocks, rank)
     return DecoupledLayer(cores=tuple(_dense(c) for c in cores), residuals=tuple(blocks),
                           effective_rank=effective_rank)
@@ -214,8 +226,6 @@ def _decouple_owned(blocks: list[np.ndarray], rank: int
     lambda) / sum(lambda) of each block's Gram eigenvalues: 1.0 at full
     rank, None for a zero block.
     """
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
     k, w = blocks[0].shape
     max_rank = min(k, w)
     if max_rank == 0:
@@ -251,7 +261,8 @@ def filter_residuals(residuals: Sequence[np.ndarray], gamma: float, rho: float
     the residuals it owns. Besides the N blocks, the filter holds one row
     chunk of unit rows per expert and one temporary block.
     """
-    mats = [np.array(b, dtype=np.float64) for b in residuals]
+    PivotConfig(gamma=gamma, rho=rho)  # the range checks
+    mats = [b.copy() for b in _blocks(residuals, "residual")]
     mask, consistencies, tau, _ = _filter_owned(mats, gamma, rho)
     return tuple(mats), mask, consistencies, tau
 
@@ -264,16 +275,8 @@ def _filter_owned(mats: list[np.ndarray], gamma: float, rho: float
     over raw L1 mass, before compensation: 1.0 for a single expert, None for
     a zero residual.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
     n = len(mats)
-    if n < 1:
-        raise ValueError("need at least one residual")
-    shape = mats[0].shape
-    for i, m in enumerate(mats):
-        if m.ndim != 2 or m.shape != shape:
-            raise ValueError(f"residual {i} has shape {m.shape}, expected a 2-D {shape}")
-    k = shape[0]
+    k = mats[0].shape[0]
     if n == 1 or k == 0:
         ones = np.ones(k)
         return ones, ones.copy(), None, [1.0 if m.any() else None for m in mats]
@@ -386,19 +389,6 @@ def reconstruct(shared: SharedSpaceLayer, merged_coeffs: np.ndarray,
     return add_delta(base_layer, (shared.u * shared.s) @ merged_coeffs)
 
 
-def _delta_stack(ordered: Sequence[ProjectorCheckpoint], base_layer: Layer,
-                 layer_index: int) -> np.ndarray:
-    """One layer's (d_out, N, w) delta stack against `base_layer`, each delta written into its slice.
-
-    Each expert's layer is read once and dropped once its delta is written.
-    """
-    base_mat = base_layer.matrix
-    stack = np.empty((base_mat.shape[0], len(ordered), base_mat.shape[1]))
-    for i, ck in enumerate(ordered):
-        np.subtract(ck.layers[layer_index].matrix, base_mat, out=stack[:, i])
-    return stack
-
-
 def _merge_one_layer(layer_index: int, ordered: Sequence[ProjectorCheckpoint],
                      base: ProjectorCheckpoint, alphas_col: np.ndarray, config: PivotConfig
                      ) -> tuple[Layer, dict]:
@@ -407,7 +397,7 @@ def _merge_one_layer(layer_index: int, ordered: Sequence[ProjectorCheckpoint],
     The base layer is read once and serves both the deltas and the reconstruction.
     """
     base_layer = base.layers[layer_index]
-    shared = _joint_owned(_delta_stack(ordered, base_layer, layer_index))
+    shared = _joint_owned(task_vectors(ordered, base_layer, layer_index))
     shared, blocks = replace(shared, coeffs=()), list(shared.coeffs)
     cores, effective_rank, energy = _decouple_owned(blocks, config.rank)
     mask, consistencies, tau, kept = _filter_owned(blocks, config.gamma, config.rho)
@@ -424,7 +414,10 @@ def _merge_one_layer(layer_index: int, ordered: Sequence[ProjectorCheckpoint],
         "joint_tail": shared.joint_tail,
     }
     merged_coeffs = _merge_owned(shared.s, cores, blocks, alphas_col, config.inner)
-    return reconstruct(shared, merged_coeffs, base_layer), record
+    try:
+        return reconstruct(shared, merged_coeffs, base_layer), record
+    except ValueError as exc:
+        raise ValueError(f"merged layer {layer_index + 1} overflowed: {exc}") from None
 
 
 def pivot_merge(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,

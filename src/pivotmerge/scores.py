@@ -52,8 +52,7 @@ class ScoreTable:
             raise ValueError(f"scores must be (num_experts, num_layers), got {s.shape}")
         if not np.all(np.isfinite(s)):
             raise ValueError("scores contain NaN or Inf")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        _check_beta(self.beta)
         object.__setattr__(self, "expert_ids", ids)
         object.__setattr__(self, "scores", s)
 
@@ -68,6 +67,12 @@ class ScoreTable:
         if missing:
             raise ValueError(f"score table is missing experts: {missing}")
         return self.scores[[index[eid] for eid in expert_ids]]
+
+
+def _check_beta(beta: float) -> None:
+    """The softmax temperature's range, for every holder of a beta."""
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
 
 
 def _rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -123,8 +128,7 @@ def layer_weights(increments, beta: float) -> np.ndarray:
     float64 at extreme temperatures. A beta so small that increments / beta
     overflows float64 raises ValueError.
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
     inc = np.asarray(increments, dtype=np.float64)
     if inc.ndim != 2:
         raise ValueError(f"increments must be (num_experts, num_layers), got {inc.shape}")

@@ -14,6 +14,7 @@ returned as ground truth for recovery scoring.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -54,8 +55,9 @@ class SynthSpec:
             raise ValueError(f"experts must be >= 1, got {self.experts}")
         if self.core_rank < 1:
             raise ValueError(f"core_rank must be >= 1, got {self.core_rank}")
-        if self.residual_scale < 0 or self.noise_scale < 0:
-            raise ValueError("scales must be non-negative")
+        for name in ("residual_scale", "noise_scale"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)}")
         if not 0.0 <= self.shared_residual_fraction <= 1.0:
             raise ValueError(
                 f"shared_residual_fraction must be in [0, 1], got {self.shared_residual_fraction}")
@@ -69,7 +71,7 @@ class SynthSpec:
         """Build a spec from a dimension chain [d0, d1, ..., dL]."""
         sizes = [int(d) for d in chain]
         if len(sizes) < 2:
-            raise ValueError("dimension chain needs at least two entries")
+            raise ValueError(f"dims chain needs at least two entries, got {sizes}")
         dims = tuple((sizes[i + 1], sizes[i]) for i in range(len(sizes) - 1))
         return SynthSpec(dims=dims, experts=experts, core_rank=core_rank, **kwargs)
 

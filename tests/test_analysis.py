@@ -194,7 +194,7 @@ def check_one_layer_of_deltas_at_a_time(monkeypatch, collect):
     base, experts, _ = generate(spec)
     config = PivotConfig(rank=2)
     events = []
-    real_deltas, real_joint, real_decouple = (analysis._delta_stack, analysis._joint_owned,
+    real_deltas, real_joint, real_decouple = (analysis.task_vectors, analysis._joint_owned,
                                               analysis._decouple_owned)
 
     def deltas(ordered, base_ck, li):
@@ -209,13 +209,14 @@ def check_one_layer_of_deltas_at_a_time(monkeypatch, collect):
         events.append("decouple")
         return real_decouple(blocks, rank)
 
-    monkeypatch.setattr(analysis, "_delta_stack", deltas)
+    monkeypatch.setattr(analysis, "task_vectors", deltas)
     monkeypatch.setattr(analysis, "_joint_owned", joint)
     monkeypatch.setattr(analysis, "_decouple_owned", decouple_owned)
     raw, filt = collect(list(reversed(experts)), base, config)[:2]
     # Each layer's deltas are built and decoupled before the next layer's deltas.
     assert events == [e for li in range(3) for e in (("deltas", li), "joint", "decouple")]
-    delta_layers = task_vectors(experts, base)
+    delta_layers = [list(np.moveaxis(task_vectors(experts, layer, li), 1, 0))
+                    for li, layer in enumerate(base.layers)]
     decs = [decouple(joint_decompose(d).coeffs, config.rank) for d in delta_layers]
     filts = [filter_residuals(d.residuals, config.gamma, config.rho)[0] for d in decs]
     for i in range(len(experts)):
@@ -272,7 +273,8 @@ def test_collect_coefficients_matches_the_stagewise_formula():
     base, experts, _ = generate(spec)
     config = PivotConfig(rank=3)
     raw, filt = collect_coefficients(experts, base, config)
-    delta_layers = task_vectors(experts, base)
+    delta_layers = [list(np.moveaxis(task_vectors(experts, layer, li), 1, 0))
+                    for li, layer in enumerate(base.layers)]
     coeff_layers = []
     for deltas in delta_layers:
         dec = decouple(joint_decompose(deltas).coeffs, config.rank)

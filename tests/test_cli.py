@@ -10,6 +10,7 @@ import pytest
 
 from pivotmerge import (NumericalError, joint_decompose, load_checkpoint, read_container,
                         read_scores, write_container)
+from pivotmerge import cli
 from pivotmerge.cli import main
 from conftest import checkpoint_rel_error
 
@@ -559,10 +560,13 @@ def test_analyze_requires_experts(synth_dir, tmp_path):
     assert exc.value.code == 2
 
 
-def test_synth_rejects_bad_dims(tmp_path):
+@pytest.mark.parametrize("dims", ["8,abc", "8,0", "8", "8,nan", "8,inf", "8,-inf"])
+def test_synth_rejects_bad_dims(tmp_path, capsys, dims):
     with pytest.raises(SystemExit) as exc:
-        main(["synth", "--out", str(tmp_path / "x"), "--dims", "8,abc"])
+        main(["synth", "--out", str(tmp_path / "x"), f"--dims={dims}"])
     assert exc.value.code == 2
+    assert "--dims" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_unknown_method_rejected(tmp_path):
@@ -571,3 +575,77 @@ def test_unknown_method_rejected(tmp_path):
               "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
 
+
+# Each numeric flag, the command that reads it, and a value outside its range; None where
+# every finite value is valid (a seed). NaN and both infinities are invalid for every flag.
+PIVOT = ["merge", "--method", "pivot", "--scores", "scores.json"]
+ANALYZE = {mode: ["analyze", "--mode", mode] for mode in ("residual-sim", "principal-angles")}
+INVALID_SETTINGS = [
+    *[(PIVOT + inner, flag, bad) for inner, flag, bad in [
+        ([], "--rank", "0"), ([], "--gamma", "0"), ([], "--rho", "1.5"), ([], "--beta", "-1"),
+        ([], "--trim", "0"), (["--inner", "task-arithmetic"], "--lambda", "0"),
+        (["--inner", "dare-ties"], "--drop", "1"), (["--inner", "dare-ties"], "--seed", None)]],
+    (["merge", "--method", "task-arithmetic"], "--lambda", "-1"),
+    (["merge", "--method", "ties"], "--trim", "1.5"),
+    (["merge", "--method", "dare-ties"], "--trim", "-0.5"),
+    (["merge", "--method", "dare-ties"], "--drop", "-0.1"),
+    (["merge", "--method", "dare-ties"], "--seed", None),
+    *[(ANALYZE[mode], flag, bad) for mode in ANALYZE
+      for flag, bad in (("--rank", "-2"), ("--gamma", "-1"), ("--rho", "0"))],
+    (["analyze", "--mode", "layer-weights", "--scores", "scores.json"], "--beta", "0"),
+    *[(["synth"], flag, bad) for flag, bad in (
+        ("--experts", "0"), ("--core-rank", "0"), ("--residual-scale", "-1"),
+        ("--shared-fraction", "1.5"), ("--noise-scale", "-0.5"), ("--seed", None))],
+]
+INVALID_CASES = [(args, flag, value) for args, flag, bad in INVALID_SETTINGS
+                 for value in ([bad] if bad else []) + ["nan", "inf", "-inf"]]
+
+
+@pytest.mark.parametrize("args, flag, value", INVALID_CASES,
+                         ids=[f"{' '.join(a[:3])}{f}={v}" for a, f, v in INVALID_CASES])
+def test_every_invalid_setting_is_a_usage_error_naming_its_flag(tmp_path, capsys, monkeypatch,
+                                                               args, flag, value):
+    opened = []
+    monkeypatch.setattr(cli, "open_checkpoint", lambda path: opened.append(path))
+    monkeypatch.setattr(cli, "read_scores", lambda path: opened.append(path))
+    inputs = [] if args[0] == "synth" or "layer-weights" in args else [
+        "--base", "base.tensors", "--expert", "a.tensors", "--expert", "b.tensors"]
+    out = tmp_path / "out"
+    diag = ["--diagnostics", str(tmp_path / "d.json")] if args[0] == "merge" else []
+    with pytest.raises(SystemExit) as exc:
+        # "--flag=-inf": argparse reads a bare "-inf" as a flag
+        main([*args, *inputs, *diag, "--out", str(out), f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert opened == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["merge", "layer-weights"])
+def test_an_infinite_beta_in_the_score_file_fails_naming_the_file(synth_dir, tmp_path, capsys,
+                                                                  command):
+    doc = json.loads((synth_dir / "scores.json").read_text())
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps({**doc, "beta": float("inf")}))  # writes Infinity
+    out = tmp_path / "out"
+    if command == "merge":
+        args = ["merge", "--method", "pivot", *input_flags(synth_dir)]
+    else:
+        args = ["analyze", "--mode", "layer-weights"]
+    assert main([*args, "--scores", str(scores), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{scores}: beta must be positive and finite, got inf" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", [["task-arithmetic"],
+                                    ["pivot", "--inner", "task-arithmetic"]])
+def test_a_merge_that_overflows_names_the_merged_layer(synth_dir, tmp_path, capsys, method):
+    out, diag = tmp_path / "merged.tensors", tmp_path / "diag.json"
+    scores = ["--scores", str(synth_dir / "scores.json")] if method[0] == "pivot" else []
+    with np.errstate(all="ignore"):
+        code = main(["merge", "--method", *method, *input_flags(synth_dir), *scores,
+                     "--lambda", "1e308", "--out", str(out), "--diagnostics", str(diag)])
+    assert code == 1
+    assert "error: merged layer 1 overflowed" in capsys.readouterr().err
+    assert not out.exists() and not diag.exists()

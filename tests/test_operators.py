@@ -39,6 +39,8 @@ def test_operator_params_present_iff_required():
         MergeOperator(kind="ties", trim_fraction=1.5)
     with pytest.raises(ValueError):
         MergeOperator(kind="task_arithmetic", scale=0.0)
+    with pytest.raises(ValueError, match="scale must be positive and finite, got inf"):
+        MergeOperator.arithmetic(math.inf)
     with pytest.raises(ValueError):
         MergeOperator(kind="dare_ties", trim_fraction=1.0, drop_rate=1.0, seed=0)
     with pytest.raises(ValueError):

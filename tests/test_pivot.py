@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -37,37 +38,54 @@ def uniform_table(experts, num_layers, beta=0.05):
 # --- task vectors ---------------------------------------------------------
 
 
+def layer_deltas_of(experts, base, li):
+    """Layer li's deltas as a list of (d_out, w) matrices, from `task_vectors`' stack."""
+    return list(np.moveaxis(task_vectors(experts, base.layers[li], li), 1, 0))
+
+
 def test_task_vectors_zero_for_identical(rng):
     base = make_checkpoint("base", rng, [3, 4, 2])
-    deltas = task_vectors([base], base)
-    for layer in deltas:
-        np.testing.assert_array_equal(layer[0], np.zeros_like(layer[0]))
+    for li, layer in enumerate(base.layers):
+        stack = task_vectors([base], layer, li)
+        assert stack.shape == (layer.d_out, 1, layer.d_in + 1)
+        np.testing.assert_array_equal(stack, np.zeros_like(stack))
 
 
 def test_task_vectors_roundtrip(rng):
     base = make_checkpoint("base", rng, [3, 4])
     expert = make_checkpoint("e", rng, [3, 4])
-    deltas = task_vectors([expert], base)
-    for li, layer in enumerate(deltas):
-        np.testing.assert_allclose(base.layers[li].matrix + layer[0],
+    for li, layer in enumerate(base.layers):
+        stack = task_vectors([expert], layer, li)
+        np.testing.assert_allclose(layer.matrix + stack[:, 0],
                                    expert.layers[li].matrix, atol=1e-15)
 
 
 def test_task_vectors_zero_base_equals_augmented_experts(rng):
-    from pivotmerge import Layer, ProjectorCheckpoint
     expert = make_checkpoint("e", rng, [3, 4])
     zero_base = ProjectorCheckpoint(id="base", layers=tuple(
         Layer(np.zeros_like(l.matrix), has_bias=True) for l in expert.layers))
-    deltas = task_vectors([expert], zero_base)
-    for li, layer in enumerate(deltas):
-        np.testing.assert_array_equal(layer[0], expert.layers[li].matrix)
+    for li, layer in enumerate(zero_base.layers):
+        np.testing.assert_array_equal(task_vectors([expert], layer, li)[:, 0],
+                                      expert.layers[li].matrix)
 
 
-def test_task_vectors_shape_mismatch(rng):
+def test_task_vectors_keeps_the_expert_order_given(rng):
+    base = make_checkpoint("base", rng, [3, 4, 2])
+    experts = [make_checkpoint(eid, rng, [3, 4, 2]) for eid in ("c", "a", "b")]
+    for li, layer in enumerate(base.layers):
+        stack = task_vectors(experts, layer, li)
+        assert stack.shape == (layer.d_out, 3, layer.d_in + 1)
+        for i, ck in enumerate(experts):
+            np.testing.assert_array_equal(stack[:, i], ck.layers[li].matrix - layer.matrix)
+
+
+@pytest.mark.parametrize("matrix", [np.ones((5, 4)), np.ones((4, 1))], ids=["rows", "broadcast"])
+def test_task_vectors_shape_mismatch(rng, matrix):
+    # np.subtract would broadcast a (4, 1) matrix against the (4, 4) base without the check
     base = make_checkpoint("base", rng, [3, 4])
-    other = make_checkpoint("e", rng, [3, 5])
-    with pytest.raises(ValueError):
-        task_vectors([other], base)
+    other = ProjectorCheckpoint(id="e", layers=(Layer(matrix),))
+    with pytest.raises(ValueError, match=re.escape(f"expert 'e' layer 1 has shape {matrix.shape}")):
+        task_vectors([other], base.layers[0], 0)
 
 
 # --- joint decomposition ----------------------------------------------------
@@ -582,7 +600,7 @@ def test_reconstruct_zero_coeffs_returns_base(rng):
 def test_reconstruct_roundtrip_single_expert(rng):
     base = make_checkpoint("base", rng, [4, 6])
     expert = make_checkpoint("e", rng, [4, 6])
-    deltas = task_vectors([expert], base)[0]
+    deltas = layer_deltas_of([expert], base, 0)
     shared = joint_decompose(deltas)
     out = reconstruct(shared, shared.coeffs[0], base.layers[0])
     assert rel_error(out.weight, expert.layers[0].weight) <= 1e-8
@@ -788,7 +806,7 @@ def test_pivot_merge_matches_the_public_stage_chain_bit_for_bit(monkeypatch, op,
         warnings.simplefilter("ignore")
         merged, _ = pivot_merge(experts, base, table, config)
         assert shapes == joint_svd
-        shared = joint_decompose(task_vectors(experts, base)[0])
+        shared = joint_decompose(layer_deltas_of(experts, base, 0))
         dec = decouple(shared.coeffs, rank)
         filtered = filter_residuals(dec.residuals, config.gamma, config.rho)[0]
     alphas = layer_weights(score_increments(table.rows_for(table.expert_ids)), 0.05)[:, 0]
@@ -808,7 +826,7 @@ def test_layer_records_report_the_joint_tail(case, tail):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         record = pivot_merge(experts, base, table, PivotConfig(rank=4))[1]["layers"][0]
-        shared = joint_decompose(task_vectors(experts, base)[0])
+        shared = joint_decompose(layer_deltas_of(experts, base, 0))
     assert record["joint_tail"] == shared.joint_tail == tail
     if tail:
         assert np.count_nonzero(shared.s > linalg.RANK_RTOL * shared.s[0]) == 20
@@ -825,8 +843,8 @@ def test_layer_records_report_core_energy_and_residual_mass_kept(n, rank):
         records = [pivot_merge(experts, base, uniform_table(experts, 2), config)[1]["layers"]
                    for _ in range(2)]
         stages = []
-        for deltas in task_vectors(experts, base):
-            shared = joint_decompose(deltas)
+        for li in range(base.num_layers):
+            shared = joint_decompose(layer_deltas_of(experts, base, li))
             dec = decouple(shared.coeffs, rank)
             mask = filter_residuals(dec.residuals, config.gamma, config.rho)[1]
             stages.append((shared.coeffs, dec, mask))
@@ -904,8 +922,24 @@ def test_pivot_config_validation():
         PivotConfig(rho=1.0)
     with pytest.raises(ValueError):
         PivotConfig(beta=-0.1)
+    with pytest.raises(ValueError, match="gamma must be positive and finite, got inf"):
+        PivotConfig(gamma=np.inf)
+    with pytest.raises(ValueError, match="beta must be positive and finite, got inf"):
+        PivotConfig(beta=np.inf)
     assert PivotConfig().inner.magnitude_based  # ties default
     assert not PivotConfig(inner=MergeOperator.average()).inner.magnitude_based
+
+
+@pytest.mark.parametrize("gamma, rho, message", [(np.inf, 0.5, "gamma must be positive"),
+                                                 (20.0, 1.0, r"rho must be in \(0, 1\)")])
+def test_filter_residuals_checks_its_settings(rng, gamma, rho, message):
+    with pytest.raises(ValueError, match=message):
+        filter_residuals([rng.standard_normal((4, 3)) for _ in range(2)], gamma, rho)
+
+
+def test_decouple_checks_its_rank(rng):
+    with pytest.raises(ValueError, match="rank must be >= 1, got 0"):
+        decouple([rng.standard_normal((4, 3)) for _ in range(2)], 0)
 
 
 def test_mask_values_strictly_positive(rng):

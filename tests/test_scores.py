@@ -62,6 +62,8 @@ def test_layer_weights_tiny_beta_no_overflow():
 def test_layer_weights_requires_positive_beta():
     with pytest.raises(ValueError):
         layer_weights(np.zeros((2, 2)), beta=0.0)
+    with pytest.raises(ValueError, match="beta must be positive and finite, got inf"):
+        layer_weights(np.zeros((2, 2)), beta=math.inf)
 
 
 def test_layer_weights_overflow_names_beta():
@@ -162,6 +164,7 @@ def test_scores_malformed_json(tmp_path):
     ('{"beta": 0.05, "experts": [{"id": "a", "scores": [-Infinity]}]}', "scores contain NaN or Inf"),
     ('{"beta": 0, "experts": [{"id": "a", "scores": [0.5]}]}', "beta must be positive"),
     ('{"beta": NaN, "experts": [{"id": "a", "scores": [0.5]}]}', "beta must be positive"),
+    ('{"beta": Infinity, "experts": [{"id": "a", "scores": [0.5]}]}', "beta must be positive"),
     ('{"beta": 0.05, "experts": [{"id": "a", "scores": [0.5]}, {"id": "a", "scores": [0.1]}]}',
      "expert ids must be unique"),
     ('{"beta": 0.05, "experts": [{"id": "a", "scores": [1' + "0" * 400 + ']}]}',
@@ -175,7 +178,7 @@ def test_scores_malformed_json(tmp_path):
      "expert id must be a string, got 7"),
     ('{"beta": 0.05, "experts": [{"id": null, "scores": [0.5]}]}',
      "expert id must be a string, got None"),
-], ids=["nan-score", "inf-score", "zero-beta", "nan-beta", "duplicate-ids", "huge-score",
+], ids=["nan-score", "inf-score", "zero-beta", "nan-beta", "inf-beta", "duplicate-ids", "huge-score",
         "huge-beta", "deep-nesting", "list-id", "int-id", "null-id"])
 def test_bad_score_file_error_names_path(tmp_path, text, message):
     path = tmp_path / "bad_scores.json"
@@ -191,6 +194,8 @@ def test_score_table_validation():
         ScoreTable(expert_ids=("a",), scores=np.array([[np.nan]]))
     with pytest.raises(ValueError):
         ScoreTable(expert_ids=("a",), scores=np.zeros((1, 1)), beta=0.0)
+    with pytest.raises(ValueError, match="beta must be positive and finite, got inf"):
+        ScoreTable(expert_ids=("a",), scores=np.zeros((1, 1)), beta=np.inf)
 
 
 @pytest.mark.parametrize("bad_id, shown", [(7, "7"), (["a"], r"\['a'\]"), (None, "None"),

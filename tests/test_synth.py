@@ -33,6 +33,10 @@ def test_spec_validation():
         SynthSpec(dims=((4, 4),), experts=0, core_rank=1)
     with pytest.raises(ValueError):
         spec_from(shared_residual_fraction=1.5)
+    with pytest.raises(ValueError, match="residual_scale must be non-negative and finite, got inf"):
+        spec_from(residual_scale=np.inf)
+    with pytest.raises(ValueError, match="noise_scale must be non-negative and finite, got nan"):
+        spec_from(noise_scale=np.nan)
     with pytest.raises(ValueError):
         SynthSpec.from_chain([8], experts=1, core_rank=1)
 
