@@ -7,6 +7,8 @@ For each (residual_scale, shared_fraction) cell the table reports the mean
 recovery angle of the pivot merge, plain weight averaging, and the best
 single expert, plus how often the pivot merge beats that best expert. This
 is the harness used to choose the frozen settings in the acceptance suite.
+It imports numpy before pivotmerge, so pivotmerge's OPENBLAS_THREAD_TIMEOUT
+default does not apply here (outputs are the same either way).
 """
 
 import argparse

@@ -5,6 +5,8 @@ Usage:
 
 Writes the synthetic inputs, runs every merge method plus the analysis modes
 through the CLI, and prints recovery angles against the planted core.
+It imports numpy before pivotmerge, so pivotmerge's OPENBLAS_THREAD_TIMEOUT
+default does not apply here (outputs are the same either way).
 """
 
 import argparse

@@ -8,6 +8,20 @@ and weighting core merging by per-layer alignment scores. Baseline operators
 checkpoint plumbing.
 """
 
+import os
+import sys
+
+# After each threaded call OpenBLAS's idle workers spin for 2^28 TSC cycles
+# (about 0.13 s at 2 GHz) before they sleep. The layer kernel alternates short
+# LAPACK calls with numpy-only stages a few ms apart, so a worker would spin
+# through the whole run. 2^18 cycles parks it between calls. OpenBLAS reads the
+# variable once, when numpy loads it, so it is set only if numpy is not loaded
+# yet, and a value the user set wins. It changes only how long an idle worker
+# waits, not the thread count or how work is split, so no output changes.
+# Other BLAS builds ignore it.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "18")
+
 from .analysis import (
     emit_report,
     mean_offdiagonal,

@@ -14,7 +14,11 @@ input is opened, whose rejection is a usage error naming the flag, or the
 `ScoreTable` read from the score file. Experts are always processed in
 lexicographic id order regardless of flag order. Layers run serially; BLAS
 threads are the only parallelism, and output is byte-identical run to run
-at a fixed BLAS thread count.
+at a fixed BLAS thread count. Importing the package first sets
+OPENBLAS_THREAD_TIMEOUT=18, so an idle OpenBLAS worker sleeps after 2^18
+cycles instead of spinning 2^28 between the kernel's LAPACK calls. It acts
+only when numpy is not loaded yet, a value in the environment wins, and it
+changes no output.
 
 `merge` and `analyze` open the base and every expert with
 `tensorstore.open_checkpoint` under one `contextlib.ExitStack`, so every
@@ -111,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(merge)
     _add_operator_flags(merge)
     merge.add_argument("--diagnostics", help="write a diagnostics JSON here")
-    merge.set_defaults(handler=cmd_merge)
+    merge.set_defaults(handler=cmd_merge, parser=merge)
 
     analyze = subs.add_parser("analyze", help="emit similarity / angle / weight reports")
     analyze.add_argument("--mode", choices=ANALYZE_MODES, required=True)
@@ -120,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="expert checkpoint (repeat for each expert)")
     analyze.add_argument("--out", required=True, help="output directory")
     _add_pipeline_flags(analyze)
-    analyze.set_defaults(handler=cmd_analyze)
+    analyze.set_defaults(handler=cmd_analyze, parser=analyze)
 
     synth = subs.add_parser("synth", help="generate synthetic experts with a planted core")
     synth.add_argument("--out", required=True, help="output directory")
@@ -132,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--shared-fraction", type=float, default=0.0)
     synth.add_argument("--noise-scale", type=float, default=0.01)
     synth.add_argument("--seed", type=int, default=7)
-    synth.set_defaults(handler=cmd_synth)
+    synth.set_defaults(handler=cmd_synth, parser=synth)
 
     return parser
 
@@ -304,10 +308,10 @@ def cmd_synth(parser: argparse.ArgumentParser, args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(parser, args)
+        # The handler's usage errors come from its subcommand's parser.
+        return args.handler(args.parser, args)
     except (ValueError, ContainerError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

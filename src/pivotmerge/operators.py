@@ -163,7 +163,9 @@ def task_arithmetic(mats: Sequence, weights: Sequence[float], scale: float) -> n
     out = np.zeros_like(arrs[0])
     for wi, a in zip(w, arrs):
         out += wi * a
-    return float(scale) * out
+    # An overflow becomes Inf, which the merged Layer rejects with one error.
+    with np.errstate(over="ignore"):
+        return float(scale) * out
 
 
 def _trim_keep_count(trim_fraction: float, n_entries: int) -> int:

@@ -358,7 +358,9 @@ def _merge_owned(s: np.ndarray, cores: list, filtered: list[np.ndarray],
     blocks = [_dense(c) for c in cores]
     cores.clear()
     merged_cores = _merge_branch(s, blocks, alphas, op)
-    merged_cores += merged
+    # An overflow becomes Inf, which the merged Layer rejects with one error.
+    with np.errstate(over="ignore"):
+        merged_cores += merged
     return merged_cores
 
 
@@ -386,7 +388,11 @@ def _merge_branch(s: np.ndarray, blocks: list[np.ndarray], weights: Sequence[flo
 def reconstruct(shared: SharedSpaceLayer, merged_coeffs: np.ndarray,
                 base_layer: Layer) -> Layer:
     """Map merged coefficients back through the shared basis onto the base layer."""
-    return add_delta(base_layer, (shared.u * shared.s) @ merged_coeffs)
+    # An overflow becomes Inf (or NaN, as Inf * 0), which the merged Layer
+    # rejects with one error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = (shared.u * shared.s) @ merged_coeffs
+    return add_delta(base_layer, delta)
 
 
 def _merge_one_layer(layer_index: int, ordered: Sequence[ProjectorCheckpoint],

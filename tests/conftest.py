@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pivotmerge import Layer, ProjectorCheckpoint, tensorstore
+from pivotmerge.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def rel_error(a, b):
@@ -34,6 +40,30 @@ def make_checkpoint(ckpt_id, rng, chain, with_bias=True, scale=1.0):
             weight = np.hstack([weight, rng.standard_normal(d_out)[:, None] * scale])
         layers.append(Layer(weight, has_bias=with_bias))
     return ProjectorCheckpoint(id=ckpt_id, layers=tuple(layers))
+
+
+def child_env(**environ):
+    """An environment for a fresh interpreter that imports pivotmerge from `src/`.
+
+    OPENBLAS_THREAD_TIMEOUT is taken out of the inherited environment, so the
+    child sees only what `environ` sets and what importing pivotmerge sets.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env.update(environ, PYTHONPATH=str(ROOT / "src"))
+    return env
+
+
+def run_cli(*args, **environ):
+    """`python -m pivotmerge.cli ARGS` in a fresh interpreter; `environ` adds variables."""
+    return subprocess.run([sys.executable, "-m", "pivotmerge.cli", *map(str, args)],
+                          env=child_env(**environ), capture_output=True, text=True, timeout=120)
+
+
+@pytest.fixture
+def synth_dir(tmp_path):
+    out = tmp_path / "synth"
+    assert main(["synth", "--out", str(out), "--seed", "7"]) == 0
+    return out
 
 
 @pytest.fixture

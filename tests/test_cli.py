@@ -12,14 +12,7 @@ from pivotmerge import (NumericalError, joint_decompose, load_checkpoint, read_c
                         read_scores, write_container)
 from pivotmerge import cli
 from pivotmerge.cli import main
-from conftest import checkpoint_rel_error
-
-
-@pytest.fixture
-def synth_dir(tmp_path):
-    out = tmp_path / "synth"
-    assert main(["synth", "--out", str(out), "--seed", "7"]) == 0
-    return out
+from conftest import checkpoint_rel_error, run_cli
 
 
 def expert_paths(synth_dir):
@@ -638,14 +631,32 @@ def test_an_infinite_beta_in_the_score_file_fails_naming_the_file(synth_dir, tmp
     assert not out.exists()
 
 
+# At rank 3 the merged cores and residuals also overflow when they are added.
 @pytest.mark.parametrize("method", [["task-arithmetic"],
-                                    ["pivot", "--inner", "task-arithmetic"]])
-def test_a_merge_that_overflows_names_the_merged_layer(synth_dir, tmp_path, capsys, method):
+                                    ["pivot", "--inner", "task-arithmetic"],
+                                    ["pivot", "--inner", "task-arithmetic", "--rank", "3"]])
+def test_a_merge_that_overflows_names_the_merged_layer(synth_dir, tmp_path, method):
     out, diag = tmp_path / "merged.tensors", tmp_path / "diag.json"
-    scores = ["--scores", str(synth_dir / "scores.json")] if method[0] == "pivot" else []
-    with np.errstate(all="ignore"):
-        code = main(["merge", "--method", *method, *input_flags(synth_dir), *scores,
-                     "--lambda", "1e308", "--out", str(out), "--diagnostics", str(diag)])
-    assert code == 1
-    assert "error: merged layer 1 overflowed" in capsys.readouterr().err
+    scores = ["--scores", synth_dir / "scores.json"] if method[0] == "pivot" else []
+    result = run_cli("merge", "--method", *method, *input_flags(synth_dir), *scores,
+                     "--lambda", "1e308", "--out", out, "--diagnostics", diag)
+    assert result.returncode == 1
+    assert "RuntimeWarning" not in result.stderr
+    assert result.stderr.splitlines()[-1].startswith("error: merged layer 1 overflowed")
+    assert result.stdout == ""
     assert not out.exists() and not diag.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["merge", "--method", "pivot", "--base", "b.tensors", "--expert", "e.tensors"],
+    ["analyze", "--mode", "layer-weights", "--scores", "s.json", "--rank", "3"],
+    ["synth", "--experts", "0"],
+], ids=["merge", "analyze", "synth"])
+def test_a_handler_usage_error_prints_its_subcommand_usage(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: pivotmerge {args[0]} ")
+    assert lines[-1].startswith(f"pivotmerge {args[0]}: error: ")
+    assert list(tmp_path.iterdir()) == []
