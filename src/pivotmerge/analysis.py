@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import ZERO_NORM, _basis_angles, cosine, orthonormal_basis
 from .pivot import (PivotConfig, _decouple_owned, _dense, _filter_owned, _joint_owned,
-                    task_vectors)
+                    _warn_clamped, task_vectors)
 from .tensorstore import ProjectorCheckpoint, atomic_write, sorted_experts, write_json
 
 
@@ -144,7 +144,9 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
     of its raw residual, and the residuals are filtered in place. With
     `sources` (principal-angles) each model keeps a copy of its layer's
     slice of the stack as the raw part; each residual is filtered in
-    place, then becomes core + filtered in place, and the cores go.
+    place, then becomes core + filtered in place, and the cores go. After
+    the pass one warning names every layer whose block rank limit clamped
+    the rank.
     """
     ordered = sorted_experts(experts, base)
     if sources:
@@ -159,6 +161,7 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
     raw_parts = [[] for _ in ordered]
     filt_parts = [[] for _ in ordered]
     layer_stats = []
+    effective_ranks = []
     for li in range(base.num_layers):
         stack = task_vectors(ordered, base.layers[li], li)
         if sources:
@@ -166,7 +169,8 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
                 parts.append(stack[:, i].copy())
         blocks = list(_joint_owned(stack).coeffs)
         del stack
-        cores = _decouple_owned(blocks, config.rank)[0]
+        cores, effective_rank, _ = _decouple_owned(blocks, config.rank)
+        effective_ranks.append(effective_rank)
         if sources:
             mask, _, tau, _ = _filter_owned(blocks, config.gamma, config.rho)
             for core, block in zip(cores, blocks):
@@ -189,6 +193,7 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
             "mask_min": float(mask.min()) if mask.size else None,
             "mask_max": float(mask.max()) if mask.size else None,
         })
+    _warn_clamped(config.rank, effective_ranks)
     return raw_parts, filt_parts, layer_stats
 
 

@@ -14,11 +14,13 @@ input is opened, whose rejection is a usage error naming the flag, or the
 `ScoreTable` read from the score file. Experts are always processed in
 lexicographic id order regardless of flag order. Layers run serially; BLAS
 threads are the only parallelism, and output is byte-identical run to run
-at a fixed BLAS thread count. Importing the package first sets
-OPENBLAS_THREAD_TIMEOUT=18, so an idle OpenBLAS worker sleeps after 2^18
-cycles instead of spinning 2^28 between the kernel's LAPACK calls. It acts
-only when numpy is not loaded yet, a value in the environment wins, and it
-changes no output.
+at a fixed BLAS thread count. A factorization of a matrix with no dimension
+above 128 runs on one OpenBLAS thread (`linalg._ONE_THREAD_ORDER`), where 1
+and 2 threads give the same bytes, and the count is restored after it.
+Importing the package first sets OPENBLAS_THREAD_TIMEOUT=18, so an idle
+OpenBLAS worker sleeps after 2^18 cycles instead of spinning 2^28 between
+the kernel's LAPACK calls. It acts only when numpy is not loaded yet, a
+value in the environment wins, and it changes no output.
 
 `merge` and `analyze` open the base and every expert with
 `tensorstore.open_checkpoint` under one `contextlib.ExitStack`, so every

@@ -3,10 +3,25 @@
 All functions operate on float64 arrays and are pure. SVD factor signs are
 canonicalized (the largest-magnitude entry of each left singular vector is
 made positive) so repeated runs produce identical factors.
+
+A LAPACK call whose factored matrix has no dimension above
+_ONE_THREAD_ORDER (`_gram_eigh`'s eigensolve, `thin_svd` and
+`_basis_angles`' SVD) runs on one OpenBLAS thread, and the previous count is
+restored when it returns or raises. Waking an idle worker costs more than
+the worker saves at these orders, and a deep projector of small layers would
+pay that once per factorization. The setter is looked up in the OpenBLAS
+that numpy loaded, at the first small call; with another BLAS, no
+/proc/self/maps, or no such symbol nothing changes. The thread count is
+process-wide, so a BLAS call that another thread makes meanwhile also runs
+on one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +42,21 @@ GRAM_COND_RTOL = 1e-6
 _GRAM_EXP = 400
 # Vectors with 2-norm below this are treated as zero (cosine convention).
 ZERO_NORM = 1e-12
+# LAPACK calls on matrices with no dimension above this run on one OpenBLAS
+# thread. With OpenBLAS 0.3.31, eigh at 1 and 2 threads gave identical bytes
+# on Grams of orders 16 to 160 (they first differed at 170), so the cut
+# changes no result there.
+_ONE_THREAD_ORDER = 128
+# (getter, setter) pairs of OpenBLAS's thread count, by build.
+_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+# Held while the count is 1, so concurrent small calls cannot restore it out of
+# order; reentrant, so a small call made inside another cannot deadlock.
+_ONE_THREAD_LOCK = threading.RLock()
 
 
 class NumericalError(RuntimeError):
@@ -51,6 +81,45 @@ def _as_matrix(mat, name: str = "matrix") -> np.ndarray:
     return m
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None if there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _lapack_threads(shape: tuple[int, ...]):
+    """Run the block on one OpenBLAS thread when no dimension of `shape` exceeds _ONE_THREAD_ORDER."""
+    blas = _openblas_threads() if max(shape) <= _ONE_THREAD_ORDER else None
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _ONE_THREAD_LOCK:
+        before = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(before)
+
+
 def thin_svd(mat) -> SvdFactors:
     """Thin SVD with deterministic sign conventions.
 
@@ -58,7 +127,8 @@ def thin_svd(mat) -> SvdFactors:
     """
     m = _as_matrix(mat)
     try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        with _lapack_threads(m.shape):
+            u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge on shape {m.shape}") from exc
     if s.size:
@@ -92,7 +162,8 @@ def _gram_eigh(m: np.ndarray, wide: bool, vectors: bool = True
     g = np.ldexp(m, -shift) if shift else m
     gram = g @ g.T if wide else g.T @ g
     try:
-        evals, evecs = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
+        with _lapack_threads(gram.shape):
+            evals, evecs = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Gram eigensolve failed to converge on shape {m.shape}") from exc
     return evals, evecs, shift
@@ -201,7 +272,9 @@ def _basis_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     d = qa.shape[0]
     if qa.shape[1] == d or qb.shape[1] == d:
         return np.zeros(min(qa.shape[1], qb.shape[1]))
-    s = np.linalg.svd(qa.T @ qb, compute_uv=False)
+    product = qa.T @ qb
+    with _lapack_threads(product.shape):
+        s = np.linalg.svd(product, compute_uv=False)
     s = np.clip(s, 0.0, 1.0)
     return np.degrees(np.arccos(s))
 

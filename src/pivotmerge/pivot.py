@@ -12,7 +12,8 @@ Each projector layer is merged independently through five stages:
    thin SVD;
 3. decoupling: each coefficient block splits into a rank-r core (its best
    rank-r approximation, from the smaller Gram matrix's top eigenvectors)
-   plus a residual;
+   plus a residual. A rank above the block rank limit min(k, w) is clamped
+   to it, and one warning names every clamped layer;
 4. consistency-aware residual filtering: per basis direction, residual rows
    are scored by mean cross-expert cosine, gated by a sigmoid around an
    order-statistic threshold, and rescaled so each expert's entrywise L1
@@ -20,6 +21,11 @@ Each projector layer is merged independently through five stages:
 5. merging and reconstruction: cores merge under per-layer softmax weights,
    filtered residuals merge under uniform weights, and the summed
    coefficients are mapped back through U * S onto the base layer.
+
+At full rank (r = min(k, w)) the core is the whole block and the residuals
+are exact zeros, so the kernel skips stage 4's pass and the residual merge:
+the layer record gets the filter statistics of zero residuals, and the
+merged cores get + 0.0, the bits of adding the merged zero branch.
 
 For magnitude-based inner operators (ties, dare_ties) both branches are
 pre-scaled row-wise by S before merging and un-scaled afterwards, because
@@ -39,9 +45,11 @@ forms each residual in its coefficient block's storage and keeps each core
 as rank-r factors (left, right); filtering scores one row chunk of every
 expert at a time and rescales each residual in place; the merge takes the
 filtered branch first and multiplies the cores out only after dropping the
-filtered blocks. Each of those stages peaks below N + 4 blocks. LAPACK
-workspace and allocator retention are not traced allocations, so resident
-memory, not tracemalloc, sizes the gain.
+filtered blocks. Each of those stages peaks below N + 4 blocks. At full
+rank the zero residuals are dropped after decoupling, and the merge holds
+the N cores and one merged block. LAPACK workspace and allocator retention
+are not traced allocations, so resident memory, not tracemalloc, sizes the
+gain.
 """
 
 from __future__ import annotations
@@ -211,6 +219,8 @@ def decouple(coeffs: Sequence[np.ndarray], rank: int) -> DecoupledLayer:
     PivotConfig(rank=rank)  # the range check
     blocks = [b.copy() for b in _blocks(coeffs, "coefficient block")]
     cores, effective_rank, _ = _decouple_owned(blocks, rank)
+    if 0 < effective_rank < rank:
+        warnings.warn(f"rank {rank} exceeds block rank limit {effective_rank}; clamping")
     return DecoupledLayer(cores=tuple(_dense(c) for c in cores), residuals=tuple(blocks),
                           effective_rank=effective_rank)
 
@@ -221,17 +231,15 @@ def _decouple_owned(blocks: list[np.ndarray], rank: int
 
     The residuals replace the blocks in the caller's list: below full rank
     each is its block overwritten as block - core, the core kept as its
-    factors (left, right) from `_rank_factors`; at full rank the blocks are
-    the cores and the residuals new zero blocks. The energy is sum(top-r
-    lambda) / sum(lambda) of each block's Gram eigenvalues: 1.0 at full
-    rank, None for a zero block.
+    factors (left, right) from `_rank_factors`; at full rank, a `rank` of
+    min(k, w) or more (clamped without a warning: each caller warns once),
+    the blocks are the cores and the residuals new zero blocks. The energy is sum(top-r lambda) / sum(lambda) of each block's
+    Gram eigenvalues: 1.0 at full rank, None for a zero block.
     """
     k, w = blocks[0].shape
     max_rank = min(k, w)
     if max_rank == 0:
         return [np.zeros((k, w)) for _ in blocks], 0, [None] * len(blocks)
-    if rank > max_rank:
-        warnings.warn(f"rank {rank} exceeds block rank limit {max_rank}; clamping")
     if rank >= max_rank:
         cores = blocks[:]
         blocks[:] = [np.zeros((k, w)) for _ in cores]
@@ -243,6 +251,19 @@ def _decouple_owned(blocks: list[np.ndarray], rank: int
         cores.append((left, right))
         energy.append(share)
     return cores, rank, energy
+
+
+def _warn_clamped(rank: int, effective_ranks: Sequence[int]) -> None:
+    """One warning naming every layer whose block rank limit clamped `rank`, with its limit.
+
+    `effective_ranks` holds one effective rank per layer, in layer order. A
+    layer is clamped when 0 < effective rank < `rank`; an all-zero layer
+    (rank 0) has a warning of its own.
+    """
+    named = ", ".join(f"layer {li} ({r})" for li, r in enumerate(effective_ranks, start=1)
+                      if 0 < r < rank)
+    if named:
+        warnings.warn(f"rank {rank} exceeds the block rank limit of {named}; clamping")
 
 
 def _dense(core) -> np.ndarray:
@@ -297,6 +318,22 @@ def _filter_owned(mats: list[np.ndarray], gamma: float, rho: float
         else:
             b *= total / masked_total
     return mask, consistencies, tau, kept
+
+
+def _filter_zeros(n: int, k: int, gamma: float, rho: float
+                  ) -> tuple[np.ndarray, np.ndarray, float | None, list[None]]:
+    """`_filter_owned`'s (mask, consistencies, tau, kept) for N zero residuals of k rows.
+
+    No residual is formed. Every zero row counts as a zero vector, so each
+    consistency is 0.0 and the mask comes from the same threshold and
+    sigmoid; no residual has mass, so kept is None for each.
+    """
+    if n == 1 or k == 0:
+        ones = np.ones(k)
+        return ones, ones.copy(), None, [None] * n
+    consistencies = np.zeros(k)
+    tau = threshold_from_ratio(consistencies, rho)
+    return sigmoid(gamma * (consistencies - tau)), consistencies, tau, [None] * n
 
 
 def _consistencies(mats: list[np.ndarray]) -> np.ndarray:
@@ -400,13 +437,26 @@ def _merge_one_layer(layer_index: int, ordered: Sequence[ProjectorCheckpoint],
                      ) -> tuple[Layer, dict]:
     """The per-layer kernel: each stage overwrites the per-expert blocks it owns.
 
-    The base layer is read once and serves both the deltas and the reconstruction.
+    The base layer is read once and serves both the deltas and the
+    reconstruction. At full rank (effective rank min(k, w), 0 for an
+    all-zero layer) the residuals are exact zeros: their filter record comes
+    from `_filter_zeros` and only the cores are merged. Every operator
+    merges zero blocks to +0.0, so adding 0.0 keeps the bits of cores +
+    merged zero branch.
     """
     base_layer = base.layers[layer_index]
     shared = _joint_owned(task_vectors(ordered, base_layer, layer_index))
     shared, blocks = replace(shared, coeffs=()), list(shared.coeffs)
     cores, effective_rank, energy = _decouple_owned(blocks, config.rank)
-    mask, consistencies, tau, kept = _filter_owned(blocks, config.gamma, config.rho)
+    n, (k, width) = len(blocks), blocks[0].shape
+    if effective_rank == min(k, width):
+        blocks.clear()
+        mask, consistencies, tau, kept = _filter_zeros(n, k, config.gamma, config.rho)
+        merged_coeffs = _merge_branch(shared.s, cores, alphas_col, config.inner)
+        merged_coeffs += 0.0
+    else:
+        mask, consistencies, tau, kept = _filter_owned(blocks, config.gamma, config.rho)
+        merged_coeffs = _merge_owned(shared.s, cores, blocks, alphas_col, config.inner)
     record = {
         "layer": layer_index + 1,
         "alpha": [float(a) for a in alphas_col],
@@ -419,7 +469,6 @@ def _merge_one_layer(layer_index: int, ordered: Sequence[ProjectorCheckpoint],
         "core_energy": energy,
         "joint_tail": shared.joint_tail,
     }
-    merged_coeffs = _merge_owned(shared.s, cores, blocks, alphas_col, config.inner)
     try:
         return reconstruct(shared, merged_coeffs, base_layer), record
     except ValueError as exc:
@@ -451,6 +500,8 @@ def pivot_merge(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoin
     results = [_merge_one_layer(li, ordered, base, alphas[:, li], config)
                for li in range(base.num_layers)]
     merged_layers = tuple(layer for layer, _ in results)
+    records = [record for _, record in results]
+    _warn_clamped(config.rank, [r["effective_rank"] for r in records])
     diagnostics = {
         "method": "pivot",
         "expert_ids": ids,
@@ -463,7 +514,7 @@ def pivot_merge(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoin
             "trim_fraction": config.inner.trim_fraction,
             "magnitude_space": config.inner.magnitude_based,
         },
-        "layers": [record for _, record in results],
+        "layers": records,
     }
     merged = ProjectorCheckpoint(id="merged", layers=merged_layers, dtype=base.dtype)
     return merged, diagnostics

@@ -42,6 +42,19 @@ def make_checkpoint(ckpt_id, rng, chain, with_bias=True, scale=1.0):
     return ProjectorCheckpoint(id=ckpt_id, layers=tuple(layers))
 
 
+def _blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return ""
+
+
+# Checks of OpenBLAS's worker threads mean nothing on another BLAS or one core.
+needs_threaded_openblas = pytest.mark.skipif(
+    "openblas" not in _blas_name().lower() or (os.cpu_count() or 1) < 2,
+    reason="needs numpy on OpenBLAS and at least two cores")
+
+
 def child_env(**environ):
     """An environment for a fresh interpreter that imports pivotmerge from `src/`.
 
@@ -51,6 +64,14 @@ def child_env(**environ):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
     env.update(environ, PYTHONPATH=str(ROOT / "src"))
     return env
+
+
+def run_python(code, **environ):
+    """stdout of `python -c CODE` in a fresh interpreter, which must exit 0; `environ` adds variables."""
+    result = subprocess.run([sys.executable, "-c", code], env=child_env(**environ),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
 
 
 def run_cli(*args, **environ):

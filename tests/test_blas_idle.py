@@ -4,21 +4,7 @@ OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, when numpy loads it, and this
 test process has numpy loaded already, so every check runs a new interpreter.
 """
 
-import os
-import subprocess
-import sys
-
-import numpy as np
-import pytest
-
-from conftest import child_env, run_cli
-
-
-def run_python(code, **environ):
-    result = subprocess.run([sys.executable, "-c", code], env=child_env(**environ),
-                            capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    return result.stdout.strip()
+from conftest import needs_threaded_openblas, run_cli, run_python
 
 
 SHOW_TIMEOUT = "import os; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
@@ -51,13 +37,6 @@ def test_the_timeout_changes_no_output_byte(synth_dir, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def _blas_name():
-    try:
-        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (TypeError, KeyError):
-        return ""
-
-
 # CPU time that threads other than the main one spend during one eigh(64)
 # (which wakes an OpenBLAS worker) and the 0.3 s sleep after it.
 IDLE_SPIN = """
@@ -75,8 +54,7 @@ print((time.process_time() - p0) - (time.thread_time() - t0))
 """
 
 
-@pytest.mark.skipif("openblas" not in _blas_name().lower() or (os.cpu_count() or 1) < 2,
-                    reason="needs numpy on OpenBLAS and at least two cores")
+@needs_threaded_openblas
 def test_an_idle_openblas_worker_sleeps_instead_of_spinning():
     # Without the policy the worker spins for about 0.13 s here; a busy machine
     # can only shorten that, never lengthen it.

@@ -232,6 +232,19 @@ def test_every_input_tensor_is_read_exactly_once(synth_dir, tmp_path, tensor_rea
     assert set(expected.values()) == {1}
 
 
+@pytest.mark.parametrize("command", ["pivot", "residual-sim", "principal-angles"])
+def test_a_clamped_rank_prints_one_warning_naming_every_layer(synth_dir, tmp_path, command):
+    # The default synth set's two layers have blocks of rank 9 and 16, both
+    # below the default rank 64; each used to print a warning of its own.
+    result = run_cli(*command_args(command, synth_dir, tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    clamps = [line for line in result.stderr.splitlines()
+              if "UserWarning" in line and "clamp" in line]
+    assert len(clamps) == 1
+    assert clamps[0].endswith(
+        "UserWarning: rank 64 exceeds the block rank limit of layer 1 (9), layer 2 (16); clamping")
+
+
 @pytest.mark.parametrize("victim, name, bad", [
     ("expert03", "layer.2.bias", np.nan),
     ("base", "layer.2.weight", np.inf),

@@ -773,16 +773,23 @@ def test_pivot_merge_kernel_stays_within_2n_plus_2_layer_blocks(op, bound):
 
 
 def _single_layer_case(case, gen):
+    # "single" is the wide layer with one expert; "-single" gives a case one expert.
+    shape = case.removesuffix("-single")
     chain = {"wide": [16, 24], "tall": [3, 40], "gram-tail": [9, 24], "full-rank": [3, 8],
-             "single": [16, 24], "all-zero": [5, 12]}[case]
+             "single": [16, 24], "all-zero": [5, 12]}[shape]
     base = make_checkpoint("base", gen, chain)
-    experts = [make_checkpoint(f"e{i}", gen, chain) for i in range(1 if case == "single" else 3)]
-    if case == "gram-tail":
+    experts = [make_checkpoint(f"e{i}", gen, chain)
+               for i in range(1 if case.endswith("single") else 3)]
+    if shape == "gram-tail":
         # A duplicated expert leaves the 24 x 30 concatenation of rank 20.
         experts[2] = ProjectorCheckpoint(id="e2", layers=experts[0].layers)
-    if case == "all-zero":
+    if shape == "all-zero":
         experts = [ProjectorCheckpoint(id=e.id, layers=base.layers) for e in experts]
     return base, experts
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 @pytest.mark.parametrize("op", [MergeOperator.ties(1.0), MergeOperator.ties(0.2),
@@ -791,9 +798,12 @@ def _single_layer_case(case, gen):
                          ids=["ties-1.0", "ties-0.2", "dare-ties", "average", "arithmetic"])
 @pytest.mark.parametrize("case, rank, joint_svd", [
     ("wide", 4, []), ("tall", 2, [(40, 12)]), ("gram-tail", 4, [(4, 30)]),
-    ("full-rank", 64, []), ("single", 4, [(24, 17)]), ("all-zero", 4, [])])
+    ("full-rank", 64, []), ("single", 4, [(24, 17)]), ("all-zero", 4, []),
+    ("full-rank-single", 64, [(8, 4)]), ("all-zero-single", 4, [])])
 def test_pivot_merge_matches_the_public_stage_chain_bit_for_bit(monkeypatch, op, case, rank,
                                                                  joint_svd):
+    # The kernel skips the filter and the residual merge at full rank; the
+    # public chain filters and merges the zero residuals.
     gen = np.random.default_rng(41)
     base, experts = _single_layer_case(case, gen)
     table = ScoreTable(expert_ids=tuple(e.id for e in experts),
@@ -804,16 +814,43 @@ def test_pivot_merge_matches_the_public_stage_chain_bit_for_bit(monkeypatch, op,
     monkeypatch.setattr(pivot, "thin_svd", lambda m: shapes.append(m.shape) or real(m))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        merged, _ = pivot_merge(experts, base, table, config)
+        merged, diagnostics = pivot_merge(experts, base, table, config)
         assert shapes == joint_svd
         shared = joint_decompose(layer_deltas_of(experts, base, 0))
         dec = decouple(shared.coeffs, rank)
-        filtered = filter_residuals(dec.residuals, config.gamma, config.rho)[0]
+        filtered, mask, consistencies, tau = filter_residuals(dec.residuals, config.gamma,
+                                                              config.rho)
     alphas = layer_weights(score_increments(table.rows_for(table.expert_ids)), 0.05)[:, 0]
     merged_coeffs = merge_layer(shared.s, dec.cores, filtered, alphas, op)
     want = reconstruct(shared, merged_coeffs, base.layers[0])
     np.testing.assert_array_equal(merged.layers[0].matrix.view(np.uint64),
                                   want.matrix.view(np.uint64))
+    record = diagnostics["layers"][0]
+    np.testing.assert_array_equal(bits(record["mask"]), bits(mask))
+    np.testing.assert_array_equal(bits(record["consistency"]), bits(consistencies))
+    assert (record["tau"] is None) == (tau is None)
+    if tau is not None:
+        assert bits(record["tau"]) == bits(tau)
+    if dec.effective_rank == min(dec.residuals[0].shape):
+        assert record["residual_mass_kept"] == [None] * len(experts)
+
+
+@pytest.mark.parametrize("case, filters, merges", [("full-rank", 0, 1), ("wide", 1, 2),
+                                                   ("all-zero", 0, 1)])
+def test_a_full_rank_layer_skips_the_residual_filter_and_merge(monkeypatch, case, filters,
+                                                                merges):
+    calls = []
+    for name in ("_filter_owned", "merge_weighted"):
+        real = getattr(pivot, name)
+        monkeypatch.setattr(pivot, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    base, experts = _single_layer_case(case, np.random.default_rng(41))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pivot_merge(experts, base, uniform_table(experts, 1),
+                    PivotConfig(rank=64 if case == "full-rank" else 4))
+    assert calls.count("_filter_owned") == filters
+    assert calls.count("merge_weighted") == merges
 
 
 @pytest.mark.parametrize("case, tail", [("wide", 0), ("gram-tail", 4), ("tall", None),
