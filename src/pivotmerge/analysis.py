@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import ZERO_NORM, _basis_angles, cosine, orthonormal_basis
 from .pivot import (PivotConfig, _decouple_owned, _dense, _filter_owned, _joint_owned,
-                    _warn_clamped, task_vectors)
+                    _warn_ranks, task_vectors)
 from .tensorstore import ProjectorCheckpoint, atomic_write, sorted_experts, write_json
 
 
@@ -97,11 +97,11 @@ def _require_uniform_rows(rows) -> None:
             f"model-level subspaces need a uniform row count across layers, got {rows}")
 
 
-def mean_offdiagonal(matrix: np.ndarray) -> float:
+def mean_offdiagonal(matrix: np.ndarray) -> float | None:
+    """Mean of the off-diagonal entries, NaNs skipped; None when none is finite."""
     m = np.asarray(matrix, dtype=np.float64)
-    n = m.shape[0]
-    mask = ~np.eye(n, dtype=bool)
-    return float(np.nanmean(m[mask]))
+    off = m[~np.eye(m.shape[0], dtype=bool)]
+    return float(np.nanmean(off)) if np.isfinite(off).any() else None
 
 
 def collect_residuals(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
@@ -124,7 +124,8 @@ def collect_coefficients(experts: Sequence[ProjectorCheckpoint], base: Projector
     Each source concatenates all layers per model (`model_subspace`), in the
     pass of `_collect`. A chain whose layers differ in d_out or in the joint
     rank min(d_out, N * (d_in + bias)) (a tall layer) is rejected before any
-    layer is decomposed; an all-zero layer (rank 0) still fails after it.
+    layer is decomposed; an all-zero layer (joint rank 0) is rejected, by
+    name, once its joint step is done.
     """
     raw_parts, filt_parts, _ = _collect(experts, base, config, sources=True)
     return _join(raw_parts, model_subspace), _join(filt_parts, model_subspace)
@@ -146,7 +147,7 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
     slice of the stack as the raw part; each residual is filtered in
     place, then becomes core + filtered in place, and the cores go. After
     the pass one warning names every layer whose block rank limit clamped
-    the rank.
+    the rank and every all-zero layer (`pivot._warn_ranks`).
     """
     ordered = sorted_experts(experts, base)
     if sources:
@@ -169,6 +170,9 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
                 parts.append(stack[:, i].copy())
         blocks = list(_joint_owned(stack).coeffs)
         del stack
+        if sources and not blocks[0].shape[0]:
+            raise ValueError(f"layer {li + 1}: all task vectors are zero, so its joint rank is 0;"
+                             " model-level subspaces need a uniform joint rank across layers")
         cores, effective_rank, _ = _decouple_owned(blocks, config.rank)
         effective_ranks.append(effective_rank)
         if sources:
@@ -193,7 +197,7 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
             "mask_min": float(mask.min()) if mask.size else None,
             "mask_max": float(mask.max()) if mask.size else None,
         })
-    _warn_clamped(config.rank, effective_ranks)
+    _warn_ranks(config.rank, effective_ranks)
     return raw_parts, filt_parts, layer_stats
 
 

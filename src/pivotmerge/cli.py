@@ -7,10 +7,12 @@ Subcommands::
     pivotmerge analyze --mode MODE --base PATH --expert PATH ... --out DIR [flags]
 
 Exit codes: 0 on success, 1 on computation failure, 2 on usage errors,
-including an expert set with duplicate ids or a layout that does not match
-the base. Each value is checked once, by the object that holds it: the
-`PivotConfig`, `MergeOperator` or `SynthSpec` built from the flags before any
-input is opened, whose rejection is a usage error naming the flag, or the
+including an expert set with duplicate ids, a layout that does not match
+the base, or a `--diagnostics` file that is the `--out` file. Each
+warning is printed to stderr on one line, `warning: <message>`. Each value
+is checked once, by the object that holds it: the `PivotConfig`,
+`MergeOperator` or `SynthSpec` built from the flags before any input is
+opened, whose rejection is a usage error naming the flag, or the
 `ScoreTable` read from the score file. Experts are always processed in
 lexicographic id order regardless of flag order. Layers run serially; BLAS
 threads are the only parallelism, and output is byte-identical run to run
@@ -34,7 +36,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import analysis
@@ -197,12 +201,24 @@ def _open_inputs(parser: argparse.ArgumentParser, stack: contextlib.ExitStack, a
         parser.error(f"--expert: {exc}")
 
 
+def _same_file(a, b) -> bool:
+    """Whether paths `a` and `b` name one file: the same real path, or one existing file."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either one does not exist yet
+        return False
+
+
 def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
     inner = _given(args.inner, DEFAULT_INNER)
     reads, reader = READS[args.method], f"--method {args.method}"
     if args.method == "pivot":
         reads, reader = reads + READS[inner], f"{reader} --inner {inner}"
     _reject_unread_flags(parser, args, PIPELINE_FLAGS + OPERATOR_FLAGS, reads, reader)
+    if args.diagnostics and _same_file(args.out, args.diagnostics):
+        parser.error(f"--diagnostics {args.diagnostics} names the same file as --out {args.out}")
     pivot = args.method == "pivot"
     with _flag_errors(parser):
         op = _operator_for(inner if pivot else args.method, args, is_inner=pivot)
@@ -309,11 +325,23 @@ def cmd_synth(parser: argparse.ArgumentParser, args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _one_line_warnings():
+    """Show each warning as `warning: <message>`, without Python's file, line and source line."""
+    default = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    try:
+        yield
+    finally:
+        warnings.formatwarning = default
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # The handler's usage errors come from its subcommand's parser.
-        return args.handler(args.parser, args)
+        with _one_line_warnings():
+            return args.handler(args.parser, args)
     except (ValueError, ContainerError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

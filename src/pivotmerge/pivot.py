@@ -13,7 +13,7 @@ Each projector layer is merged independently through five stages:
 3. decoupling: each coefficient block splits into a rank-r core (its best
    rank-r approximation, from the smaller Gram matrix's top eigenvectors)
    plus a residual. A rank above the block rank limit min(k, w) is clamped
-   to it, and one warning names every clamped layer;
+   to it, and one warning names every clamped layer and all-zero layer;
 4. consistency-aware residual filtering: per basis direction, residual rows
    are scored by mean cross-expert cosine, gated by a sigmoid around an
    order-statistic threshold, and rescaled so each expert's entrywise L1
@@ -23,9 +23,9 @@ Each projector layer is merged independently through five stages:
    coefficients are mapped back through U * S onto the base layer.
 
 At full rank (r = min(k, w)) the core is the whole block and the residuals
-are exact zeros, so the kernel skips stage 4's pass and the residual merge:
-the layer record gets the filter statistics of zero residuals, and the
-merged cores get + 0.0, the bits of adding the merged zero branch.
+are exact zeros: stage 4 skips its pass on them, for every caller, and the
+kernel merges only the cores and adds + 0.0, the bits of adding the merged
+zero branch.
 
 For magnitude-based inner operators (ties, dare_ties) both branches are
 pre-scaled row-wise by S before merging and un-scaled afterwards, because
@@ -46,7 +46,7 @@ as rank-r factors (left, right); filtering scores one row chunk of every
 expert at a time and rescales each residual in place; the merge takes the
 filtered branch first and multiplies the cores out only after dropping the
 filtered blocks. Each of those stages peaks below N + 4 blocks. At full
-rank the zero residuals are dropped after decoupling, and the merge holds
+rank the zero residuals are dropped after filtering, and the merge holds
 the N cores and one merged block. LAPACK workspace and allocator retention
 are not traced allocations, so resident memory, not tracemalloc, sizes the
 gain.
@@ -154,9 +154,12 @@ def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
     singular values carry no reconstruction content and are set to zero. The
     deltas are copied once, into C, and left unchanged; each block is
     projected from its delta's column slice of C, which is freed once the
-    blocks exist.
+    blocks exist. All-zero deltas give k = 0, with a warning.
     """
-    return _joint_owned(np.stack(_blocks(deltas, "delta"), axis=1))
+    shared = _joint_owned(np.stack(_blocks(deltas, "delta"), axis=1))
+    if not shared.s.size:
+        warnings.warn("all task vectors are zero; layer has an empty shared space")
+    return shared
 
 
 def _blocks(mats: Sequence[np.ndarray], what: str) -> list[np.ndarray]:
@@ -171,10 +174,9 @@ def _blocks(mats: Sequence[np.ndarray], what: str) -> list[np.ndarray]:
 
 
 def _joint_owned(stack: np.ndarray) -> SharedSpaceLayer:
-    """`joint_decompose` of a (d_out, N, w) delta stack, which is factored as C without a copy."""
+    """`joint_decompose` of a (d_out, N, w) delta stack, factored as C uncopied; it never warns."""
     d_out, n, width = stack.shape
     if not stack.any():
-        warnings.warn("all task vectors are zero; layer has an empty shared space")
         return SharedSpaceLayer(
             u=np.zeros((d_out, 0)), s=np.zeros(0),
             coeffs=tuple(np.zeros((0, width)) for _ in range(n)))
@@ -253,17 +255,20 @@ def _decouple_owned(blocks: list[np.ndarray], rank: int
     return cores, rank, energy
 
 
-def _warn_clamped(rank: int, effective_ranks: Sequence[int]) -> None:
-    """One warning naming every layer whose block rank limit clamped `rank`, with its limit.
+def _warn_ranks(rank: int, effective_ranks: Sequence[int]) -> None:
+    """One warning naming every clamped layer, with its limit, and every all-zero layer.
 
-    `effective_ranks` holds one effective rank per layer, in layer order. A
-    layer is clamped when 0 < effective rank < `rank`; an all-zero layer
-    (rank 0) has a warning of its own.
+    `effective_ranks` holds one effective rank per layer, in layer order: a
+    clamped layer's is its block rank limit, below `rank`; an all-zero one's is 0.
     """
-    named = ", ".join(f"layer {li} ({r})" for li, r in enumerate(effective_ranks, start=1)
-                      if 0 < r < rank)
-    if named:
-        warnings.warn(f"rank {rank} exceeds the block rank limit of {named}; clamping")
+    ranked = list(enumerate(effective_ranks, start=1))
+    clamped = ", ".join(f"layer {li} ({r})" for li, r in ranked if 0 < r < rank)
+    empty = ", ".join(f"layer {li}" for li, r in ranked if r == 0)
+    parts = [f"rank {rank} exceeds the block rank limit of {clamped}; clamping"] if clamped else []
+    if empty:
+        parts.append(f"all task vectors are zero in {empty}: empty shared space")
+    if parts:
+        warnings.warn("; ".join(parts))
 
 
 def _dense(core) -> np.ndarray:
@@ -276,7 +281,8 @@ def filter_residuals(residuals: Sequence[np.ndarray], gamma: float, rho: float
     """Consistency-gated residual filtering with L1-mass compensation.
 
     Returns (filtered residuals, mask, consistencies, tau). With a single
-    expert the residuals pass through untouched (mask of ones, tau None).
+    expert the residuals pass through untouched (mask of ones, tau None), and
+    so do all-zero residuals, with no scoring pass run (consistencies 0.0).
     The residuals are copied and left unchanged; each copy is then rescaled
     in place as its filtered block, which is what the merge kernel does to
     the residuals it owns. Besides the N blocks, the filter holds one row
@@ -294,7 +300,8 @@ def _filter_owned(mats: list[np.ndarray], gamma: float, rho: float
 
     Returns (mask, consistencies, tau, kept). kept is each residual's masked
     over raw L1 mass, before compensation: 1.0 for a single expert, None for
-    a zero residual.
+    a zero residual. When all are zero (full rank), the consistencies are the
+    pass's +0.0 rows and neither the pass nor the rescale loop runs.
     """
     n = len(mats)
     k = mats[0].shape[0]
@@ -302,9 +309,12 @@ def _filter_owned(mats: list[np.ndarray], gamma: float, rho: float
         ones = np.ones(k)
         return ones, ones.copy(), None, [1.0 if m.any() else None for m in mats]
 
-    consistencies = _consistencies(mats)
+    live = any(b.any() for b in mats)
+    consistencies = _consistencies(mats) if live else np.zeros(k)
     tau = threshold_from_ratio(consistencies, rho)
     mask = sigmoid(gamma * (consistencies - tau))
+    if not live:
+        return mask, consistencies, tau, [None] * n
 
     kept = []
     for b in mats:
@@ -318,22 +328,6 @@ def _filter_owned(mats: list[np.ndarray], gamma: float, rho: float
         else:
             b *= total / masked_total
     return mask, consistencies, tau, kept
-
-
-def _filter_zeros(n: int, k: int, gamma: float, rho: float
-                  ) -> tuple[np.ndarray, np.ndarray, float | None, list[None]]:
-    """`_filter_owned`'s (mask, consistencies, tau, kept) for N zero residuals of k rows.
-
-    No residual is formed. Every zero row counts as a zero vector, so each
-    consistency is 0.0 and the mask comes from the same threshold and
-    sigmoid; no residual has mass, so kept is None for each.
-    """
-    if n == 1 or k == 0:
-        ones = np.ones(k)
-        return ones, ones.copy(), None, [None] * n
-    consistencies = np.zeros(k)
-    tau = threshold_from_ratio(consistencies, rho)
-    return sigmoid(gamma * (consistencies - tau)), consistencies, tau, [None] * n
 
 
 def _consistencies(mats: list[np.ndarray]) -> np.ndarray:
@@ -439,23 +433,24 @@ def _merge_one_layer(layer_index: int, ordered: Sequence[ProjectorCheckpoint],
 
     The base layer is read once and serves both the deltas and the
     reconstruction. At full rank (effective rank min(k, w), 0 for an
-    all-zero layer) the residuals are exact zeros: their filter record comes
-    from `_filter_zeros` and only the cores are merged. Every operator
-    merges zero blocks to +0.0, so adding 0.0 keeps the bits of cores +
-    merged zero branch.
+    all-zero layer) the residuals are exact zeros, which the filter leaves
+    as they are, so only the cores are merged. Every operator merges zero
+    blocks to +0.0, so adding 0.0 keeps the bits of cores + merged zero
+    branch.
     """
     base_layer = base.layers[layer_index]
     shared = _joint_owned(task_vectors(ordered, base_layer, layer_index))
     shared, blocks = replace(shared, coeffs=()), list(shared.coeffs)
     cores, effective_rank, energy = _decouple_owned(blocks, config.rank)
-    n, (k, width) = len(blocks), blocks[0].shape
-    if effective_rank == min(k, width):
+    mask, consistencies, tau, kept = _filter_owned(blocks, config.gamma, config.rho)
+    if effective_rank == min(blocks[0].shape):
+        # Not `_merge_owned`, which frees the cores, here the N coefficient
+        # blocks, before `reconstruct`: glibc then trims the heap and faults it
+        # back in, about a fifth of pivot-deep's in-process time on 2 cores.
         blocks.clear()
-        mask, consistencies, tau, kept = _filter_zeros(n, k, config.gamma, config.rho)
         merged_coeffs = _merge_branch(shared.s, cores, alphas_col, config.inner)
         merged_coeffs += 0.0
     else:
-        mask, consistencies, tau, kept = _filter_owned(blocks, config.gamma, config.rho)
         merged_coeffs = _merge_owned(shared.s, cores, blocks, alphas_col, config.inner)
     record = {
         "layer": layer_index + 1,
@@ -501,7 +496,7 @@ def pivot_merge(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoin
                for li in range(base.num_layers)]
     merged_layers = tuple(layer for layer, _ in results)
     records = [record for _, record in results]
-    _warn_clamped(config.rank, [r["effective_rank"] for r in records])
+    _warn_ranks(config.rank, [r["effective_rank"] for r in records])
     diagnostics = {
         "method": "pivot",
         "expert_ids": ids,

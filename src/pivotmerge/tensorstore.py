@@ -97,9 +97,16 @@ def atomic_write(path, mode: str = "w"):
 
 
 def write_json(path, doc) -> None:
-    """Write `doc` atomically as indented, key-sorted JSON with a trailing newline."""
+    """Write `doc` atomically as indented, key-sorted JSON with a trailing newline.
+
+    A NaN or infinite value, which JSON has no token for, raises ValueError
+    naming `path`; `atomic_write` then leaves no file behind.
+    """
     with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        try:
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         fh.write("\n")
 
 

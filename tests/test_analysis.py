@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -368,3 +369,52 @@ def test_layer_weight_table_columns_sum_to_one():
 def test_mean_offdiagonal():
     m = np.array([[0.0, 2.0], [4.0, 0.0]])
     assert mean_offdiagonal(m) == pytest.approx(3.0)
+    # NaN entries are skipped; with no finite entry the mean is None, without a warning.
+    nan = np.nan
+    assert mean_offdiagonal(np.array([[0.0, nan, 2.0], [nan, nan, nan], [4.0, nan, 0.0]])) == 3.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mean_offdiagonal(np.array([[0.0, nan], [nan, nan]])) is None
+        assert mean_offdiagonal(np.zeros((1, 1))) is None
+
+
+def _layer_two_equals_the_base():
+    """A 16,16,16,16 chain whose every expert's layer 2 is the base's: layer 2 is all-zero."""
+    spec = SynthSpec.from_chain([16, 16, 16, 16], experts=3, core_rank=2, seed=5)
+    base, experts, _ = generate(spec)
+    experts = [dataclasses.replace(e, layers=(e.layers[0], base.layers[1], e.layers[2]))
+               for e in experts]
+    return base, experts
+
+
+def test_principal_angles_names_an_all_zero_layer_once_it_is_reached(monkeypatch):
+    base, experts = _layer_two_equals_the_base()
+    joints = []
+    real = analysis._joint_owned
+    monkeypatch.setattr(analysis, "_joint_owned", lambda stack: joints.append(1) or real(stack))
+    with pytest.raises(ValueError, match=r"^layer 2: all task vectors are zero, so its joint "
+                                         r"rank is 0; model-level subspaces need a uniform"):
+        collect_coefficients(experts, base, PivotConfig())
+    assert len(joints) == 2
+
+
+@pytest.mark.parametrize("command", ["merge", "residual-sim"])
+def test_one_warning_names_the_clamped_and_the_all_zero_layers(command):
+    base, experts = _layer_two_equals_the_base()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if command == "merge":
+            table = ScoreTable(expert_ids=tuple(e.id for e in experts),
+                               scores=[[0.0] * 3] * 3, beta=0.05)
+            pivot_merge(experts, base, table, PivotConfig())
+        else:
+            collect_residuals(experts, base, PivotConfig())
+    assert [str(w.message) for w in caught] == [
+        "rank 64 exceeds the block rank limit of layer 1 (16), layer 3 (16); clamping; "
+        "all task vectors are zero in layer 2: empty shared space"]
+
+
+def test_joint_decompose_warns_on_all_zero_deltas():
+    with pytest.warns(UserWarning, match="all task vectors are zero; layer has an empty shared"):
+        shared = joint_decompose([np.zeros((4, 3)), np.zeros((4, 3))])
+    assert shared.u.shape == (4, 0)

@@ -205,6 +205,50 @@ def test_analyze_duplicate_expert_paths_rejected(synth_dir, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("link", ["same", "dot", "symlink", "hardlink", "new"])
+def test_a_diagnostics_file_that_is_the_out_file_is_a_usage_error(synth_dir, tmp_path, capsys,
+                                                                    tensor_reads, link):
+    work = tmp_path / "work"
+    work.mkdir()
+    out = work / "x"
+    diag = {"same": out, "dot": f"{work}/./x", "symlink": work / "link",
+            "hardlink": work / "hard", "new": out}[link]
+    if link != "new":
+        out.write_bytes(b"keep me")
+    if link == "symlink":
+        diag.symlink_to(out)
+    elif link == "hardlink":
+        os.link(out, diag)
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    with pytest.raises(SystemExit) as exc:
+        main(["merge", "--method", "ties", "--base", str(synth_dir / "base.tensors"),
+              "--expert", expert_paths(synth_dir)[0], "--expert", expert_paths(synth_dir)[1],
+              "--out", str(out), "--diagnostics", str(diag)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--diagnostics {diag} names the same file as --out {out}" in err
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+    assert tensor_reads == []
+
+
+def test_principal_angles_with_an_expert_equal_to_the_base_writes_null_means(synth_dir,
+                                                                             tmp_path):
+    # The zero expert's angles are NaN, so no off-diagonal entry is finite.
+    out = tmp_path / "angles"
+    base = synth_dir / "base.tensors"
+    result = run_cli("analyze", "--mode", "principal-angles", "--base", base,
+                     "--expert", expert_paths(synth_dir)[0], "--expert", base, "--out", out)
+    assert result.returncode == 0, result.stderr
+    assert "RuntimeWarning" not in result.stderr
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert summary["mean_angle_raw"] is None
+    assert summary["mean_angle_filtered"] is None
+
+
 def test_merge_layout_mismatch_is_usage_error(synth_dir, tmp_path, capsys, tensor_reads):
     other = tmp_path / "other"
     assert main(["synth", "--out", str(other), "--dims", "8,16,12", "--experts", "2"]) == 0
@@ -238,11 +282,11 @@ def test_a_clamped_rank_prints_one_warning_naming_every_layer(synth_dir, tmp_pat
     # below the default rank 64; each used to print a warning of its own.
     result = run_cli(*command_args(command, synth_dir, tmp_path / "out"))
     assert result.returncode == 0, result.stderr
-    clamps = [line for line in result.stderr.splitlines()
-              if "UserWarning" in line and "clamp" in line]
-    assert len(clamps) == 1
-    assert clamps[0].endswith(
-        "UserWarning: rank 64 exceeds the block rank limit of layer 1 (9), layer 2 (16); clamping")
+    clamps = [line for line in result.stderr.splitlines() if "clamp" in line]
+    assert clamps == [
+        "warning: rank 64 exceeds the block rank limit of layer 1 (9), layer 2 (16); clamping"]
+    # One line per warning: no file, line or source line of the warning call.
+    assert "UserWarning" not in result.stderr and "warnings.warn" not in result.stderr
 
 
 @pytest.mark.parametrize("victim, name, bad", [

@@ -446,6 +446,35 @@ def test_filter_near_zero_mass_skips_compensation():
     np.testing.assert_array_equal(filtered[0], mask[:, None] * tiny)
 
 
+@pytest.mark.parametrize("n, k", [(1, 6), (2, 6), (5, 6), (3, 0)])
+def test_filter_on_zero_residuals_gives_the_bits_of_the_pass(monkeypatch, n, k):
+    # All residuals zero, as at full rank: the filter skips its per-row pass and
+    # returns what the pass gives on the same zeros. A -0.0 entry keeps its sign.
+    zeros = [np.zeros((k, 4)) for _ in range(n)]
+    if k:
+        zeros[-1][0, 0] = -0.0
+    if n > 1 and k:
+        consist = pivot._consistencies(zeros)
+        tau = pivot.threshold_from_ratio(consist, 0.5)
+        mask = linalg.sigmoid(20.0 * (consist - tau))
+    else:
+        consist, mask, tau = np.ones(k), np.ones(k), None
+    passes = []
+    monkeypatch.setattr(pivot, "_consistencies", lambda mats: passes.append(mats))
+    filtered, got_mask, got_consist, got_tau = filter_residuals(zeros, gamma=20.0, rho=0.5)
+    kept = pivot._filter_owned([z.copy() for z in zeros], 20.0, 0.5)[3]
+    assert passes == []
+    np.testing.assert_array_equal(bits(got_consist), bits(consist))
+    np.testing.assert_array_equal(bits(got_mask), bits(mask))
+    if tau is None:
+        assert got_tau is None
+    else:
+        assert bits(got_tau) == bits(tau)
+    for got, zero in zip(filtered, zeros):
+        np.testing.assert_array_equal(bits(got), bits(zero * mask[:, None]))
+    assert kept == [None] * n
+
+
 def test_filter_consistencies_match_gathered_unit_rows(rng):
     # rows below ZERO_NORM get zero unit rows; the result must be the bytes of a
     # boolean-mask gather and scatter of the normalized rows
@@ -802,8 +831,8 @@ def bits(values):
     ("full-rank-single", 64, [(8, 4)]), ("all-zero-single", 4, [])])
 def test_pivot_merge_matches_the_public_stage_chain_bit_for_bit(monkeypatch, op, case, rank,
                                                                  joint_svd):
-    # The kernel skips the filter and the residual merge at full rank; the
-    # public chain filters and merges the zero residuals.
+    # The kernel skips the residual merge at full rank; the public chain
+    # merges the zero residuals.
     gen = np.random.default_rng(41)
     base, experts = _single_layer_case(case, gen)
     table = ScoreTable(expert_ids=tuple(e.id for e in experts),
@@ -839,8 +868,9 @@ def test_pivot_merge_matches_the_public_stage_chain_bit_for_bit(monkeypatch, op,
                                                    ("all-zero", 0, 1)])
 def test_a_full_rank_layer_skips_the_residual_filter_and_merge(monkeypatch, case, filters,
                                                                 merges):
+    # The filter runs for every layer; on zero residuals it skips its per-row pass.
     calls = []
-    for name in ("_filter_owned", "merge_weighted"):
+    for name in ("_consistencies", "merge_weighted"):
         real = getattr(pivot, name)
         monkeypatch.setattr(pivot, name,
                             lambda *a, name=name, real=real: calls.append(name) or real(*a))
@@ -849,7 +879,7 @@ def test_a_full_rank_layer_skips_the_residual_filter_and_merge(monkeypatch, case
         warnings.simplefilter("ignore")
         pivot_merge(experts, base, uniform_table(experts, 1),
                     PivotConfig(rank=64 if case == "full-rank" else 4))
-    assert calls.count("_filter_owned") == filters
+    assert calls.count("_consistencies") == filters
     assert calls.count("merge_weighted") == merges
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import threading
 import tracemalloc
@@ -187,6 +188,17 @@ def test_failed_write_keeps_existing_target(tmp_path):
     before = path.read_bytes()
     with pytest.raises(OSError, match="disk full"):
         write_container(path, {"a": np.arange(8.0), "zz": _FailingArray()})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_rejects_a_non_finite_value_and_keeps_the_target(tmp_path, value):
+    path = tmp_path / "doc.json"
+    tensorstore.write_json(path, {"mean": 1.0})
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=re.escape(f"{path}: Out of range float values")):
+        tensorstore.write_json(path, {"mean": value})
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 
