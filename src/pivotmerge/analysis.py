@@ -54,8 +54,10 @@ def pairwise_principal_angles(sources: Sequence) -> np.ndarray:
     """Symmetric matrix of mean principal angles between column spaces.
 
     Each non-zero source is orthonormalized once and its basis reused for
-    every pair. Zero-matrix inputs produce NaN rows/columns with a warning;
-    the diagonal is 0 for valid inputs.
+    every pair. A source is zero only when every entry is exactly zero, so
+    scaling the sources by any power of two leaves the angles unchanged.
+    Zero-matrix inputs produce NaN rows/columns with a warning; the
+    diagonal is 0 for valid inputs.
     """
     if len(sources) < 2:
         raise ValueError("need at least two subspace sources")
@@ -64,7 +66,7 @@ def pairwise_principal_angles(sources: Sequence) -> np.ndarray:
     out = np.zeros((n, n))
     bases = []
     for i, m in enumerate(mats):
-        if np.linalg.norm(m) >= ZERO_NORM:
+        if m.any():
             bases.append(orthonormal_basis(m))
         else:
             warnings.warn(f"subspace source {i} is zero; its angles are reported as NaN")

@@ -8,12 +8,14 @@ Subcommands::
 
 Exit codes: 0 on success, 1 on computation failure, 2 on usage errors,
 including an expert set with duplicate ids, a layout that does not match
-the base, or a `--diagnostics` file that is the `--out` file. Each
-warning is printed to stderr on one line, `warning: <message>`. Each value
-is checked once, by the object that holds it: the `PivotConfig`,
-`MergeOperator` or `SynthSpec` built from the flags before any input is
-opened, whose rejection is a usage error naming the flag, or the
-`ScoreTable` read from the score file. Experts are always processed in
+the base, a `--diagnostics` file that is the `--out` file, a merge output
+file that names a directory or lies in a missing one, or an analyze `--out`
+that exists and is not a directory; each output path is checked before any
+input is opened. Each warning is printed to stderr on one line,
+`warning: <message>`. Each value is checked once, by the object that holds
+it: the `PivotConfig`, `MergeOperator` or `SynthSpec` built from the flags
+before any input is opened, whose rejection is a usage error naming the
+flag, or the `ScoreTable` read from the score file. Experts are always processed in
 lexicographic id order regardless of flag order. Layers run serially; BLAS
 threads are the only parallelism, and output is byte-identical run to run
 at a fixed BLAS thread count. A factorization of a matrix with no dimension
@@ -211,14 +213,27 @@ def _same_file(a, b) -> bool:
         return False
 
 
+def _check_output_file(parser: argparse.ArgumentParser, flag: str, path: str) -> None:
+    """Reject a file output that names a directory or whose directory does not exist."""
+    target = os.path.realpath(path)  # atomic_write replaces a symlink's target
+    if os.path.isdir(target):
+        parser.error(f"{flag} {path} is a directory")
+    parent = os.path.dirname(target)
+    if not os.path.isdir(parent):
+        parser.error(f"{flag} {path}: directory {parent} does not exist")
+
+
 def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
     inner = _given(args.inner, DEFAULT_INNER)
     reads, reader = READS[args.method], f"--method {args.method}"
     if args.method == "pivot":
         reads, reader = reads + READS[inner], f"{reader} --inner {inner}"
     _reject_unread_flags(parser, args, PIPELINE_FLAGS + OPERATOR_FLAGS, reads, reader)
-    if args.diagnostics and _same_file(args.out, args.diagnostics):
-        parser.error(f"--diagnostics {args.diagnostics} names the same file as --out {args.out}")
+    _check_output_file(parser, "--out", args.out)
+    if args.diagnostics:
+        _check_output_file(parser, "--diagnostics", args.diagnostics)
+        if _same_file(args.out, args.diagnostics):
+            parser.error(f"--diagnostics {args.diagnostics} names the same file as --out {args.out}")
     pivot = args.method == "pivot"
     with _flag_errors(parser):
         op = _operator_for(inner if pivot else args.method, args, is_inner=pivot)
@@ -251,6 +266,8 @@ def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
 def cmd_analyze(parser: argparse.ArgumentParser, args) -> int:
     _reject_unread_flags(parser, args, ("base", "expert") + PIPELINE_FLAGS, READS[args.mode],
                          f"--mode {args.mode}")
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        parser.error(f"--out {args.out} exists and is not a directory")
     with _flag_errors(parser):
         config = _pivot_config(args)
     if args.mode == "layer-weights":

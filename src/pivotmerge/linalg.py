@@ -9,11 +9,11 @@ _ONE_THREAD_ORDER (`_gram_eigh`'s eigensolve, `thin_svd` and
 `_basis_angles`' SVD) runs on one OpenBLAS thread, and the previous count is
 restored when it returns or raises. Waking an idle worker costs more than
 the worker saves at these orders, and a deep projector of small layers would
-pay that once per factorization. The setter is looked up in the OpenBLAS
-that numpy loaded, at the first small call; with another BLAS, no
-/proc/self/maps, or no such symbol nothing changes. The thread count is
-process-wide, so a BLAS call that another thread makes meanwhile also runs
-on one thread.
+pay that once per factorization. The setter is looked up through numpy's
+LAPACK extension at the first small call, so it is numpy's OpenBLAS whatever
+else is loaded; with another BLAS or no such symbol nothing changes. The
+thread count is process-wide, so a BLAS call that another thread makes
+meanwhile also runs on one thread.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ GRAM_COND_RTOL = 1e-6
 # lies outside [2^-_GRAM_EXP, 2^_GRAM_EXP]: its entries and eigenvalues then
 # neither overflow nor meet subnormals at the scale of lambda_max.
 _GRAM_EXP = 400
-# Vectors with 2-norm below this are treated as zero (cosine convention).
+# Whitened (scale-free) vectors with 2-norm below this are zero (cosine convention);
+# a raw delta, spectrum, merged delta or feature row is zero only when exactly zero.
 ZERO_NORM = 1e-12
 # LAPACK calls on matrices with no dimension above this run on one OpenBLAS
 # thread. With OpenBLAS 0.3.31, eigh at 1 and 2 threads gave identical bytes
@@ -84,22 +85,18 @@ def _as_matrix(mat, name: str = "matrix") -> np.ndarray:
 @functools.cache
 def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS numpy loaded, or None if there is none."""
+    # A handle's symbol lookup also searches the libraries it depends on, so
+    # this finds the BLAS that numpy's LAPACK calls run on.
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
-    except OSError:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (OSError, AttributeError):
         return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
+    for get_name, set_name in _THREAD_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
     return None
 
 

@@ -67,9 +67,6 @@ from .operators import MergeOperator, merge_weighted
 from .scores import ScoreTable, _check_beta, layer_weights, score_increments, threshold_from_ratio
 from .tensorstore import Layer, ProjectorCheckpoint, add_delta, sorted_experts
 
-# Rows whose singular value falls below this pass through as zero when
-# un-scaling from the spectrum-weighted space.
-SPECTRUM_FLOOR = 1e-12
 # Entries per expert in one row chunk of the residual filter's unit rows.
 _FILTER_CHUNK = 1 << 16
 # An uncertified wide concatenation's Gram eigenvectors with lambda <= _TAIL_RTOL *
@@ -235,13 +232,13 @@ def _decouple_owned(blocks: list[np.ndarray], rank: int
     each is its block overwritten as block - core, the core kept as its
     factors (left, right) from `_rank_factors`; at full rank, a `rank` of
     min(k, w) or more (clamped without a warning: each caller warns once),
-    the blocks are the cores and the residuals new zero blocks. The energy is sum(top-r lambda) / sum(lambda) of each block's
-    Gram eigenvalues: 1.0 at full rank, None for a zero block.
+    the blocks are the cores and the residuals new zero blocks. An all-zero
+    layer (k = 0) is at full rank 0. The energy is sum(top-r lambda) /
+    sum(lambda) of each block's Gram eigenvalues: 1.0 at full rank, None for
+    a zero block.
     """
     k, w = blocks[0].shape
     max_rank = min(k, w)
-    if max_rank == 0:
-        return [np.zeros((k, w)) for _ in blocks], 0, [None] * len(blocks)
     if rank >= max_rank:
         cores = blocks[:]
         blocks[:] = [np.zeros((k, w)) for _ in cores]
@@ -366,7 +363,7 @@ def merge_layer(s: np.ndarray, cores: Sequence[np.ndarray], filtered: Sequence[n
     Cores use the per-layer alignment weights; residuals use uniform weights.
     For a magnitude-based operator both branches are scaled row-wise by the
     joint spectrum `s` before the operator and un-scaled afterwards (rows
-    with s below SPECTRUM_FLOOR come back as zero). The inputs are left
+    with s == 0 come back as zero). The inputs are left
     unchanged: a magnitude-based operator scales copies of the blocks, where
     the kernel scales the blocks it owns in place.
     """
@@ -399,8 +396,9 @@ def _merge_branch(s: np.ndarray, blocks: list[np.ndarray], weights: Sequence[flo
                   op: MergeOperator) -> np.ndarray:
     """One branch's merge; a magnitude-based operator scales the blocks by S in place.
 
-    The merged block is then divided by S in place; its rows with S below
-    SPECTRUM_FLOOR come back as zero.
+    The merged block is then divided by S in place; its rows with S == 0
+    come back as zero. The joint step zeroes every row it does not invert,
+    and those merge to zero under every operator, so no floor is needed.
     """
     if not op.magnitude_based:
         return merge_weighted(op, blocks, weights)
@@ -410,7 +408,7 @@ def _merge_branch(s: np.ndarray, blocks: list[np.ndarray], weights: Sequence[flo
         for block in blocks:
             block *= col
     merged = merge_weighted(op, blocks, weights)
-    live = col >= SPECTRUM_FLOOR
+    live = col > 0.0
     np.divide(merged, col, out=merged, where=live)
     merged[~live[:, 0]] = 0.0
     return merged

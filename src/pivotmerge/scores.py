@@ -26,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import ZERO_NORM
 from .tensorstore import LAYER_INDEX, read_container, write_json
 
 DEFAULT_BETA = 0.05
@@ -56,10 +55,6 @@ class ScoreTable:
         object.__setattr__(self, "expert_ids", ids)
         object.__setattr__(self, "scores", s)
 
-    @property
-    def num_layers(self) -> int:
-        return self.scores.shape[1]
-
     def rows_for(self, expert_ids: Sequence[str]) -> np.ndarray:
         """Score rows for the given ids, in the given order."""
         index = {eid: i for i, eid in enumerate(self.expert_ids)}
@@ -76,9 +71,10 @@ def _check_beta(beta: float) -> None:
 
 
 def _rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine of each row pair; 0.0 where either row is zero (a norm of exactly 0)."""
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
-    ok = (na >= ZERO_NORM) & (nb >= ZERO_NORM)
+    ok = (na > 0.0) & (nb > 0.0)
     out = np.zeros(a.shape[0])
     dots = np.einsum("ij,ij->i", a, b)
     out[ok] = dots[ok] / (na[ok] * nb[ok])

@@ -154,7 +154,9 @@ def recovery_score(merged: ProjectorCheckpoint, base: ProjectorCheckpoint,
                    core_bases) -> list[float]:
     """Mean principal angle (degrees) between each layer's merged delta and its planted core.
 
-    A zero merged delta is degenerate and reported as 90 degrees with a warning.
+    A merged delta with every entry exactly zero is degenerate and reported
+    as 90 degrees with a warning; any other delta, however small, has its
+    angles measured.
     """
     if len(core_bases) != base.num_layers:
         raise ValueError(
@@ -164,7 +166,7 @@ def recovery_score(merged: ProjectorCheckpoint, base: ProjectorCheckpoint,
     out = []
     for li in range(base.num_layers):
         delta = merged.layers[li].matrix - base.layers[li].matrix
-        if np.linalg.norm(delta) < 1e-12:
+        if not delta.any():
             warnings.warn(f"layer {li + 1}: merged delta is zero; reporting 90 degrees")
             out.append(90.0)
             continue

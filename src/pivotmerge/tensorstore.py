@@ -77,7 +77,8 @@ def atomic_write(path, mode: str = "w"):
     ``open(path, "w")``, and is removed when the body raises. Symlinks are
     followed, so the link stays and its target is replaced. An existing
     target that is not a regular file (a pipe or device) cannot be replaced
-    and is written in place.
+    and is written in place. A temp file that cannot be created raises the
+    OSError naming `path`, not the temp file.
     """
     encoding = None if "b" in mode else "utf-8"
     target = Path(os.path.realpath(path))
@@ -86,7 +87,10 @@ def atomic_write(path, mode: str = "w"):
             yield fh
         return
     tmp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with open(fd, mode, encoding=encoding) as fh:
             yield fh

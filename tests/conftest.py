@@ -42,6 +42,18 @@ def make_checkpoint(ckpt_id, rng, chain, with_bias=True, scale=1.0):
     return ProjectorCheckpoint(id=ckpt_id, layers=tuple(layers))
 
 
+def scaled_checkpoint(ck, exp):
+    """`ck` with every layer matrix scaled by 2**exp, exactly."""
+    return ProjectorCheckpoint(id=ck.id, layers=tuple(Layer(np.ldexp(l.matrix, exp), l.has_bias)
+                                                      for l in ck.layers))
+
+
+def zero_checkpoint(like):
+    """A checkpoint of `like`'s layout with every entry zero, so a delta against it is exact."""
+    return ProjectorCheckpoint(id="base", layers=tuple(Layer(np.zeros_like(l.matrix), l.has_bias)
+                                                       for l in like.layers))
+
+
 def _blas_name():
     try:
         return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]

@@ -101,7 +101,7 @@ def reference_pivot_merge(base_layers, expert_layers, score_rows, rank, gamma, r
             def unscale(mat):
                 out = np.zeros_like(mat)
                 for row in range(k):
-                    if s[row] >= 1e-12:
+                    if s[row] > 0.0:
                         out[row] = mat[row] / s[row]
                 return out
 

@@ -21,8 +21,9 @@ from pivotmerge import (
 )
 from pivotmerge import analysis
 from pivotmerge.analysis import collect_coefficients, collect_residuals, write_matrix_csv
-from pivotmerge.linalg import ZERO_NORM, principal_angles
+from pivotmerge.linalg import principal_angles
 from pivotmerge.pivot import decouple, filter_residuals, joint_decompose, task_vectors
+from conftest import scaled_checkpoint, zero_checkpoint
 
 
 def test_residual_similarity_identical(rng):
@@ -75,7 +76,7 @@ def test_pairwise_angles_zero_input_flagged():
 def per_pair_angles(sources):
     """Reference: one principal_angles call per pair, each orthonormalizing both inputs."""
     n = len(sources)
-    valid = [np.linalg.norm(m) >= ZERO_NORM for m in sources]
+    valid = [m.any() for m in sources]
     out = np.full((n, n), np.nan)
     for i in range(n):
         if not valid[i]:
@@ -152,6 +153,25 @@ def test_crf_reduces_coefficient_angles():
     ang_raw = mean_offdiagonal(pairwise_principal_angles(raw))
     ang_filt = mean_offdiagonal(pairwise_principal_angles(filt))
     assert ang_filt <= ang_raw
+
+
+def test_principal_angles_of_deltas_scaled_by_a_power_of_two_are_unchanged():
+    # At 2^-45 each raw delta's norm is below 1e-12, yet no source is zero.
+    _, experts, _ = generate(SynthSpec.from_chain([8, 16, 16], experts=3, core_rank=2, seed=1))
+    base = zero_checkpoint(experts[0])
+    config = PivotConfig(rank=2)
+
+    def angles(cks):
+        raw, filt = collect_coefficients(cks, base, config)
+        return pairwise_principal_angles(raw), pairwise_principal_angles(filt)
+
+    want = angles(experts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = angles([scaled_checkpoint(e, -45) for e in experts])
+    for g, w in zip(got, want):
+        assert np.isfinite(w).all()
+        np.testing.assert_array_equal(g, w)
 
 
 def test_collect_rejects_duplicate_expert_ids():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import threading
@@ -8,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pivotmerge import (NumericalError, joint_decompose, load_checkpoint, read_container,
-                        read_scores, write_container)
+from pivotmerge import (Layer, NumericalError, joint_decompose, load_checkpoint, read_container,
+                        read_scores, save_checkpoint, write_container)
 from pivotmerge import cli
 from pivotmerge.cli import main
 from conftest import checkpoint_rel_error, run_cli
@@ -229,6 +230,53 @@ def test_a_diagnostics_file_that_is_the_out_file_is_a_usage_error(synth_dir, tmp
     assert f"--diagnostics {diag} names the same file as --out {out}" in err
     assert {p.name: p.read_bytes() for p in work.iterdir()} == before
     assert tensor_reads == []
+
+
+@pytest.mark.parametrize("case", ["out-in-missing-dir", "out-is-dir", "diagnostics-in-missing-dir",
+                                  "diagnostics-is-dir", "analyze-out-is-file"])
+def test_a_bad_output_path_is_a_usage_error_before_any_input_is_read(synth_dir, tmp_path, capsys,
+                                                                     tensor_reads, case):
+    work = tmp_path / "work"
+    (work / "sub").mkdir(parents=True)
+    (work / "afile").write_bytes(b"keep me")
+    flag, path = {"out-in-missing-dir": ("--out", work / "nodir" / "x.tensors"),
+                  "out-is-dir": ("--out", work / "sub"),
+                  "diagnostics-in-missing-dir": ("--diagnostics", work / "nodir" / "d.json"),
+                  "diagnostics-is-dir": ("--diagnostics", work / "sub"),
+                  "analyze-out-is-file": ("--out", work / "afile")}[case]
+    if case.startswith("analyze"):
+        args = command_args("residual-sim", synth_dir, path)
+    elif flag == "--out":
+        args = command_args("average", synth_dir, path)
+    else:
+        args = command_args("average", synth_dir, work / "x.tensors") + [flag, str(path)]
+    before = sorted((p.relative_to(work), p.is_file() and p.read_bytes()) for p in work.rglob("*"))
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"{flag} {path}" in capsys.readouterr().err
+    assert sorted((p.relative_to(work), p.is_file() and p.read_bytes())
+                  for p in work.rglob("*")) == before
+    assert tensor_reads == []
+
+
+def test_pivot_merges_deltas_of_norm_below_1e_12(tmp_path):
+    # Each expert is the base plus its delta scaled by 2^-45; the merge must not
+    # floor those deltas away and write the base.
+    out = tmp_path / "synth"
+    assert main(["synth", "--out", str(out), "--experts", "3", "--seed", "1"]) == 0
+    base = load_checkpoint(out / "base.tensors")
+    for path in expert_paths(out):
+        ck = load_checkpoint(path)
+        save_checkpoint(path, dataclasses.replace(ck, layers=tuple(
+            Layer(b.matrix + np.ldexp(e.matrix - b.matrix, -45), b.has_bias)
+            for e, b in zip(ck.layers, base.layers))))
+    merged = tmp_path / "merged.tensors"
+    with pytest.warns(UserWarning, match="clamping"):
+        assert main(command_args("pivot", out, merged)) == 0
+    moved = [np.abs(m.matrix - b.matrix).max()
+             for m, b in zip(load_checkpoint(merged).layers, base.layers)]
+    assert all(0.0 < d < 1e-12 for d in moved)
 
 
 def test_principal_angles_with_an_expert_equal_to_the_base_writes_null_means(synth_dir,

@@ -11,8 +11,10 @@ from pivotmerge import (
     PivotConfig,
     ProjectorCheckpoint,
     ScoreTable,
+    SynthSpec,
     decouple,
     filter_residuals,
+    generate,
     joint_decompose,
     layer_weights,
     merge_layer,
@@ -26,7 +28,8 @@ from pivotmerge import (
 )
 from pivotmerge import linalg, pivot
 from pivotmerge.pivot import _merge_one_layer
-from conftest import checkpoint_rel_error, make_checkpoint, rel_error
+from conftest import (checkpoint_rel_error, make_checkpoint, rel_error, scaled_checkpoint,
+                      zero_checkpoint)
 from pipeline_oracle import reference_pivot_merge
 
 
@@ -598,7 +601,7 @@ def test_merge_layer_matches_merging_scaled_copies(op, n):
 
     def scaled_merge(blocks, weights):
         merged = merge_weighted(op, [col * b for b in blocks], weights)
-        return np.divide(merged, col, out=np.zeros_like(merged), where=col >= pivot.SPECTRUM_FLOOR)
+        return np.divide(merged, col, out=np.zeros_like(merged), where=col > 0.0)
 
     got = merge_layer(s, cores, filtered, alphas, op)
     want = scaled_merge(cores, alphas) + scaled_merge(filtered, [1.0] * n)
@@ -978,6 +981,30 @@ def test_pivot_merge_zero_deltas_returns_base(rng):
                                    PivotConfig(rank=2))
     assert checkpoint_rel_error(merged, base) == 0.0
     assert diag["layers"][0]["singular_values"] == []
+
+
+@pytest.mark.parametrize("op", [MergeOperator.ties(1.0), MergeOperator.ties(0.3),
+                                MergeOperator.dare_ties(1.0, 0.5), MergeOperator.average()],
+                         ids=["ties-1.0", "ties-0.3", "dare-ties", "average"])
+@pytest.mark.parametrize("rank", [2, 9], ids=["wide", "full-rank"])
+def test_pivot_merge_is_equivariant_under_power_of_two_scaling(op, rank):
+    # At 2^-45 every joint singular value is below 1e-12 and the merge is the
+    # scaled merge bit for bit; at 2^-400 the Gram step rescales, so it
+    # agrees to rounding.
+    _, experts, _ = generate(SynthSpec.from_chain([8, 16, 16], experts=3, core_rank=2, seed=1))
+    base = zero_checkpoint(experts[0])
+    table = uniform_table(experts, base.num_layers)
+    config = PivotConfig(rank=rank, inner=op)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want, _ = pivot_merge(experts, base, table, config)
+        small, _ = pivot_merge([scaled_checkpoint(e, -45) for e in experts], base, table, config)
+        tiny, _ = pivot_merge([scaled_checkpoint(e, -400) for e in experts], base, table, config)
+    for w, s, t in zip(want.layers, small.layers, tiny.layers):
+        assert w.matrix.any()
+        np.testing.assert_array_equal(s.matrix.view(np.uint64),
+                                      np.ldexp(w.matrix, -45).view(np.uint64))
+        assert rel_error(np.ldexp(t.matrix, 400), w.matrix) <= 1e-12
 
 
 def test_pivot_config_validation():

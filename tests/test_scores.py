@@ -233,6 +233,18 @@ def test_scores_mean_of_cosines():
                                atol=1e-15)
 
 
+def test_scores_of_features_scaled_by_a_power_of_two_are_unchanged():
+    # Rows of norm below 1e-12 are not zero rows.
+    gen = np.random.default_rng(5)
+    texts = gen.standard_normal((6, 4))
+    feats = [texts + gen.standard_normal((6, 4)) for _ in range(2)]
+    want = compute_scores_from_features(feats, texts)
+    got = compute_scores_from_features([np.ldexp(f, -45) for f in feats], np.ldexp(texts, -45))
+    assert np.linalg.norm(np.ldexp(texts, -45), axis=1).max() < 1e-12
+    np.testing.assert_array_equal(got, want)
+    assert np.all(want > 0.0)
+
+
 def test_scores_dimension_mismatch():
     with pytest.raises(ValueError):
         compute_scores_from_features([np.ones((2, 3))], np.ones((2, 2)))

@@ -1,7 +1,11 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from pivotmerge import (
+    Layer,
     MergeOperator,
     PivotConfig,
     ScoreTable,
@@ -16,7 +20,7 @@ from pivotmerge import (
     recovery_score,
 )
 from pivotmerge.synth import expert_id, ground_truth_tensors
-from conftest import checkpoint_rel_error
+from conftest import checkpoint_rel_error, scaled_checkpoint, zero_checkpoint
 
 
 def spec_from(chain=(8, 16, 16), **kwargs):
@@ -143,6 +147,24 @@ def test_recovery_score_zero_delta_flagged():
     with pytest.warns(UserWarning, match="zero"):
         angles = recovery_score(base, base, cores)
     assert angles == [90.0]
+
+
+def test_recovery_score_of_a_delta_scaled_by_a_power_of_two_is_unchanged():
+    # A merged delta of norm below 1e-12 is measured, not reported as zero.
+    spec = spec_from(experts=3, residual_scale=0.5, noise_scale=0.01, seed=1)
+    base, experts, cores = generate(spec)
+    merged, _ = pivot_merge(experts, base, ScoreTable(
+        expert_ids=tuple(e.id for e in experts), scores=np.zeros((3, spec.layers))),
+        PivotConfig(rank=2))
+    zero = zero_checkpoint(base)
+    delta = dataclasses.replace(merged, layers=tuple(
+        Layer(m.matrix - b.matrix, m.has_bias) for m, b in zip(merged.layers, base.layers)))
+    want = recovery_score(delta, zero, cores)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = recovery_score(scaled_checkpoint(delta, -45), zero, cores)
+    assert got == want
+    assert want[0] > 1.0
 
 
 def test_weight_average_recovery_improves_with_experts():

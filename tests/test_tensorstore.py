@@ -203,6 +203,15 @@ def test_write_json_rejects_a_non_finite_value_and_keeps_the_target(tmp_path, va
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_atomic_write_into_a_missing_directory_names_the_target(tmp_path):
+    path = tmp_path / "nodir" / "doc.json"
+    with pytest.raises(FileNotFoundError) as exc:
+        tensorstore.write_json(path, {"mean": 1.0})
+    assert exc.value.filename == str(path)
+    assert str(path) in str(exc.value) and ".tmp" not in str(exc.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_through_symlink_keeps_link(tmp_path):
     real = tmp_path / "real.tensors"
     write_container(real, {"a": np.arange(2.0)})
