@@ -175,7 +175,7 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
         if sources and not blocks[0].shape[0]:
             raise ValueError(f"layer {li + 1}: all task vectors are zero, so its joint rank is 0;"
                              " model-level subspaces need a uniform joint rank across layers")
-        cores, effective_rank, _ = _decouple_owned(blocks, config.rank)
+        cores, effective_rank = _decouple_owned(blocks, config.rank)[:2]
         effective_ranks.append(effective_rank)
         if sources:
             mask, _, tau, _ = _filter_owned(blocks, config.gamma, config.rho)

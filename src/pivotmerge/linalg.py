@@ -14,6 +14,16 @@ LAPACK extension at the first small call, so it is numpy's OpenBLAS whatever
 else is loaded; with another BLAS or no such symbol nothing changes. The
 thread count is process-wide, so a BLAS call that another thread makes
 meanwhile also runs on one thread.
+
+`_rank_factors` needs only the top r + 1 eigenpairs of a block's Gram
+matrix. It takes them from LAPACK's dsyevr with RANGE='I' (bisection and
+inverse iteration for a partial range; Demmel, Marques, Parlett & Voemel,
+SIAM J. Sci. Comput. 2008), found through the same handle on numpy's LAPACK
+extension, so no back-transformation of the other eigenvectors and no
+2n^2 workspace of dsyevd is paid for. Only symbols whose integer width the
+name tells are used (_DSYEVR_SYMBOLS); with none of them, the same pairs are
+sliced from a full np.linalg.eigh. The joint step needs every eigenvector
+and keeps np.linalg.eigh.
 """
 
 from __future__ import annotations
@@ -55,6 +65,13 @@ _THREAD_SYMBOLS = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+# LAPACK's dsyevr in numpy's LAPACK, by symbol, with the integer width that
+# the symbol's name tells; a bare dsyevr_ could take either width, so it is not used.
+_DSYEVR_SYMBOLS = (
+    ("scipy_dsyevr_64_", ctypes.c_int64),
+    ("dsyevr_64_", ctypes.c_int64),
+    ("scipy_dsyevr_", ctypes.c_int32),
+)
 # Held while the count is 1, so concurrent small calls cannot restore it out of
 # order; reentrant, so a small call made inside another cannot deadlock.
 _ONE_THREAD_LOCK = threading.RLock()
@@ -83,13 +100,21 @@ def _as_matrix(mat, name: str = "matrix") -> np.ndarray:
 
 
 @functools.cache
+def _lapack_lib():
+    """A handle on numpy's LAPACK extension, or None if it cannot be opened."""
+    # A handle's symbol lookup also searches the libraries it depends on, so
+    # this finds the BLAS and LAPACK that numpy's LAPACK calls run on.
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (OSError, AttributeError):
+        return None
+
+
+@functools.cache
 def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS numpy loaded, or None if there is none."""
-    # A handle's symbol lookup also searches the libraries it depends on, so
-    # this finds the BLAS that numpy's LAPACK calls run on.
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (OSError, AttributeError):
+    lib = _lapack_lib()
+    if lib is None:
         return None
     for get_name, set_name in _THREAD_SYMBOLS:
         if hasattr(lib, get_name) and hasattr(lib, set_name):
@@ -98,6 +123,72 @@ def _openblas_threads():
             set_.restype, set_.argtypes = None, [ctypes.c_int]
             return get, set_
     return None
+
+
+@functools.cache
+def _dsyevr():
+    """(dsyevr, its ctypes integer) from numpy's LAPACK, or None if no listed symbol is there."""
+    lib = _lapack_lib()
+    if lib is None:
+        return None
+    for name, c_int in _DSYEVR_SYMBOLS:
+        if hasattr(lib, name):
+            func = getattr(lib, name)
+            # JOBZ, RANGE, UPLO; N, A, LDA, VL, VU, IL, IU, ABSTOL, M, W, Z, LDZ,
+            # ISUPPZ, WORK, LWORK, IWORK, LIWORK, INFO by reference; then the
+            # three character lengths that gfortran passes (others ignore them).
+            func.restype = None
+            func.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 18 + [ctypes.c_size_t] * 3
+            return func, c_int
+    return None
+
+
+def _top_eigh(gram: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `top` largest eigenpairs of a symmetric matrix, ascending; `gram` is overwritten.
+
+    `gram` must be a writeable, C-contiguous float64 square array, with
+    1 <= top <= its order. Only its lower triangle is read, as
+    np.linalg.eigh reads it: in Fortran order that is the upper triangle of
+    the transpose, so dsyevr takes UPLO='U' on the C-order storage and no
+    copy is made. dsyevr finds them when numpy's LAPACK has it (`_dsyevr`);
+    otherwise they are sliced from np.linalg.eigh. Raises
+    np.linalg.LinAlgError when dsyevr reports info != 0 or finds another
+    number of eigenvalues than `top`.
+    """
+    n = gram.shape[0]
+    if not (gram.dtype == np.float64 and gram.shape == (n, n) and gram.flags.c_contiguous
+            and gram.flags.writeable and 1 <= top <= n):
+        raise ValueError(f"need a writeable C-order float64 square matrix and 1 <= top <= order, "
+                         f"got {gram.dtype} {gram.shape} and top {top}")
+    routine = _dsyevr()
+    if routine is None:
+        evals, evecs = np.linalg.eigh(gram)
+        return evals[-top:], evecs[:, -top:]
+    func, c_int = routine
+    # IL = n - top + 1 and IU = N select the `top` largest.
+    order, il, found, info = c_int(n), c_int(n - top + 1), c_int(0), c_int(0)
+    zero = ctypes.c_double(0.0)  # VL and VU, unused for RANGE='I'; ABSTOL 0, LAPACK's default
+    evals = np.empty(n)
+    z = np.empty((top, n))  # row-major (top, n) is column-major (n, top) with LDZ = n
+    isuppz = np.empty(2 * top, dtype=c_int)
+
+    def call(work: np.ndarray, iwork: np.ndarray, lwork: int, liwork: int) -> None:
+        ref = ctypes.byref
+        func(b"V", b"I", b"U", ref(order), gram.ctypes.data, ref(order), ref(zero), ref(zero),
+             ref(il), ref(order), ref(zero), ref(found), evals.ctypes.data, z.ctypes.data,
+             ref(order), isuppz.ctypes.data, work.ctypes.data, ref(c_int(lwork)),
+             iwork.ctypes.data, ref(c_int(liwork)), ref(info), 1, 1, 1)
+        if info.value:
+            raise np.linalg.LinAlgError(f"dsyevr returned info {info.value}")
+
+    # Sizes of -1 ask LAPACK for the workspace it wants, written into each array's first entry.
+    work, iwork = np.zeros(1), np.zeros(1, dtype=c_int)
+    call(work, iwork, -1, -1)
+    lwork, liwork = int(work[0]), int(iwork[0])
+    call(np.empty(lwork), np.empty(liwork, dtype=c_int), lwork, liwork)
+    if found.value != top:
+        raise np.linalg.LinAlgError(f"dsyevr found {found.value} of {top} eigenvalues")
+    return evals[:top], z.T
 
 
 @contextlib.contextmanager
@@ -143,14 +234,18 @@ def _canonical_signs(u: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _gram_eigh(m: np.ndarray, wide: bool, vectors: bool = True
-               ) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """Ascending eigenpairs of G G^T (wide) or G^T G, G = 2^-shift M, and the shift.
+def _gram_eigh(m: np.ndarray, wide: bool, vectors: bool = True, top: int | None = None
+               ) -> tuple[np.ndarray, np.ndarray | None, int, float]:
+    """Ascending eigenpairs of G G^T (wide) or G^T G, G = 2^-shift M, the shift and the trace.
 
     shift is 0 unless max|M| lies outside [2^-_GRAM_EXP, 2^_GRAM_EXP]; then it
     brings max|G| into [0.5, 1), and the eigenvalues are 4^-shift times M's.
-    Without `vectors` the second item is None. Raises ValueError for NaN or
-    Inf entries and NumericalError if the eigensolver fails.
+    Without `vectors` the second item is None. With `top` only the `top`
+    largest eigenpairs come back, vectors included (`_top_eigh`, dsyevr),
+    still ascending. The
+    trace of the Gram matrix is the sum of all its eigenvalues. Raises
+    ValueError for NaN or Inf entries and NumericalError if the eigensolver
+    fails.
     """
     peak = max(m.max(), -m.min())
     if not np.isfinite(peak):
@@ -158,12 +253,16 @@ def _gram_eigh(m: np.ndarray, wide: bool, vectors: bool = True
     shift = 0 if 2.0 ** -_GRAM_EXP <= peak <= 2.0 ** _GRAM_EXP else int(np.frexp(peak)[1])
     g = np.ldexp(m, -shift) if shift else m
     gram = g @ g.T if wide else g.T @ g
+    trace = float(np.trace(gram))
     try:
         with _lapack_threads(gram.shape):
-            evals, evecs = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
+            if top is not None:
+                evals, evecs = _top_eigh(gram, top)
+            else:
+                evals, evecs = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Gram eigensolve failed to converge on shape {m.shape}") from exc
-    return evals, evecs, shift
+    return evals, evecs, shift, trace
 
 
 def _gram_certified(evals: np.ndarray) -> bool:
@@ -176,7 +275,8 @@ def truncate_rank(mat, rank: int) -> np.ndarray:
 
     If `rank` meets or exceeds min(m, n) this is a copy. Otherwise the top-
     `rank` eigenvectors Q of the smaller Gram matrix (M M^T or M^T M) give the
-    projection Q Q^T M (or M Q Q^T). That route is taken only when the cut
+    projection Q Q^T M (or M Q Q^T); only the top rank + 1 eigenpairs are
+    computed (LAPACK's dsyevr). That route is taken only when the cut
     eigengap exceeds EIG_GAP_RTOL * lambda_max; a tied cut, a block of rank
     below `rank` or a zero block falls back to the thin SVD's U_r S_r V_r^T.
     """
@@ -186,35 +286,36 @@ def truncate_rank(mat, rank: int) -> np.ndarray:
     m = _as_matrix(mat)
     if r >= min(m.shape):
         return m.copy()
-    left, right, _ = _rank_factors(m, r)
+    left, right = _rank_factors(m, r)[:2]
     return left @ right
 
 
-def _rank_factors(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, float | None]:
-    """`truncate_rank`'s core as owned factors (left, right), plus the energy it keeps.
+def _rank_factors(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, float | None, str]:
+    """`truncate_rank`'s core as owned factors (left, right), the energy it keeps and its route.
 
     Requires a 2-D float64 array and 1 <= r < min(m, n); `_gram_eigh` rejects
-    NaN and Inf entries. The core is left @ right: (Q, Q^T M) on the
-    wide Gram route, (M Q, Q^T) on the tall one and (U_r S_r, V_r^T) on the
-    SVD fallback. Each factor owns its data, so no view keeps the whole
-    eigenvector matrix or V^T alive. The energy is sum(top-r lambda) /
-    sum(lambda) over the Gram eigenvalues, or the same over s^2 on the SVD
-    fallback; None for a zero matrix.
+    NaN and Inf entries. The top r + 1 eigenpairs of the smaller Gram matrix
+    (dsyevr, `_top_eigh`) decide the route. When the cut eigengap exceeds
+    EIG_GAP_RTOL * lambda_max the route is "eig" and the core is left @ right
+    with (Q, Q^T M) when wide and (M Q, Q^T) when tall. Otherwise it is "svd",
+    with (U_r S_r, V_r^T) from the thin SVD. Each factor owns its data, so no
+    view keeps an eigenvector matrix or V^T alive. The energy is sum(top-r
+    lambda) / trace of the Gram matrix on "eig" (the trace is the sum of all
+    eigenvalues), or the same share of s^2 on "svd"; None for a zero matrix.
     """
     wide = m.shape[0] <= m.shape[1]
-    evals, evecs, _ = _gram_eigh(m, wide)
-    if evals[-r] - evals[-r - 1] > EIG_GAP_RTOL * evals[-1]:
-        q = evecs[:, -r:].copy()
+    evals, evecs, _, trace = _gram_eigh(m, wide, top=r + 1)
+    if evals[1] - evals[0] > EIG_GAP_RTOL * evals[-1]:
+        q = evecs[:, 1:].copy()
         # Shares of lambda_max, so the sums cannot overflow.
-        unit = evals / evals[-1]
-        energy = float(unit[-r:].sum() / unit.sum())
-        return (q, q.T @ m, energy) if wide else (m @ q, q.T.copy(), energy)
+        energy = float((evals[1:] / evals[-1]).sum() / (trace / evals[-1]))
+        return (q, q.T @ m, energy, "eig") if wide else (m @ q, q.T.copy(), energy, "eig")
     factors = thin_svd(m)
     energy = None
     if factors.s[0] > 0.0:
         unit = (factors.s / factors.s[0]) ** 2
         energy = float(unit[:r].sum() / unit.sum())
-    return factors.u[:, :r] * factors.s[:r], factors.vt[:r].copy(), energy
+    return factors.u[:, :r] * factors.s[:r], factors.vt[:r].copy(), energy, "svd"
 
 
 def cosine(a, b) -> float:

@@ -11,9 +11,10 @@ Each projector layer is merged independently through five stages:
    when the GRAM_COND_RTOL certificate fails; a tall or square one takes its
    thin SVD;
 3. decoupling: each coefficient block splits into a rank-r core (its best
-   rank-r approximation, from the smaller Gram matrix's top eigenvectors)
-   plus a residual. A rank above the block rank limit min(k, w) is clamped
-   to it, and one warning names every clamped layer and all-zero layer;
+   rank-r approximation, from the smaller Gram matrix's top r + 1
+   eigenpairs, which LAPACK's dsyevr computes alone) plus a residual. A
+   rank above the block rank limit min(k, w) is clamped to it, and one
+   warning names every clamped layer and all-zero layer;
 4. consistency-aware residual filtering: per basis direction, residual rows
    are scored by mean cross-expert cosine, gated by a sigmoid around an
    order-statistic threshold, and rescaled so each expert's entrywise L1
@@ -194,7 +195,7 @@ def _left_factors(concat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | Non
     if concat.shape[1] <= concat.shape[0]:
         factors = thin_svd(concat)
         return factors.u, factors.s, None
-    evals, evecs, shift = _gram_eigh(concat, wide=True)
+    evals, evecs, shift, _ = _gram_eigh(concat, wide=True)
     b = 0 if _gram_certified(evals) else int(np.count_nonzero(evals <= _TAIL_RTOL * evals[-1]))
     u = evecs[:, b:][:, ::-1]
     s = np.ldexp(np.sqrt(evals[b:][::-1]), shift)
@@ -208,16 +209,20 @@ def _left_factors(concat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | Non
 def decouple(coeffs: Sequence[np.ndarray], rank: int) -> DecoupledLayer:
     """Split each coefficient block into a rank-`rank` core plus residual.
 
-    Ranks beyond min(k, w) are clamped with a warning so small layers still
-    decompose. At rank min(k, w) the core is the whole block: cores are
-    copies of the blocks and residuals are exact zeros, with no factorization.
+    Each core is `truncate_rank`'s: the projection onto the top-`rank`
+    eigenvectors of the block's smaller Gram matrix, of which only the top
+    rank + 1 eigenpairs are computed, or the thin SVD's when the cut is not
+    certified. Ranks beyond min(k, w) are clamped with a warning so small
+    layers still decompose. At rank min(k, w) the core is the whole block:
+    cores are copies of the blocks and residuals are exact zeros, with no
+    factorization.
     The blocks are copied and left unchanged. The merge kernel runs the same
     code on the blocks it owns: each residual is formed in its block's
     storage, and each core stays as its rank-r factors until the merge.
     """
     PivotConfig(rank=rank)  # the range check
     blocks = [b.copy() for b in _blocks(coeffs, "coefficient block")]
-    cores, effective_rank, _ = _decouple_owned(blocks, rank)
+    cores, effective_rank = _decouple_owned(blocks, rank)[:2]
     if 0 < effective_rank < rank:
         warnings.warn(f"rank {rank} exceeds block rank limit {effective_rank}; clamping")
     return DecoupledLayer(cores=tuple(_dense(c) for c in cores), residuals=tuple(blocks),
@@ -225,8 +230,8 @@ def decouple(coeffs: Sequence[np.ndarray], rank: int) -> DecoupledLayer:
 
 
 def _decouple_owned(blocks: list[np.ndarray], rank: int
-                    ) -> tuple[list, int, list[float | None]]:
-    """`decouple` on blocks the caller gives up: (cores, effective rank, core energy).
+                    ) -> tuple[list, int, list[float | None], list[str]]:
+    """`decouple` on blocks the caller gives up: (cores, effective rank, core energy, core route).
 
     The residuals replace the blocks in the caller's list: below full rank
     each is its block overwritten as block - core, the core kept as its
@@ -235,21 +240,24 @@ def _decouple_owned(blocks: list[np.ndarray], rank: int
     the blocks are the cores and the residuals new zero blocks. An all-zero
     layer (k = 0) is at full rank 0. The energy is sum(top-r lambda) /
     sum(lambda) of each block's Gram eigenvalues: 1.0 at full rank, None for
-    a zero block.
+    a zero block. The route is `_rank_factors`' "eig" (the certified subset
+    eigensolve) or "svd" (the fallback), and "full" at full rank, where
+    nothing is factored.
     """
     k, w = blocks[0].shape
     max_rank = min(k, w)
     if rank >= max_rank:
         cores = blocks[:]
         blocks[:] = [np.zeros((k, w)) for _ in cores]
-        return cores, max_rank, [1.0 if c.any() else None for c in cores]
-    cores, energy = [], []
+        return cores, max_rank, [1.0 if c.any() else None for c in cores], ["full"] * len(cores)
+    cores, energy, routes = [], [], []
     for block in blocks:
-        left, right, share = _rank_factors(block, rank)
+        left, right, share, route = _rank_factors(block, rank)
         block -= left @ right
         cores.append((left, right))
         energy.append(share)
-    return cores, rank, energy
+        routes.append(route)
+    return cores, rank, energy, routes
 
 
 def _warn_ranks(rank: int, effective_ranks: Sequence[int]) -> None:
@@ -439,7 +447,7 @@ def _merge_one_layer(layer_index: int, ordered: Sequence[ProjectorCheckpoint],
     base_layer = base.layers[layer_index]
     shared = _joint_owned(task_vectors(ordered, base_layer, layer_index))
     shared, blocks = replace(shared, coeffs=()), list(shared.coeffs)
-    cores, effective_rank, energy = _decouple_owned(blocks, config.rank)
+    cores, effective_rank, energy, routes = _decouple_owned(blocks, config.rank)
     mask, consistencies, tau, kept = _filter_owned(blocks, config.gamma, config.rho)
     if effective_rank == min(blocks[0].shape):
         # Not `_merge_owned`, which frees the cores, here the N coefficient
@@ -460,6 +468,7 @@ def _merge_one_layer(layer_index: int, ordered: Sequence[ProjectorCheckpoint],
         "singular_values": [float(v) for v in shared.s],
         "effective_rank": effective_rank,
         "core_energy": energy,
+        "core_route": routes,
         "joint_tail": shared.joint_tail,
     }
     try:

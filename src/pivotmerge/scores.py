@@ -71,7 +71,15 @@ def _check_beta(beta: float) -> None:
 
 
 def _rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosine of each row pair; 0.0 where either row is zero (a norm of exactly 0)."""
+    """Cosine of each row pair; 0.0 where either row is zero (a norm of exactly 0).
+
+    Each row is first divided by the exact power of two that brings its
+    largest magnitude into [0.5, 1), so no norm overflows or underflows at
+    any float64 scale. Where the raw rows' norms neither overflow nor
+    underflow, that changes no bit of the cosine.
+    """
+    a, b = (np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, initial=0.0))[1][:, None])
+            for x in (a, b))
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
     ok = (na > 0.0) & (nb > 0.0)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pivotmerge import Layer, ProjectorCheckpoint, tensorstore
+from pivotmerge import Layer, ProjectorCheckpoint, linalg, tensorstore
 from pivotmerge.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,6 +65,12 @@ def _blas_name():
 needs_threaded_openblas = pytest.mark.skipif(
     "openblas" not in _blas_name().lower() or (os.cpu_count() or 1) < 2,
     reason="needs numpy on OpenBLAS and at least two cores")
+
+
+# Checks of LAPACK's dsyevr itself mean nothing where numpy's LAPACK lacks it;
+# there the top eigenpairs come from np.linalg.eigh, which the other tests cover.
+needs_subset_eigh = pytest.mark.skipif(linalg._dsyevr() is None,
+                                       reason="needs dsyevr in numpy's LAPACK")
 
 
 def child_env(**environ):

@@ -1,3 +1,5 @@
+import ctypes
+import re
 import warnings
 
 import numpy as np
@@ -177,13 +179,60 @@ def test_truncate_rank_rejects_a_non_finite_entry(bad):
 ], ids=["wide-gram", "tall-gram", "svd-fallback", "tied-cut"])
 def test_truncate_rank_is_the_product_of_owned_rank_factors(monkeypatch, mat, rank, svd_calls):
     calls = count_svd_calls(monkeypatch)
-    left, right, energy = linalg._rank_factors(mat, rank)
+    left, right, energy, route = linalg._rank_factors(mat, rank)
     assert len(calls) == svd_calls
+    assert route == ("svd" if svd_calls else "eig")
     assert left.shape == (mat.shape[0], rank) and right.shape == (rank, mat.shape[1])
     assert left.flags.owndata and right.flags.owndata
     want = truncate_rank(mat, rank)
     np.testing.assert_array_equal((left @ right).view(np.uint64), want.view(np.uint64))
     assert abs(energy - np.sum(want ** 2) / np.sum(mat ** 2)) <= 1e-12
+
+
+def spectrum_matrix(seed, shape, evals):
+    """A matrix of `shape` whose smaller Gram matrix has the eigenvalues `evals`."""
+    gen = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(gen.standard_normal((d, len(evals))))[0] for d in shape)
+    return (u * np.sqrt(evals)) @ v.T
+
+
+@pytest.mark.parametrize("gap", [None, 1.5, 0.5], ids=["spread", "gap-above", "gap-below"])
+@pytest.mark.parametrize("exp", [0, 450, -450])
+@pytest.mark.parametrize("shape", [(40, 70), (70, 40)], ids=["wide", "tall"])
+def test_subset_eigensolve_matches_the_full_one(monkeypatch, shape, exp, gap):
+    # The full eigensolve is the same code with no dsyevr found. A gap is the
+    # cut's lambda_r - lambda_(r+1) in units of EIG_GAP_RTOL * lambda_max; at
+    # 2^+-450 the Gram matrix is formed from a scaled copy.
+    rank = 6
+    evals = np.linspace(1.0, 0.01, 40)
+    if gap is not None:
+        evals[rank:] = np.linspace(0.5, 0.01, 40 - rank) - gap * linalg.EIG_GAP_RTOL
+        evals[:rank] = np.linspace(1.0, 0.5, rank)
+    mat = np.ldexp(spectrum_matrix(17, shape, evals), exp)
+    subset = linalg._rank_factors(mat, rank)
+    monkeypatch.setattr(linalg, "_dsyevr", lambda: None)
+    full = linalg._rank_factors(mat, rank)
+    assert subset[3] == full[3] == ("svd" if gap == 0.5 else "eig")
+    assert abs(subset[2] - full[2]) <= 1e-14
+    # Davis-Kahan: each route's subspace is within about n * eps * lambda_max / gap
+    # of the exact one, and the cores differ by at most that times |M|.
+    delta = evals[rank - 1] - evals[rank]
+    bound = 10 * min(shape) * np.finfo(float).eps * evals[0] / delta
+    diff = np.linalg.norm(subset[0] @ subset[1] - full[0] @ full[1])
+    assert diff <= bound * np.linalg.norm(mat)
+
+
+@pytest.mark.parametrize("fault", ["info", "count"])
+@pytest.mark.parametrize("shape", [(12, 20), (20, 12)])
+def test_a_failed_subset_eigensolve_raises_naming_the_shape(monkeypatch, shape, fault):
+    def dsyevr(*args):
+        # INFO > 0, or success having found no eigenvalue (M = 0)
+        if fault == "info":
+            args[20]._obj.value = 1
+
+    monkeypatch.setattr(linalg, "_dsyevr", lambda: (dsyevr, ctypes.c_int64))
+    with pytest.raises(linalg.NumericalError, match=re.escape(f"on shape {shape}")):
+        linalg._rank_factors(random_matrix(25, *shape), 3)
 
 
 def test_cosine_examples():

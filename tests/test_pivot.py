@@ -902,8 +902,11 @@ def test_layer_records_report_the_joint_tail(case, tail):
         assert np.count_nonzero(shared.s > linalg.RANK_RTOL * shared.s[0]) == 20
 
 
-@pytest.mark.parametrize("n, rank", [(3, 4), (1, 4), (3, 64)], ids=["wide", "single", "full-rank"])
-def test_layer_records_report_core_energy_and_residual_mass_kept(n, rank):
+@pytest.mark.parametrize("n, rank, route", [(3, 4, "eig"), (1, 4, "svd"), (3, 64, "full")],
+                         ids=["wide", "single", "full-rank"])
+def test_layer_records_report_core_energy_and_residual_mass_kept(n, rank, route):
+    # A single expert's coefficient block is V^T, whose Gram eigenvalues all
+    # equal 1, so every cut below full rank is tied and takes the SVD fallback.
     gen = np.random.default_rng(29)
     base = make_checkpoint("base", gen, [16, 24, 24])
     experts = [make_checkpoint(f"e{i}", gen, [16, 24, 24]) for i in range(n)]
@@ -920,9 +923,10 @@ def test_layer_records_report_core_energy_and_residual_mass_kept(n, rank):
             stages.append((shared.coeffs, dec, mask))
 
     def fields(layers):
-        return [(r["core_energy"], r["residual_mass_kept"]) for r in layers]
+        return [(r["core_energy"], r["residual_mass_kept"], r["core_route"]) for r in layers]
 
     assert fields(records[0]) == fields(records[1])
+    assert [r["core_route"] for r in records[0]] == [[route] * n] * base.num_layers
     for record, (coeffs, dec, mask) in zip(records[0], stages):
         for energy, kept, block, core, resid in zip(record["core_energy"],
                                                     record["residual_mass_kept"],

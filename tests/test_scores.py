@@ -233,16 +233,32 @@ def test_scores_mean_of_cosines():
                                atol=1e-15)
 
 
-def test_scores_of_features_scaled_by_a_power_of_two_are_unchanged():
-    # Rows of norm below 1e-12 are not zero rows.
+@pytest.mark.parametrize("exp", [-45, -540, 520])
+def test_scores_of_features_scaled_by_a_power_of_two_are_unchanged(exp):
+    # Rows of norm below 1e-12 are not zero rows; at 2^-540 every squared
+    # entry underflows and at 2^520 every one overflows.
     gen = np.random.default_rng(5)
     texts = gen.standard_normal((6, 4))
     feats = [texts + gen.standard_normal((6, 4)) for _ in range(2)]
     want = compute_scores_from_features(feats, texts)
-    got = compute_scores_from_features([np.ldexp(f, -45) for f in feats], np.ldexp(texts, -45))
-    assert np.linalg.norm(np.ldexp(texts, -45), axis=1).max() < 1e-12
+    got = compute_scores_from_features([np.ldexp(f, exp) for f in feats], np.ldexp(texts, exp))
+    if exp == -45:
+        assert np.linalg.norm(np.ldexp(texts, exp), axis=1).max() < 1e-12
     np.testing.assert_array_equal(got, want)
     assert np.all(want > 0.0)
+
+
+def test_scores_at_ordinary_scale_keep_the_bits_of_the_raw_formula():
+    gen = np.random.default_rng(6)
+    texts = gen.standard_normal((50, 16)) * np.logspace(-3, 3, 50)[:, None]
+    feats = [texts + gen.standard_normal((50, 16)) for _ in range(3)]
+
+    def raw(f):
+        na, nb = np.linalg.norm(f, axis=1), np.linalg.norm(texts, axis=1)
+        return np.clip(np.einsum("ij,ij->i", f, texts) / (na * nb), -1.0, 1.0).mean()
+
+    np.testing.assert_array_equal(compute_scores_from_features(feats, texts),
+                                  [raw(f) for f in feats])
 
 
 def test_scores_dimension_mismatch():

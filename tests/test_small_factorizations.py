@@ -5,11 +5,13 @@ the same bytes at orders up to linalg._ONE_THREAD_ORDER. numpy reads
 OPENBLAS_NUM_THREADS when it loads, so those checks run new interpreters.
 """
 
+import ctypes
+
 import numpy as np
 import pytest
 
 from pivotmerge import linalg
-from conftest import needs_threaded_openblas, run_cli, run_python
+from conftest import needs_subset_eigh, needs_threaded_openblas, run_cli, run_python
 
 # sha256 over eigh of a Gram matrix and the SVD of a square and a tall matrix
 # at orders 16, 64 and 128, computed by numpy alone.
@@ -105,16 +107,35 @@ def test_a_factorization_runs_on_one_thread_up_to_the_cut_and_restores_the_count
 
 
 @needs_openblas_setter
-def test_a_failed_small_factorization_restores_the_thread_count(monkeypatch, two_threads):
+@needs_subset_eigh
+@pytest.mark.parametrize("order, during", [(16, 1), (128, 1), (129, 2)])
+def test_dsyevr_runs_on_one_thread_up_to_the_cut_and_restores_the_count(
+        monkeypatch, two_threads, counts_seen, order, during):
+    func, c_int = linalg._dsyevr()
+    seen = []
+    monkeypatch.setattr(linalg, "_dsyevr", lambda: (
+        lambda *args: seen.append(two_threads()) or func(*args), c_int))
+    linalg._gram_eigh(np.ones((order, order + 1)), wide=True, top=2)
+    assert seen == [during, during]  # the workspace query, then the solve
+    assert counts_seen == []
+    assert two_threads() == 2
+
+
+@needs_openblas_setter
+@pytest.mark.parametrize("top", [None, 2], ids=["eigh", "dsyevr"])
+def test_a_failed_small_factorization_restores_the_thread_count(monkeypatch, two_threads, top):
     seen = []
 
-    def fail(gram):
+    def fail(*args):
         seen.append(two_threads())
-        raise np.linalg.LinAlgError("no convergence")
+        if top is None:
+            raise np.linalg.LinAlgError("no convergence")
+        args[20]._obj.value = 1  # dsyevr's INFO
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(linalg, "_dsyevr", lambda: (fail, ctypes.c_int64))
     with pytest.raises(linalg.NumericalError, match="Gram eigensolve failed"):
-        linalg._gram_eigh(np.ones((8, 9)), wide=True)
+        linalg._gram_eigh(np.ones((8, 9)), wide=True, top=top)
     assert seen == [1]
     assert two_threads() == 2
 
