@@ -62,11 +62,9 @@ from .pivot import (
 from .scores import (
     DEFAULT_BETA,
     ScoreTable,
-    compute_scores_from_features,
     layer_weights,
     read_scores,
     score_increments,
-    score_table_from_feature_container,
     threshold_from_ratio,
     write_scores,
 )

@@ -8,23 +8,26 @@ Subcommands::
 
 Exit codes: 0 on success, 1 on computation failure, 2 on usage errors,
 including an expert set with duplicate ids, a layout that does not match
-the base, a `--diagnostics` file that is the `--out` file, a merge output
-file that names a directory or lies in a missing one, or an analyze `--out`
-that exists and is not a directory; each output path is checked before any
-input is opened. Each warning is printed to stderr on one line,
-`warning: <message>`. Each value is checked once, by the object that holds
-it: the `PivotConfig`, `MergeOperator` or `SynthSpec` built from the flags
-before any input is opened, whose rejection is a usage error naming the
-flag, or the `ScoreTable` read from the score file. Experts are always processed in
-lexicographic id order regardless of flag order. Layers run serially; BLAS
-threads are the only parallelism, and output is byte-identical run to run
-at a fixed BLAS thread count. A factorization of a matrix with no dimension
-above 128 runs on one OpenBLAS thread (`linalg._ONE_THREAD_ORDER`), where 1
-and 2 threads give the same bytes, and the count is restored after it.
-Importing the package first sets OPENBLAS_THREAD_TIMEOUT=18, so an idle
-OpenBLAS worker sleeps after 2^18 cycles instead of spinning 2^28 between
-the kernel's LAPACK calls. It acts only when numpy is not loaded yet, a
-value in the environment wins, and it changes no output.
+the base, a `--scores` file that lacks an expert's id or has the wrong
+number of layers, a merge output (`--out` or `--diagnostics`) that is
+another output or one of the inputs (`--base`, an `--expert`, `--scores`),
+a merge output file that names a directory or lies in a missing one, or an
+analyze or synth `--out` that exists and is not a directory; each output
+path is checked before any input is opened. Each warning is printed to
+stderr on one line, `warning: <message>`. Each value is checked once, by
+the object that holds it: the `PivotConfig`, `MergeOperator` or `SynthSpec`
+built from the flags before any input is opened, whose rejection is a usage
+error naming the flag, or the `ScoreTable` read from the score file.
+Experts are always processed in lexicographic id order regardless of flag
+order. Layers run serially; BLAS threads are the only parallelism, and
+output is byte-identical run to run at a fixed BLAS thread count. A
+factorization of a matrix with no dimension above 128 runs on one OpenBLAS
+thread (`linalg._ONE_THREAD_ORDER`), where 1 and 2 threads give the same
+bytes, and the count is restored after it. Importing the package first sets
+OPENBLAS_THREAD_TIMEOUT=18, so an idle OpenBLAS worker sleeps after 2^18
+cycles instead of spinning 2^28 between the kernel's LAPACK calls. It acts
+only when numpy is not loaded yet, a value in the environment wins, and it
+changes no output.
 
 `merge` and `analyze` open the base and every expert with
 `tensorstore.open_checkpoint` under one `contextlib.ExitStack`, so every
@@ -223,17 +226,30 @@ def _check_output_file(parser: argparse.ArgumentParser, flag: str, path: str) ->
         parser.error(f"{flag} {path}: directory {parent} does not exist")
 
 
+def _check_output_dir(parser: argparse.ArgumentParser, path: str) -> None:
+    """Reject a directory output `--out` that exists and is not a directory."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        parser.error(f"--out {path} exists and is not a directory")
+
+
 def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
     inner = _given(args.inner, DEFAULT_INNER)
     reads, reader = READS[args.method], f"--method {args.method}"
     if args.method == "pivot":
         reads, reader = reads + READS[inner], f"{reader} --inner {inner}"
     _reject_unread_flags(parser, args, PIPELINE_FLAGS + OPERATOR_FLAGS, reads, reader)
-    _check_output_file(parser, "--out", args.out)
+    # No output may replace another output or an input.
+    outputs = [("--out", args.out)]
     if args.diagnostics:
-        _check_output_file(parser, "--diagnostics", args.diagnostics)
-        if _same_file(args.out, args.diagnostics):
-            parser.error(f"--diagnostics {args.diagnostics} names the same file as --out {args.out}")
+        outputs.append(("--diagnostics", args.diagnostics))
+    inputs = [("--base", args.base)] + [("--expert", path) for path in args.expert]
+    if args.scores:
+        inputs.append(("--scores", args.scores))
+    for i, (flag, path) in enumerate(outputs):
+        _check_output_file(parser, flag, path)
+        for other, other_path in outputs[:i] + inputs:
+            if _same_file(path, other_path):
+                parser.error(f"{flag} {path} names the same file as {other} {other_path}")
     pivot = args.method == "pivot"
     with _flag_errors(parser):
         op = _operator_for(inner if pivot else args.method, args, is_inner=pivot)
@@ -243,7 +259,12 @@ def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
     with contextlib.ExitStack() as stack:
         base, experts = _open_inputs(parser, stack, args)
         if pivot:
-            merged, diagnostics = pivot_merge(experts, base, read_scores(args.scores), config)
+            table = read_scores(args.scores)
+            try:
+                table.rows_for([e.id for e in experts], base.num_layers)
+            except ValueError as exc:
+                parser.error(f"--scores {args.scores}: {exc}")
+            merged, diagnostics = pivot_merge(experts, base, table, config)
         else:
             merged = merge_checkpoint_deltas(experts, base, op)
             diagnostics = {
@@ -266,8 +287,7 @@ def cmd_merge(parser: argparse.ArgumentParser, args) -> int:
 def cmd_analyze(parser: argparse.ArgumentParser, args) -> int:
     _reject_unread_flags(parser, args, ("base", "expert") + PIPELINE_FLAGS, READS[args.mode],
                          f"--mode {args.mode}")
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        parser.error(f"--out {args.out} exists and is not a directory")
+    _check_output_dir(parser, args.out)
     with _flag_errors(parser):
         config = _pivot_config(args)
     if args.mode == "layer-weights":
@@ -316,6 +336,7 @@ def cmd_analyze(parser: argparse.ArgumentParser, args) -> int:
 
 
 def cmd_synth(parser: argparse.ArgumentParser, args) -> int:
+    _check_output_dir(parser, args.out)
     try:
         chain = [int(part) for part in args.dims.split(",")]
     except ValueError:

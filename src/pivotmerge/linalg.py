@@ -51,7 +51,7 @@ GRAM_COND_RTOL = 1e-6
 # neither overflow nor meet subnormals at the scale of lambda_max.
 _GRAM_EXP = 400
 # Whitened (scale-free) vectors with 2-norm below this are zero (cosine convention);
-# a raw delta, spectrum, merged delta or feature row is zero only when exactly zero.
+# a raw delta, spectrum or merged delta is zero only when exactly zero.
 ZERO_NORM = 1e-12
 # LAPACK calls on matrices with no dimension above this run on one OpenBLAS
 # thread. With OpenBLAS 0.3.31, eigh at 1 and 2 threads gave identical bytes

@@ -492,10 +492,7 @@ def pivot_merge(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoin
     ordered = sorted_experts(experts, base)
     ids = [c.id for c in ordered]
 
-    rows = score_table.rows_for(ids)
-    if rows.shape[1] != base.num_layers:
-        raise ValueError(
-            f"score table has {rows.shape[1]} layers but checkpoints have {base.num_layers}")
+    rows = score_table.rows_for(ids, base.num_layers)
     beta = config.beta if config.beta is not None else score_table.beta
     alphas = layer_weights(score_increments(rows), beta)  # (N, L)
 

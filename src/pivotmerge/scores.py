@@ -1,19 +1,13 @@
 """Alignment scores, layer-wise score increments, and softmax merge weights.
 
-A ScoreTable holds one alignment score per expert per layer (mean cosine
-between projected features and text embeddings on a held-out set) plus the
-softmax temperature. Scores can be ingested directly from JSON or computed
-from pre-extracted feature containers; the merge weight for expert i at
+A ScoreTable holds one alignment score per expert per layer plus the softmax
+temperature, read from a score JSON file. The merge weight for expert i at
 layer l is the temperature softmax over experts of the layer-wise score
 increment, and `layer_weights` returns all of them as one (N, L) array.
 
 Score JSON schema (ids are strings)::
 
     {"beta": 0.05, "experts": [{"id": "a", "scores": [s1, ..., sL]}, ...]}
-
-Feature containers hold "texts" (M, d) plus "expert.{id}.layer.{l}.features"
-tensors (M, d), one vector per sample: token-grid features must be mean
-pooled per sample upstream.
 """
 
 from __future__ import annotations
@@ -26,14 +20,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensorstore import LAYER_INDEX, read_container, write_json
+from .tensorstore import write_json
 
 DEFAULT_BETA = 0.05
 
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Per-expert, per-layer alignment scores with a softmax temperature."""
+    """Per-expert, per-layer alignment scores with a softmax temperature.
+
+    An expert's score at layer l is the mean, over a held-out set, of the
+    per-sample cosine between its layer-l projected features (pooled to one
+    vector per sample) and the sample's text embedding. It is computed outside
+    pivotmerge and handed in as score JSON.
+    """
 
     expert_ids: tuple[str, ...]
     scores: np.ndarray  # (N, L)
@@ -55,12 +55,15 @@ class ScoreTable:
         object.__setattr__(self, "expert_ids", ids)
         object.__setattr__(self, "scores", s)
 
-    def rows_for(self, expert_ids: Sequence[str]) -> np.ndarray:
-        """Score rows for the given ids, in the given order."""
+    def rows_for(self, expert_ids: Sequence[str], num_layers: int) -> np.ndarray:
+        """Score rows for the given ids, in the given order, checked against the layer count."""
         index = {eid: i for i, eid in enumerate(self.expert_ids)}
         missing = [eid for eid in expert_ids if eid not in index]
         if missing:
             raise ValueError(f"score table is missing experts: {missing}")
+        if self.scores.shape[1] != num_layers:
+            raise ValueError(
+                f"score table has {self.scores.shape[1]} layers but checkpoints have {num_layers}")
         return self.scores[[index[eid] for eid in expert_ids]]
 
 
@@ -68,52 +71,6 @@ def _check_beta(beta: float) -> None:
     """The softmax temperature's range, for every holder of a beta."""
     if not 0.0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-
-
-def _rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosine of each row pair; 0.0 where either row is zero (a norm of exactly 0).
-
-    Each row is first divided by the exact power of two that brings its
-    largest magnitude into [0.5, 1), so no norm overflows or underflows at
-    any float64 scale. Where the raw rows' norms neither overflow nor
-    underflow, that changes no bit of the cosine.
-    """
-    a, b = (np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, initial=0.0))[1][:, None])
-            for x in (a, b))
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    ok = (na > 0.0) & (nb > 0.0)
-    out = np.zeros(a.shape[0])
-    dots = np.einsum("ij,ij->i", a, b)
-    out[ok] = dots[ok] / (na[ok] * nb[ok])
-    return np.clip(out, -1.0, 1.0)
-
-
-def compute_scores_from_features(layer_features: Sequence, texts) -> np.ndarray:
-    """Mean per-sample cosine between each layer's features and the text embeddings.
-
-    `layer_features` is one (M, d) array per layer; `texts` is (M, d).
-    Returns a length-L score vector. NaN or Inf entries raise ValueError.
-    """
-    t = np.asarray(texts, dtype=np.float64)
-    if t.ndim != 2:
-        raise ValueError(f"texts must be (samples, dim), got shape {t.shape}")
-    if not np.isfinite(t).all():
-        raise ValueError("texts contain NaN or Inf")
-    if t.shape[0] == 0:
-        raise ValueError("need at least one sample")
-    if len(layer_features) == 0:
-        raise ValueError("need at least one layer of features")
-    out = np.zeros(len(layer_features))
-    for li, feats in enumerate(layer_features):
-        f = np.asarray(feats, dtype=np.float64)
-        if f.shape != t.shape:
-            raise ValueError(
-                f"layer {li + 1} features have shape {f.shape}, expected {t.shape}")
-        if not np.isfinite(f).all():
-            raise ValueError(f"layer {li + 1} features contain NaN or Inf")
-        out[li] = _rowwise_cosine(f, t).mean()
-    return out
 
 
 def score_increments(scores) -> np.ndarray:
@@ -210,45 +167,3 @@ def write_scores(path, table: ScoreTable) -> None:
     }
     write_json(path, doc)
 
-
-def score_table_from_feature_container(path, beta: float = DEFAULT_BETA) -> ScoreTable:
-    """Build a ScoreTable from a pre-extracted feature container.
-
-    Expert ids are ordered lexicographically; every expert must provide the
-    same contiguous 1..L layer range over the same samples as "texts".
-    """
-    tensors = read_container(path)
-    if "texts" not in tensors:
-        raise ValueError(f"{path}: feature container is missing the 'texts' tensor")
-    texts = tensors.pop("texts")
-    per_expert: dict[str, dict[int, str]] = {}
-    for name in tensors:
-        parts = name.split(".")
-        if len(parts) < 4 or parts[0] != "expert" or parts[-3] != "layer" or parts[-1] != "features":
-            raise ValueError(f"{path}: unexpected tensor name {name!r}")
-        if LAYER_INDEX.fullmatch(parts[-2]) is None:
-            raise ValueError(f"{path}: bad layer index in {name!r}")
-        eid, layer = ".".join(parts[1:-3]), int(parts[-2])
-        layers = per_expert.setdefault(eid, {})
-        if layer in layers:
-            raise ValueError(f"{path}: {layers[layer]!r} and {name!r} are both expert {eid!r}"
-                             f" layer {layer}")
-        layers[layer] = name
-    if not per_expert:
-        raise ValueError(f"{path}: no expert feature tensors found")
-    ids = sorted(per_expert)
-    num_layers = {len(layers) for layers in per_expert.values()}
-    if len(num_layers) != 1:
-        raise ValueError(f"{path}: experts disagree on layer count: {sorted(num_layers)}")
-    depth = num_layers.pop()
-    rows = []
-    for eid in ids:
-        layers = per_expert[eid]
-        if sorted(layers) != list(range(1, depth + 1)):
-            raise ValueError(f"{path}: expert {eid!r} layers must be 1..{depth} contiguous")
-        try:
-            rows.append(compute_scores_from_features(
-                [tensors[layers[i]] for i in range(1, depth + 1)], texts))
-        except ValueError as exc:
-            raise ValueError(f"{path}: expert {eid!r}: {exc}") from exc
-    return ScoreTable(expert_ids=tuple(ids), scores=np.stack(rows), beta=beta)

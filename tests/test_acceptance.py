@@ -214,13 +214,11 @@ def test_criterion_6_core_recovery():
 # 7. operator oracles
 
 
-def _assert_ties_matches_oracle(mats, weights, trim):
-    got = merge_weighted(MergeOperator.ties(trim), mats, weights)
-    want = np.asarray(ties_reference([m.tolist() for m in mats], weights, trim))
-    np.testing.assert_array_equal(got, want)
+def _ties_cases():
+    """Every (inputs, weights, trim, expected) case of the ties check, in a fixed order.
 
-
-def test_criterion_7_operator_oracles():
+    `expected` is None where the step-by-step oracle gives the expected result.
+    """
     values = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
     # With trim 1.0 the operator is entrywise, so checking every cross-expert
@@ -233,27 +231,45 @@ def test_criterion_7_operator_oracles():
                 chunk = chunk + [chunk[-1]]
             mats = [np.array([[chunk[0][i], chunk[1][i]], [chunk[2][i], chunk[3][i]]])
                     for i in range(n)]
-            _assert_ties_matches_oracle(mats, [1.0] * n, 1.0)
+            yield mats, [1.0] * n, 1.0, None
 
-    # Full single-input enumeration across trim fractions.
+    # Full single-input enumeration across trim fractions: ties of one input is that input.
     for entries in itertools.product(values, repeat=4):
         m = np.array(entries).reshape(2, 2)
         for trim in (1.0, 0.5, 0.25):
-            np.testing.assert_array_equal(
-                merge_weighted(MergeOperator.ties(trim), [m], [1.0]), m)
+            yield [m], [1.0], trim, m
 
     # Full two-input enumeration at trim 0.5 exercises the ranking cutoff.
     for a in itertools.product(values, repeat=4):
         ma = np.array(a).reshape(2, 2)
         for b in itertools.product(values, repeat=4):
-            _assert_ties_matches_oracle([ma, np.array(b).reshape(2, 2)], [1.0, 1.0], 0.5)
+            yield [ma, np.array(b).reshape(2, 2)], [1.0, 1.0], 0.5, None
 
     # Seeded three-input samples across the remaining trim fractions.
     gen = np.random.default_rng(777)
     for trim in (1.0, 0.5, 0.25):
         for _ in range(3000):
             mats = [gen.integers(-2, 3, size=(2, 2)).astype(float) for _ in range(3)]
-            _assert_ties_matches_oracle(mats, [1.0, 1.0, 1.0], trim)
+            yield mats, [1.0, 1.0, 1.0], trim, None
+
+
+def test_criterion_7_operator_oracles():
+    got = np.empty((sum(1 for _ in _ties_cases()), 2, 2))
+    want = np.empty_like(got)
+    for k, (mats, weights, trim, expected) in enumerate(_ties_cases()):
+        got[k] = merge_weighted(MergeOperator.ties(trim), mats, weights)
+        want[k] = (ties_reference([m.tolist() for m in mats], weights, trim)
+                   if expected is None else expected)
+    # One exact comparison of every case; a failure names the first differing case.
+    try:
+        np.testing.assert_array_equal(got, want)
+    except AssertionError:
+        same = (got == want) | (np.isnan(got) & np.isnan(want))
+        k = int(np.flatnonzero(~same.reshape(len(got), -1).all(axis=1))[0])
+        mats, weights, trim, _ = next(itertools.islice(_ties_cases(), k, None))
+        raise AssertionError(f"ties case {k}: inputs {[m.tolist() for m in mats]}, weights "
+                             f"{weights}, trim {trim}: got {got[k].tolist()}, "
+                             f"want {want[k].tolist()}") from None
 
     ones = np.ones((100, 100))
     np.testing.assert_array_equal(dare(ones, 0.0, seed=1), ones)

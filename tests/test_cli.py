@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import threading
 import tracemalloc
 from collections import Counter
@@ -233,7 +234,7 @@ def test_a_diagnostics_file_that_is_the_out_file_is_a_usage_error(synth_dir, tmp
 
 
 @pytest.mark.parametrize("case", ["out-in-missing-dir", "out-is-dir", "diagnostics-in-missing-dir",
-                                  "diagnostics-is-dir", "analyze-out-is-file"])
+                                  "diagnostics-is-dir", "analyze-out-is-file", "synth-out-is-file"])
 def test_a_bad_output_path_is_a_usage_error_before_any_input_is_read(synth_dir, tmp_path, capsys,
                                                                      tensor_reads, case):
     work = tmp_path / "work"
@@ -243,9 +244,12 @@ def test_a_bad_output_path_is_a_usage_error_before_any_input_is_read(synth_dir, 
                   "out-is-dir": ("--out", work / "sub"),
                   "diagnostics-in-missing-dir": ("--diagnostics", work / "nodir" / "d.json"),
                   "diagnostics-is-dir": ("--diagnostics", work / "sub"),
-                  "analyze-out-is-file": ("--out", work / "afile")}[case]
+                  "analyze-out-is-file": ("--out", work / "afile"),
+                  "synth-out-is-file": ("--out", work / "afile")}[case]
     if case.startswith("analyze"):
         args = command_args("residual-sim", synth_dir, path)
+    elif case.startswith("synth"):
+        args = ["synth", "--out", str(path)]
     elif flag == "--out":
         args = command_args("average", synth_dir, path)
     else:
@@ -258,6 +262,56 @@ def test_a_bad_output_path_is_a_usage_error_before_any_input_is_read(synth_dir, 
     assert sorted((p.relative_to(work), p.is_file() and p.read_bytes())
                   for p in work.rglob("*")) == before
     assert tensor_reads == []
+
+
+@pytest.mark.parametrize("link", ["same", "symlink", "hardlink"])
+@pytest.mark.parametrize("output, inp", [("--out", "--base"), ("--out", "--expert"),
+                                         ("--out", "--scores"), ("--diagnostics", "--base"),
+                                         ("--diagnostics", "--expert"),
+                                         ("--diagnostics", "--scores")])
+def test_a_merge_output_that_is_an_input_is_a_usage_error(synth_dir, tmp_path, capsys,
+                                                          tensor_reads, output, inp, link):
+    target = {"--base": synth_dir / "base.tensors", "--expert": Path(expert_paths(synth_dir)[1]),
+              "--scores": synth_dir / "scores.json"}[inp]
+    path = {"same": target, "symlink": tmp_path / "link", "hardlink": tmp_path / "hard"}[link]
+    if link == "symlink":
+        path.symlink_to(target)
+    elif link == "hardlink":
+        os.link(target, path)
+    args = command_args("pivot", synth_dir, tmp_path / "x.tensors")
+    if output == "--out":
+        args[args.index("--out") + 1] = str(path)
+    else:
+        args += ["--diagnostics", str(path)]
+    before = {p.name: p.read_bytes() for p in synth_dir.iterdir()}
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"{output} {path} names the same file as {inp} {target}" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in synth_dir.iterdir()} == before
+    assert tensor_reads == []
+
+
+@pytest.mark.parametrize("case, message", [
+    ("missing-id", r"score table is missing experts: \['expert03'\]"),
+    ("layers", "score table has 3 layers but checkpoints have 2")], ids=["missing-id", "layers"])
+def test_a_score_file_that_does_not_fit_the_experts_is_a_usage_error(synth_dir, tmp_path,
+                                                                      capsys, case, message):
+    scores = tmp_path / "scores.json"
+    doc = json.loads((synth_dir / "scores.json").read_text())
+    if case == "missing-id":
+        doc["experts"] = [e for e in doc["experts"] if e["id"] != "expert03"]
+    else:
+        for entry in doc["experts"]:
+            entry["scores"].append(0.0)
+    scores.write_text(json.dumps(doc))
+    args = command_args("pivot", synth_dir, tmp_path / "x.tensors")
+    args[args.index("--scores") + 1] = str(scores)
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert re.search(rf"--scores {re.escape(str(scores))}: {message}", capsys.readouterr().err)
+    assert not (tmp_path / "x.tensors").exists()
 
 
 def test_pivot_merges_deltas_of_norm_below_1e_12(tmp_path):

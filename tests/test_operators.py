@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -242,22 +241,6 @@ def test_ties_entries_have_elected_sign_or_zero(rng):
         kept[np.arange(4)[:, None], order[:, :keep]] = True
         elected = np.sign(np.asarray(weights) @ np.where(kept, flat, 0.0))
         assert np.all((out == 0.0) | (np.sign(out) == elected))
-
-
-def test_ties_exhaustive_n2_sample():
-    values = (-2, -1, 0, 1, 2)
-    count = 0
-    for a in itertools.product(values, repeat=4):
-        for b in itertools.product(values, repeat=4):
-            if (a[0] + b[0]) % 3:  # deterministic thinning to keep this quick
-                continue
-            mats = [np.array(a, dtype=float).reshape(2, 2),
-                    np.array(b, dtype=float).reshape(2, 2)]
-            got = ties(mats, [1.0, 1.0], 0.5)
-            want = np.asarray(ties_reference([m.tolist() for m in mats], [1.0, 1.0], 0.5))
-            np.testing.assert_array_equal(got, want)
-            count += 1
-    assert count > 40_000
 
 
 # Many equal magnitudes, zeros of both signs: the cases where the selection

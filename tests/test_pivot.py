@@ -852,7 +852,7 @@ def test_pivot_merge_matches_the_public_stage_chain_bit_for_bit(monkeypatch, op,
         dec = decouple(shared.coeffs, rank)
         filtered, mask, consistencies, tau = filter_residuals(dec.residuals, config.gamma,
                                                               config.rho)
-    alphas = layer_weights(score_increments(table.rows_for(table.expert_ids)), 0.05)[:, 0]
+    alphas = layer_weights(score_increments(table.rows_for(table.expert_ids, 1)), 0.05)[:, 0]
     merged_coeffs = merge_layer(shared.s, dec.cores, filtered, alphas, op)
     want = reconstruct(shared, merged_coeffs, base.layers[0])
     np.testing.assert_array_equal(merged.layers[0].matrix.view(np.uint64),

@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 
 from pivotmerge import (
     ScoreTable,
-    compute_scores_from_features,
     layer_weights,
     read_scores,
     score_increments,
-    score_table_from_feature_container,
     threshold_from_ratio,
-    write_container,
     write_scores,
 )
 
@@ -207,146 +204,12 @@ def test_score_table_rejects_non_string_id(bad_id, shown):
 
 def test_rows_for_missing_expert():
     table = ScoreTable(expert_ids=("a", "b"), scores=np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="missing"):
-        table.rows_for(["a", "c"])
+    with pytest.raises(ValueError, match=r"score table is missing experts: \['c'\]"):
+        table.rows_for(["a", "c"], 2)
 
 
-# --- feature-based scores --------------------------------------------------
-
-
-def test_scores_from_identical_features():
-    texts = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = compute_scores_from_features([texts.copy(), texts.copy()], texts)
-    np.testing.assert_allclose(out, [1.0, 1.0], atol=1e-12)
-
-
-def test_scores_from_orthogonal_features():
-    texts = np.array([[1.0, 0.0], [0.0, 1.0]])
-    feats = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(compute_scores_from_features([feats], texts), [0.0])
-
-
-def test_scores_mean_of_cosines():
-    texts = np.array([[4.0, 3.0], [0.0, 1.0]])
-    feats = np.array([[3.0, 4.0], [1.0, 0.0]])  # cosines 0.96 and 0.0
-    np.testing.assert_allclose(compute_scores_from_features([feats], texts), [0.48],
-                               atol=1e-15)
-
-
-@pytest.mark.parametrize("exp", [-45, -540, 520])
-def test_scores_of_features_scaled_by_a_power_of_two_are_unchanged(exp):
-    # Rows of norm below 1e-12 are not zero rows; at 2^-540 every squared
-    # entry underflows and at 2^520 every one overflows.
-    gen = np.random.default_rng(5)
-    texts = gen.standard_normal((6, 4))
-    feats = [texts + gen.standard_normal((6, 4)) for _ in range(2)]
-    want = compute_scores_from_features(feats, texts)
-    got = compute_scores_from_features([np.ldexp(f, exp) for f in feats], np.ldexp(texts, exp))
-    if exp == -45:
-        assert np.linalg.norm(np.ldexp(texts, exp), axis=1).max() < 1e-12
-    np.testing.assert_array_equal(got, want)
-    assert np.all(want > 0.0)
-
-
-def test_scores_at_ordinary_scale_keep_the_bits_of_the_raw_formula():
-    gen = np.random.default_rng(6)
-    texts = gen.standard_normal((50, 16)) * np.logspace(-3, 3, 50)[:, None]
-    feats = [texts + gen.standard_normal((50, 16)) for _ in range(3)]
-
-    def raw(f):
-        na, nb = np.linalg.norm(f, axis=1), np.linalg.norm(texts, axis=1)
-        return np.clip(np.einsum("ij,ij->i", f, texts) / (na * nb), -1.0, 1.0).mean()
-
-    np.testing.assert_array_equal(compute_scores_from_features(feats, texts),
-                                  [raw(f) for f in feats])
-
-
-def test_scores_dimension_mismatch():
-    with pytest.raises(ValueError):
-        compute_scores_from_features([np.ones((2, 3))], np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        compute_scores_from_features([np.ones((0, 2))], np.ones((0, 2)))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", ["texts", "features"])
-def test_scores_reject_non_finite_inputs(bad, where):
-    texts = np.array([[1.0, 0.0], [0.0, 1.0]])
-    feats = [texts.copy(), texts.copy()]
-    if where == "texts":
-        texts[1, 0] = bad
-        match = "texts contain NaN or Inf"
-    else:
-        feats[1][1, 0] = bad
-        match = "layer 2 features contain NaN or Inf"
-    with pytest.raises(ValueError, match=match):
-        compute_scores_from_features(feats, texts)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("name, match", [
-    ("texts", "texts contain NaN or Inf"),
-    ("expert.b.layer.1.features", "layer 1 features contain NaN or Inf")])
-def test_feature_container_rejects_non_finite_entries_naming_path_and_expert(tmp_path, bad,
-                                                                             name, match):
-    tensors = {"texts": np.eye(2), "expert.a.layer.1.features": np.eye(2),
-               "expert.b.layer.1.features": np.eye(2)}
-    tensors[name] = tensors[name].copy()
-    tensors[name][0, 1] = bad
-    path = tmp_path / "features.tensors"
-    write_container(path, tensors)
-    expert = "a" if name == "texts" else "b"
-    with pytest.raises(ValueError, match=rf"features\.tensors: expert '{expert}': {match}"):
-        score_table_from_feature_container(path)
-
-
-def test_feature_container_rejects_two_names_for_one_layer(tmp_path):
-    path = tmp_path / "features.tensors"
-    write_container(path, {"texts": np.eye(2), "expert.a.layer.1.features": np.eye(2),
-                           "expert.a.layer.01.features": -np.eye(2)})
-    # the container lists its tensors sorted by name
-    with pytest.raises(ValueError, match=r"features\.tensors: 'expert\.a\.layer\.01\.features' "
-                                         r"and 'expert\.a\.layer\.1\.features' are both "
-                                         r"expert 'a' layer 1"):
-        score_table_from_feature_container(path)
-
-
-@pytest.mark.parametrize("index", ["1_0", "+1", " 1", "1 ", "-1", "\u0661"])
-def test_feature_container_rejects_a_non_digit_layer_index(tmp_path, index):
-    path = tmp_path / "features.tensors"
-    name = f"expert.a.layer.{index}.features"
-    write_container(path, {"texts": np.eye(2), name: np.eye(2)})
-    with pytest.raises(ValueError, match="bad layer index"):
-        score_table_from_feature_container(path)
-
-
-def test_score_table_from_feature_container(tmp_path):
-    texts = np.array([[1.0, 0.0], [0.0, 1.0]])
-    tensors = {"texts": texts}
-    for eid, flip in (("m1", 1.0), ("m2", -1.0)):
-        for layer in (1, 2):
-            feats = flip * texts if layer == 1 else np.array([[1.0, 1.0], [1.0, 1.0]])
-            tensors[f"expert.{eid}.layer.{layer}.features"] = feats
-    path = tmp_path / "features.tensors"
-    write_container(path, tensors)
-    table = score_table_from_feature_container(path, beta=0.05)
-    assert table.expert_ids == ("m1", "m2")
-    cos45 = 1.0 / np.sqrt(2.0)
-    np.testing.assert_allclose(table.scores, [[1.0, cos45], [-1.0, cos45]], atol=1e-12)
-
-
-def test_feature_container_missing_texts(tmp_path):
-    path = tmp_path / "features.tensors"
-    write_container(path, {"expert.a.layer.1.features": np.ones((1, 2))})
-    with pytest.raises(ValueError, match="texts"):
-        score_table_from_feature_container(path)
-
-
-def test_feature_container_gap(tmp_path):
-    path = tmp_path / "features.tensors"
-    write_container(path, {
-        "texts": np.ones((1, 2)),
-        "expert.a.layer.2.features": np.ones((1, 2)),
-    })
-    with pytest.raises(ValueError, match="contiguous"):
-        score_table_from_feature_container(path)
+def test_rows_for_checks_the_layer_count_and_keeps_the_given_order():
+    table = ScoreTable(expert_ids=("a", "b"), scores=[[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ValueError, match="score table has 2 layers but checkpoints have 3"):
+        table.rows_for(["a", "b"], 3)
+    np.testing.assert_array_equal(table.rows_for(["b", "a"], 2), [[3.0, 4.0], [1.0, 2.0]])
