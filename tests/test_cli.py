@@ -314,6 +314,19 @@ def test_a_score_file_that_does_not_fit_the_experts_is_a_usage_error(synth_dir, 
     assert not (tmp_path / "x.tensors").exists()
 
 
+def test_a_score_file_with_an_expert_the_merge_does_not_take_is_accepted(synth_dir, tmp_path):
+    # Only the merged experts' rows enter the weights, so an extra entry changes no byte.
+    doc = json.loads((synth_dir / "scores.json").read_text())
+    doc["experts"].append({"id": "expert99", "scores": doc["experts"][0]["scores"]})
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps(doc))
+    assert main(command_args("pivot", synth_dir, tmp_path / "want.tensors")) == 0
+    args = command_args("pivot", synth_dir, tmp_path / "got.tensors")
+    args[args.index("--scores") + 1] = str(scores)
+    assert main(args) == 0
+    assert (tmp_path / "got.tensors").read_bytes() == (tmp_path / "want.tensors").read_bytes()
+
+
 def test_pivot_merges_deltas_of_norm_below_1e_12(tmp_path):
     # Each expert is the base plus its delta scaled by 2^-45; the merge must not
     # floor those deltas away and write the base.

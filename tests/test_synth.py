@@ -128,7 +128,7 @@ def test_load_ground_truth_rejects_two_names_for_one_layer():
         load_ground_truth(tensors)
 
 
-@pytest.mark.parametrize("index", ["1_0", "+1", " 1", "-1", "\u0661"])
+@pytest.mark.parametrize("index", ["1_0", "+1", " 1", "1 ", "-1", "\u0661"])
 def test_load_ground_truth_rejects_a_non_digit_layer_index(index):
     with pytest.raises(ValueError, match="unexpected ground-truth tensor name"):
         load_ground_truth({f"layer.{index}.core_basis": np.eye(2)})

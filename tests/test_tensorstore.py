@@ -486,6 +486,15 @@ def test_second_tensor_for_one_layer_rejected(tmp_path, alias, message):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("index", ["1_0", "+1", " 1", "1 ", "-1", "\u0661"])
+def test_a_non_digit_layer_index_is_rejected(tmp_path, index):
+    # int() reads each of these as a layer number; only ASCII digits name a layer.
+    path = tmp_path / "bad.tensors"
+    write_container(path, {f"layer.{index}.weight": np.zeros((4, 3))})
+    with pytest.raises(ValueError, match=r"bad\.tensors: unexpected tensor name"):
+        load_checkpoint(path)
+
+
 def test_open_checkpoint_reads_one_layer_when_it_is_indexed(tmp_path, tensor_reads):
     path = tmp_path / "ck.tensors"
     write_container(path, _checkpoint_tensors())
