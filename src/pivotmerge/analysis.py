@@ -7,7 +7,7 @@ model's per-layer matrices (this requires a uniform row count across layers)
 and orthonormalizing.
 
 Both measurements read one collector pass (`_collect`). It calls the merge
-kernel's owned stages layer by layer, in the kernel's order, and keeps only
+kernel's stage functions layer by layer, in the kernel's order, and keeps only
 what the report reads: the raw and filtered residuals, or the raw deltas
 and the filtered coefficients. Each model's parts are then joined one model
 at a time.
@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import ZERO_NORM, _basis_angles, cosine, orthonormal_basis
-from .pivot import (PivotConfig, _decouple_owned, _dense, _filter_owned, _joint_owned,
-                    _warn_ranks, task_vectors)
+from .pivot import (PivotConfig, _dense, _warn_ranks, decouple, filter_residuals,
+                    joint_decompose, task_vectors)
 from .tensorstore import ProjectorCheckpoint, atomic_write, sorted_experts, write_json
 
 
@@ -140,9 +140,9 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
 
     Experts are handled in lexicographic id order, matching the merge. Each
     layer's delta stack (`pivot.task_vectors`) goes through the joint step
-    (`pivot._joint_owned`) and is dropped with U, so only one layer's deltas
-    are alive at a time; then decoupling (`pivot._decouple_owned`) and
-    filtering (`pivot._filter_owned`) overwrite the blocks. Without
+    (`pivot.joint_decompose`) and is dropped with U, so only one layer's deltas
+    are alive at a time; then decoupling (`pivot.decouple`) and filtering
+    (`pivot.filter_residuals`) overwrite the blocks. Without
     `sources` (residual-sim) the cores go, each model keeps a flattened copy
     of its raw residual, and the residuals are filtered in place. With
     `sources` (principal-angles) each model keeps a copy of its layer's
@@ -170,15 +170,15 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
         if sources:
             for i, parts in enumerate(raw_parts):
                 parts.append(stack[:, i].copy())
-        blocks = list(_joint_owned(stack).coeffs)
+        blocks = joint_decompose(stack)[1]
         del stack
         if sources and not blocks[0].shape[0]:
             raise ValueError(f"layer {li + 1}: all task vectors are zero, so its joint rank is 0;"
                              " model-level subspaces need a uniform joint rank across layers")
-        cores, effective_rank = _decouple_owned(blocks, config.rank)[:2]
+        cores, effective_rank = decouple(blocks, config.rank)[:2]
         effective_ranks.append(effective_rank)
         if sources:
-            mask, _, tau, _ = _filter_owned(blocks, config.gamma, config.rho)
+            mask, _, tau, _ = filter_residuals(blocks, config.gamma, config.rho)
             for core, block in zip(cores, blocks):
                 # IEEE addition commutes: the bits of core + block.
                 block += _dense(core)
@@ -189,7 +189,7 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
             del cores
             for parts, block in zip(raw_parts, blocks):
                 parts.append(block.ravel().copy())
-            mask, _, tau, _ = _filter_owned(blocks, config.gamma, config.rho)
+            mask, _, tau, _ = filter_residuals(blocks, config.gamma, config.rho)
             for parts, block in zip(filt_parts, blocks):
                 parts.append(block.ravel())
         layer_stats.append({

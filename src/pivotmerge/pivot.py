@@ -34,31 +34,30 @@ scale information lives in the spectrum rather than the coefficients. The
 kernel scales the cores and filtered blocks it owns in place, so no scaled
 copy is formed, and then runs the plain operator.
 
-Working set: each stage has an owned variant that overwrites the per-expert
-blocks it is given; the merge kernel calls them in order (`_joint_owned`,
-`_decouple_owned`, `_filter_owned`, `_merge_owned`) on settings PivotConfig
-has checked, and the public stage functions check and copy their inputs and
-run the same code. Counted in layer blocks
-with N experts: the joint step fills one (d_out, N * w) concatenation
-expert by expert, factors it as it is and projects each coefficient block
-from its delta's column slice, 2N + 1 blocks with U at the peak. Decoupling
-forms each residual in its coefficient block's storage and keeps each core
-as rank-r factors (left, right); filtering scores one row chunk of every
-expert at a time and rescales each residual in place; the merge takes the
-filtered branch first and multiplies the cores out only after dropping the
-filtered blocks. Each of those stages peaks below N + 4 blocks. At full
-rank the zero residuals are dropped after filtering, and the merge holds
-the N cores and one merged block. LAPACK workspace and allocator retention
-are not traced allocations, so resident memory, not tracemalloc, sizes the
-gain.
+Working set: each stage is one function that overwrites or consumes the
+per-expert blocks it is given; the merge kernel and the analysis collector
+call them in order on settings PivotConfig has checked, and a caller that
+needs a block afterwards passes a copy. Counted in layer blocks with N
+experts: `task_vectors` fills one (d_out, N * w) concatenation expert by
+expert, and the joint step factors it as it is and projects each
+coefficient block from its delta's column slice, 2N + 1 blocks with U at
+the peak. Decoupling forms each residual in its coefficient block's storage
+and keeps each core as rank-r factors (left, right); filtering scores one
+row chunk of every expert at a time and rescales each residual in place;
+the merge takes the filtered branch first and multiplies the cores out only
+after dropping the filtered blocks. Each of those stages peaks below N + 4
+blocks. At full rank the zero residuals are dropped after filtering, and
+the merge holds the N cores and one merged block. LAPACK workspace and
+allocator retention are not traced allocations, so resident memory, not
+tracemalloc, sizes the gain.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,21 +77,24 @@ _TAIL_RTOL = 1e-4
 
 @dataclass(frozen=True)
 class SharedSpaceLayer:
-    """Joint-SVD factors for one layer: shared basis, spectrum, and per-expert blocks."""
+    """Joint-SVD factors for one layer: shared basis and spectrum."""
 
     u: np.ndarray                    # (d_out, k)
     s: np.ndarray                    # (k,)
-    coeffs: tuple[np.ndarray, ...]   # N blocks, each (k, w); empty once decoupled
     joint_tail: int | None = None    # b on the wide Gram route; None for an SVD or zero layer
 
 
-@dataclass(frozen=True)
-class DecoupledLayer:
-    """Per-expert dense cores and residuals, and the rank the cores were cut at."""
+class DecoupledLayer(NamedTuple):
+    """Per-expert cores, the rank they were cut at, and each core's energy and route.
 
-    cores: tuple[np.ndarray, ...]
-    residuals: tuple[np.ndarray, ...]
+    A core is its block itself at full rank and its rank-r factors (left,
+    right) below it; the residuals are in the caller's block list.
+    """
+
+    cores: list
     effective_rank: int
+    core_energy: list[float | None]
+    core_route: list[str]
 
 
 @dataclass(frozen=True)
@@ -134,10 +136,12 @@ def task_vectors(experts: Sequence[ProjectorCheckpoint], base_layer: Layer,
     return stack
 
 
-def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
-    """Shared basis U and spectrum S of [D_1, ..., D_N], one coefficient block per expert.
+def joint_decompose(stack: np.ndarray) -> tuple[SharedSpaceLayer, list[np.ndarray]]:
+    """Shared basis U and spectrum S of [D_1, ..., D_N], and one coefficient block per expert.
 
-    Only U and S are computed. A wide C (N * w > d_out) takes them from one
+    `stack` is the (d_out, N, w) delta stack of `task_vectors`, whose
+    reshape to (d_out, N * w) is the concatenation C; it is factored as it
+    is. Only U and S are computed. A wide C (N * w > d_out) takes them from one
     eigh of its Gram matrix C C^T, exactly power-of-two scaled when needed
     (`linalg._gram_eigh`): S = sqrt(lambda), U the eigenvectors, signs as in
     thin_svd. lambda_min > GRAM_COND_RTOL * lambda_max certifies every
@@ -149,35 +153,15 @@ def joint_decompose(deltas: Sequence[np.ndarray]) -> SharedSpaceLayer:
     SVD. No (k, N * w) right factor is formed. Each block is inv(S) U^T D_i,
     a pure function of (U, S, D_i), so bit-identical deltas give bit-identical
     blocks even where the spectrum is degenerate. Rows at numerically-zero
-    singular values carry no reconstruction content and are set to zero. The
-    deltas are copied once, into C, and left unchanged; each block is
-    projected from its delta's column slice of C, which is freed once the
-    blocks exist. All-zero deltas give k = 0, with a warning.
+    singular values carry no reconstruction content and are set to zero.
+    Each block is projected from its delta's slice of the stack, which a
+    caller that passes its only reference frees on return. All-zero deltas
+    give k = 0.
     """
-    shared = _joint_owned(np.stack(_blocks(deltas, "delta"), axis=1))
-    if not shared.s.size:
-        warnings.warn("all task vectors are zero; layer has an empty shared space")
-    return shared
-
-
-def _blocks(mats: Sequence[np.ndarray], what: str) -> list[np.ndarray]:
-    """A public stage's per-expert input as float64 arrays, checked to be equal-shape 2-D blocks."""
-    blocks = [np.asarray(m, dtype=np.float64) for m in mats]
-    if not blocks:
-        raise ValueError(f"need at least one {what}")
-    for i, b in enumerate(blocks):
-        if b.ndim != 2 or b.shape != blocks[0].shape:
-            raise ValueError(f"{what} {i} has shape {b.shape}, expected a 2-D {blocks[0].shape}")
-    return blocks
-
-
-def _joint_owned(stack: np.ndarray) -> SharedSpaceLayer:
-    """`joint_decompose` of a (d_out, N, w) delta stack, factored as C uncopied; it never warns."""
     d_out, n, width = stack.shape
     if not stack.any():
-        return SharedSpaceLayer(
-            u=np.zeros((d_out, 0)), s=np.zeros(0),
-            coeffs=tuple(np.zeros((0, width)) for _ in range(n)))
+        return (SharedSpaceLayer(u=np.zeros((d_out, 0)), s=np.zeros(0)),
+                [np.zeros((0, width)) for _ in range(n)])
     u, s, tail = _left_factors(stack.reshape(d_out, n * width))
     live = s > RANK_RTOL * s[0]
     inv_s = np.zeros_like(s)
@@ -187,7 +171,7 @@ def _joint_owned(stack: np.ndarray) -> SharedSpaceLayer:
         block = u.T @ stack[:, i]
         block *= inv_s[:, None]
         coeffs.append(block)
-    return SharedSpaceLayer(u=u, s=s, coeffs=tuple(coeffs), joint_tail=tail)
+    return SharedSpaceLayer(u=u, s=s, joint_tail=tail), coeffs
 
 
 def _left_factors(concat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
@@ -206,58 +190,38 @@ def _left_factors(concat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | Non
     return u * _canonical_signs(u), s, b
 
 
-def decouple(coeffs: Sequence[np.ndarray], rank: int) -> DecoupledLayer:
-    """Split each coefficient block into a rank-`rank` core plus residual.
+def decouple(coeffs: list[np.ndarray], rank: int) -> DecoupledLayer:
+    """Split each coefficient block into a rank-`rank` core plus a residual written into `coeffs`.
 
     Each core is `truncate_rank`'s: the projection onto the top-`rank`
     eigenvectors of the block's smaller Gram matrix, of which only the top
     rank + 1 eigenpairs are computed, or the thin SVD's when the cut is not
-    certified. Ranks beyond min(k, w) are clamped with a warning so small
-    layers still decompose. At rank min(k, w) the core is the whole block:
-    cores are copies of the blocks and residuals are exact zeros, with no
-    factorization.
-    The blocks are copied and left unchanged. The merge kernel runs the same
-    code on the blocks it owns: each residual is formed in its block's
-    storage, and each core stays as its rank-r factors until the merge.
+    certified. Below full rank each residual is its block overwritten as
+    block - core, the core kept as its factors (left, right) from
+    `_rank_factors`. At full rank, a `rank` of min(k, w) or more (clamped
+    without a warning: each caller warns once, `_warn_ranks`), the blocks
+    are the cores and the residuals new zero blocks, with no factorization.
+    An all-zero layer (k = 0) is at full rank 0. The energy is sum(top-r
+    lambda) / sum(lambda) of each block's Gram eigenvalues: 1.0 at full
+    rank, None for a zero block. The route is `_rank_factors`' "eig" (the
+    certified subset eigensolve) or "svd" (the fallback), and "full" at full
+    rank, where nothing is factored.
     """
-    PivotConfig(rank=rank)  # the range check
-    blocks = [b.copy() for b in _blocks(coeffs, "coefficient block")]
-    cores, effective_rank = _decouple_owned(blocks, rank)[:2]
-    if 0 < effective_rank < rank:
-        warnings.warn(f"rank {rank} exceeds block rank limit {effective_rank}; clamping")
-    return DecoupledLayer(cores=tuple(_dense(c) for c in cores), residuals=tuple(blocks),
-                          effective_rank=effective_rank)
-
-
-def _decouple_owned(blocks: list[np.ndarray], rank: int
-                    ) -> tuple[list, int, list[float | None], list[str]]:
-    """`decouple` on blocks the caller gives up: (cores, effective rank, core energy, core route).
-
-    The residuals replace the blocks in the caller's list: below full rank
-    each is its block overwritten as block - core, the core kept as its
-    factors (left, right) from `_rank_factors`; at full rank, a `rank` of
-    min(k, w) or more (clamped without a warning: each caller warns once),
-    the blocks are the cores and the residuals new zero blocks. An all-zero
-    layer (k = 0) is at full rank 0. The energy is sum(top-r lambda) /
-    sum(lambda) of each block's Gram eigenvalues: 1.0 at full rank, None for
-    a zero block. The route is `_rank_factors`' "eig" (the certified subset
-    eigensolve) or "svd" (the fallback), and "full" at full rank, where
-    nothing is factored.
-    """
-    k, w = blocks[0].shape
+    k, w = coeffs[0].shape
     max_rank = min(k, w)
     if rank >= max_rank:
-        cores = blocks[:]
-        blocks[:] = [np.zeros((k, w)) for _ in cores]
-        return cores, max_rank, [1.0 if c.any() else None for c in cores], ["full"] * len(cores)
+        cores = coeffs[:]
+        coeffs[:] = [np.zeros((k, w)) for _ in cores]
+        return DecoupledLayer(cores, max_rank, [1.0 if c.any() else None for c in cores],
+                              ["full"] * len(cores))
     cores, energy, routes = [], [], []
-    for block in blocks:
+    for block in coeffs:
         left, right, share, route = _rank_factors(block, rank)
         block -= left @ right
         cores.append((left, right))
         energy.append(share)
         routes.append(route)
-    return cores, rank, energy, routes
+    return DecoupledLayer(cores, rank, energy, routes)
 
 
 def _warn_ranks(rank: int, effective_ranks: Sequence[int]) -> None:
@@ -281,53 +245,39 @@ def _dense(core) -> np.ndarray:
     return core if isinstance(core, np.ndarray) else core[0] @ core[1]
 
 
-def filter_residuals(residuals: Sequence[np.ndarray], gamma: float, rho: float
-                     ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, float | None]:
-    """Consistency-gated residual filtering with L1-mass compensation.
+def filter_residuals(residuals: list[np.ndarray], gamma: float, rho: float
+                     ) -> tuple[np.ndarray, np.ndarray, float | None, list[float | None]]:
+    """Consistency-gated residual filtering with L1-mass compensation, in place.
 
-    Returns (filtered residuals, mask, consistencies, tau). With a single
-    expert the residuals pass through untouched (mask of ones, tau None), and
-    so do all-zero residuals, with no scoring pass run (consistencies 0.0).
-    The residuals are copied and left unchanged; each copy is then rescaled
-    in place as its filtered block, which is what the merge kernel does to
-    the residuals it owns. Besides the N blocks, the filter holds one row
+    Each residual is rescaled in place as its filtered block. Returns (mask,
+    consistencies, tau, kept). kept is each residual's masked over raw L1
+    mass, before compensation: 1.0 for a single expert, None for a zero
+    residual. With a single expert the residuals pass through untouched
+    (mask of ones, tau None). When all are zero (full rank), the
+    consistencies are the scoring pass's +0.0 rows and neither the pass nor
+    the rescale loop runs. Besides the N blocks, the filter holds one row
     chunk of unit rows per expert and one temporary block.
     """
-    PivotConfig(gamma=gamma, rho=rho)  # the range checks
-    mats = [b.copy() for b in _blocks(residuals, "residual")]
-    mask, consistencies, tau, _ = _filter_owned(mats, gamma, rho)
-    return tuple(mats), mask, consistencies, tau
-
-
-def _filter_owned(mats: list[np.ndarray], gamma: float, rho: float
-                  ) -> tuple[np.ndarray, np.ndarray, float | None, list[float | None]]:
-    """`filter_residuals` on residuals the caller gives up: each becomes its filtered block.
-
-    Returns (mask, consistencies, tau, kept). kept is each residual's masked
-    over raw L1 mass, before compensation: 1.0 for a single expert, None for
-    a zero residual. When all are zero (full rank), the consistencies are the
-    pass's +0.0 rows and neither the pass nor the rescale loop runs.
-    """
-    n = len(mats)
-    k = mats[0].shape[0]
+    n = len(residuals)
+    k = residuals[0].shape[0]
     if n == 1 or k == 0:
         ones = np.ones(k)
-        return ones, ones.copy(), None, [1.0 if m.any() else None for m in mats]
+        return ones, ones.copy(), None, [1.0 if m.any() else None for m in residuals]
 
-    live = any(b.any() for b in mats)
-    consistencies = _consistencies(mats) if live else np.zeros(k)
+    live = any(b.any() for b in residuals)
+    consistencies = _consistencies(residuals) if live else np.zeros(k)
     tau = threshold_from_ratio(consistencies, rho)
     mask = sigmoid(gamma * (consistencies - tau))
     if not live:
         return mask, consistencies, tau, [None] * n
 
     kept = []
-    for b in mats:
+    for b in residuals:
         total = np.abs(b).sum()
         b *= mask[:, None]
         masked_total = np.abs(b).sum()
         kept.append(float(masked_total / total) if total > 0.0 else None)
-        if masked_total < 1e-12:
+        if masked_total < ZERO_NORM:
             if total > 0.0:
                 warnings.warn("masked residual mass is near zero; skipping L1 compensation")
         else:
@@ -364,30 +314,19 @@ def _consistencies(mats: list[np.ndarray]) -> np.ndarray:
     return np.clip(pair_sum / (n * (n - 1)), -1.0, 1.0)
 
 
-def merge_layer(s: np.ndarray, cores: Sequence[np.ndarray], filtered: Sequence[np.ndarray],
+def merge_layer(s: np.ndarray, cores: list, filtered: list[np.ndarray],
                 alphas: Sequence[float], op: MergeOperator) -> np.ndarray:
     """Merge one layer's cores and filtered residuals into a single coefficient block.
 
     Cores use the per-layer alignment weights; residuals use uniform weights.
     For a magnitude-based operator both branches are scaled row-wise by the
-    joint spectrum `s` before the operator and un-scaled afterwards (rows
-    with s == 0 come back as zero). The inputs are left
-    unchanged: a magnitude-based operator scales copies of the blocks, where
-    the kernel scales the blocks it owns in place.
-    """
-    own = (lambda blocks: [b.copy() for b in blocks]) if op.magnitude_based else list
-    return _merge_owned(s, own(cores), own(filtered), alphas, op)
-
-
-def _merge_owned(s: np.ndarray, cores: list, filtered: list[np.ndarray],
-                 alphas: Sequence[float], op: MergeOperator) -> np.ndarray:
-    """`merge_layer` on blocks the caller gives up; it empties both lists.
-
-    The filtered branch merges first and its blocks are dropped. Then the
-    cores, dense or factored as (left, right), are multiplied out and merged.
-    The result is merged cores + merged filtered blocks, as in `merge_layer`:
-    IEEE addition commutes and DARE's streams are keyed by (seed, input), so
-    the branch order does not change the bits.
+    joint spectrum `s` in place before the operator and un-scaled afterwards
+    (rows with s == 0 come back as zero). The filtered branch merges first
+    and its blocks are dropped. Then the cores, dense or factored as (left,
+    right), are multiplied out and merged. Both lists are emptied. The
+    result is merged cores + merged filtered blocks: IEEE addition commutes
+    and DARE's streams are keyed by (seed, input), so the branch order does
+    not change the bits.
     """
     merged = _merge_branch(s, filtered, [1.0] * len(filtered), op)
     filtered.clear()
@@ -445,19 +384,18 @@ def _merge_one_layer(layer_index: int, ordered: Sequence[ProjectorCheckpoint],
     branch.
     """
     base_layer = base.layers[layer_index]
-    shared = _joint_owned(task_vectors(ordered, base_layer, layer_index))
-    shared, blocks = replace(shared, coeffs=()), list(shared.coeffs)
-    cores, effective_rank, energy, routes = _decouple_owned(blocks, config.rank)
-    mask, consistencies, tau, kept = _filter_owned(blocks, config.gamma, config.rho)
+    shared, blocks = joint_decompose(task_vectors(ordered, base_layer, layer_index))
+    cores, effective_rank, energy, routes = decouple(blocks, config.rank)
+    mask, consistencies, tau, kept = filter_residuals(blocks, config.gamma, config.rho)
     if effective_rank == min(blocks[0].shape):
-        # Not `_merge_owned`, which frees the cores, here the N coefficient
+        # Not `merge_layer`, which frees the cores, here the N coefficient
         # blocks, before `reconstruct`: glibc then trims the heap and faults it
         # back in, about a fifth of pivot-deep's in-process time on 2 cores.
         blocks.clear()
         merged_coeffs = _merge_branch(shared.s, cores, alphas_col, config.inner)
         merged_coeffs += 0.0
     else:
-        merged_coeffs = _merge_owned(shared.s, cores, blocks, alphas_col, config.inner)
+        merged_coeffs = merge_layer(shared.s, cores, blocks, alphas_col, config.inner)
     record = {
         "layer": layer_index + 1,
         "alpha": [float(a) for a in alphas_col],

@@ -114,7 +114,6 @@ def threshold_from_ratio(consistencies, rho: float) -> float:
     if m < 1:
         raise ValueError("need at least one consistency value")
     k = max(1, int(math.floor(m * (1.0 - rho))))
-    k = min(k, m)
     return float(np.sort(c)[k - 1])
 
 

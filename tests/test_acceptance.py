@@ -33,7 +33,7 @@ from pivotmerge import (
     threshold_from_ratio,
     write_container,
 )
-from pivotmerge import analysis
+from pivotmerge import analysis, pivot
 from pivotmerge.cli import main as cli_main
 from conftest import checkpoint_rel_error, make_checkpoint
 from ties_oracle import ties_reference
@@ -68,14 +68,15 @@ def test_criterion_1_decomposition_exactness():
         d_out = int(gen.integers(8, 65))
         width = int(gen.integers(4, 33))
         deltas = [gen.standard_normal((d_out, width)) for _ in range(n)]
-        shared = joint_decompose(deltas)
-        for delta, block in zip(deltas, shared.coeffs):
+        shared, coeffs = joint_decompose(np.stack(deltas, axis=1))
+        for delta, block in zip(deltas, coeffs):
             recon = (shared.u * shared.s) @ block
             worst_recon = max(worst_recon,
                               np.linalg.norm(recon - delta) / np.linalg.norm(delta))
-        dec = decouple(shared.coeffs, rank=min(8, min(shared.coeffs[0].shape)))
-        for block, core, resid in zip(shared.coeffs, dec.cores, dec.residuals):
-            ratio = np.abs(core + resid - block) / np.maximum(np.abs(block), 1e-300)
+        blocks = [b.copy() for b in coeffs]
+        dec = decouple(coeffs, rank=min(8, min(blocks[0].shape)))  # residuals into coeffs
+        for block, core, resid in zip(blocks, dec.cores, coeffs):
+            ratio = np.abs(pivot._dense(core) + resid - block) / np.maximum(np.abs(block), 1e-300)
             worst_split = max(worst_split, float(ratio.max()))
     elapsed = time.monotonic() - started
     check(1, "joint reconstruction <= 1e-8 and core+residual split exact on 50 sets",
@@ -116,7 +117,8 @@ def test_criterion_2_identity_and_idempotence():
 def test_criterion_3_filtering_contracts():
     rng = np.random.default_rng(303)
     residuals = [rng.standard_normal((12, 7)) for _ in range(4)]
-    filtered, mask, consist, tau = filter_residuals(residuals, gamma=20.0, rho=0.5)
+    filtered = [r.copy() for r in residuals]
+    mask, consist, tau, _ = filter_residuals(filtered, gamma=20.0, rho=0.5)
 
     order = np.argsort(consist)
     monotone = bool(np.all(np.diff(mask[order]) >= 0))

@@ -22,7 +22,7 @@ from pivotmerge import (
 from pivotmerge import analysis
 from pivotmerge.analysis import collect_coefficients, collect_residuals, write_matrix_csv
 from pivotmerge.linalg import principal_angles
-from pivotmerge.pivot import decouple, filter_residuals, joint_decompose, task_vectors
+from pivotmerge.pivot import _dense, decouple, filter_residuals, joint_decompose, task_vectors
 from conftest import scaled_checkpoint, zero_checkpoint
 
 
@@ -215,8 +215,8 @@ def check_one_layer_of_deltas_at_a_time(monkeypatch, collect):
     base, experts, _ = generate(spec)
     config = PivotConfig(rank=2)
     events = []
-    real_deltas, real_joint, real_decouple = (analysis.task_vectors, analysis._joint_owned,
-                                              analysis._decouple_owned)
+    real_deltas, real_joint, real_decouple = (analysis.task_vectors, analysis.joint_decompose,
+                                              analysis.decouple)
 
     def deltas(ordered, base_ck, li):
         events.append(("deltas", li))
@@ -226,30 +226,34 @@ def check_one_layer_of_deltas_at_a_time(monkeypatch, collect):
         events.append("joint")
         return real_joint(stack)
 
-    def decouple_owned(blocks, rank):
+    def decoupling(blocks, rank):
         events.append("decouple")
         return real_decouple(blocks, rank)
 
     monkeypatch.setattr(analysis, "task_vectors", deltas)
-    monkeypatch.setattr(analysis, "_joint_owned", joint)
-    monkeypatch.setattr(analysis, "_decouple_owned", decouple_owned)
+    monkeypatch.setattr(analysis, "joint_decompose", joint)
+    monkeypatch.setattr(analysis, "decouple", decoupling)
     raw, filt = collect(list(reversed(experts)), base, config)[:2]
     # Each layer's deltas are built and decoupled before the next layer's deltas.
     assert events == [e for li in range(3) for e in (("deltas", li), "joint", "decouple")]
-    delta_layers = [list(np.moveaxis(task_vectors(experts, layer, li), 1, 0))
-                    for li, layer in enumerate(base.layers)]
-    decs = [decouple(joint_decompose(d).coeffs, config.rank) for d in delta_layers]
-    filts = [filter_residuals(d.residuals, config.gamma, config.rho)[0] for d in decs]
+    stacks = [task_vectors(experts, layer, li) for li, layer in enumerate(base.layers)]
+    layers = []
+    for stack in stacks:
+        residuals = joint_decompose(stack)[1]
+        cores = decouple(residuals, config.rank).cores
+        filtered = [r.copy() for r in residuals]
+        filter_residuals(filtered, config.gamma, config.rho)
+        layers.append((cores, residuals, filtered))
     for i in range(len(experts)):
         if collect is collect_residuals:
             np.testing.assert_array_equal(
-                raw[i], np.concatenate([d.residuals[i].ravel() for d in decs]))
+                raw[i], np.concatenate([r[i].ravel() for _, r, _ in layers]))
             np.testing.assert_array_equal(
-                filt[i], np.concatenate([f[i].ravel() for f in filts]))
+                filt[i], np.concatenate([f[i].ravel() for _, _, f in layers]))
         else:
-            np.testing.assert_array_equal(raw[i], np.hstack([d[i] for d in delta_layers]))
+            np.testing.assert_array_equal(raw[i], np.hstack([s[:, i] for s in stacks]))
             np.testing.assert_array_equal(
-                filt[i], np.hstack([d.cores[i] + f[i] for d, f in zip(decs, filts)]))
+                filt[i], np.hstack([_dense(c[i]) + f[i] for c, _, f in layers]))
 
 
 def test_collect_residuals_holds_its_output_about_once():
@@ -294,16 +298,16 @@ def test_collect_coefficients_matches_the_stagewise_formula():
     base, experts, _ = generate(spec)
     config = PivotConfig(rank=3)
     raw, filt = collect_coefficients(experts, base, config)
-    delta_layers = [list(np.moveaxis(task_vectors(experts, layer, li), 1, 0))
-                    for li, layer in enumerate(base.layers)]
+    stacks = [task_vectors(experts, layer, li) for li, layer in enumerate(base.layers)]
     coeff_layers = []
-    for deltas in delta_layers:
-        dec = decouple(joint_decompose(deltas).coeffs, config.rank)
-        filtered = filter_residuals(dec.residuals, config.gamma, config.rho)[0]
-        coeff_layers.append([a + b for a, b in zip(dec.cores, filtered)])
+    for stack in stacks:
+        filtered = joint_decompose(stack)[1]
+        cores = decouple(filtered, config.rank).cores
+        filter_residuals(filtered, config.gamma, config.rho)
+        coeff_layers.append([_dense(a) + b for a, b in zip(cores, filtered)])
     assert len(raw) == len(filt) == len(experts)
     for i, (r, f) in enumerate(zip(raw, filt)):
-        np.testing.assert_array_equal(r, model_subspace([d[i] for d in delta_layers]))
+        np.testing.assert_array_equal(r, model_subspace([s[:, i] for s in stacks]))
         np.testing.assert_array_equal(f, model_subspace([c[i] for c in coeff_layers]))
 
 
@@ -314,7 +318,7 @@ def test_collect_coefficients_rejects_non_uniform_rows_before_decomposing(monkey
     def no_decompose(*args, **kwargs):
         raise AssertionError("a layer was decomposed")
 
-    monkeypatch.setattr(analysis, "_joint_owned", no_decompose)
+    monkeypatch.setattr(analysis, "joint_decompose", no_decompose)
     with pytest.raises(ValueError, match=r"uniform row count across layers, got \[8, 10\]"):
         collect_coefficients(experts, base, PivotConfig(rank=2))
 
@@ -327,7 +331,7 @@ def test_collect_coefficients_rejects_a_tall_layer_before_decomposing(monkeypatc
     def no_decompose(*args, **kwargs):
         raise AssertionError("a layer was decomposed")
 
-    monkeypatch.setattr(analysis, "_joint_owned", no_decompose)
+    monkeypatch.setattr(analysis, "joint_decompose", no_decompose)
     with pytest.raises(ValueError, match=r"uniform joint rank .* got \[10, 64\]; "
                                          r"tall: layer 1 of shape \(64, 5\)$"):
         collect_coefficients(experts, base, PivotConfig(rank=2))
@@ -410,8 +414,9 @@ def _layer_two_equals_the_base():
 def test_principal_angles_names_an_all_zero_layer_once_it_is_reached(monkeypatch):
     base, experts = _layer_two_equals_the_base()
     joints = []
-    real = analysis._joint_owned
-    monkeypatch.setattr(analysis, "_joint_owned", lambda stack: joints.append(1) or real(stack))
+    real = analysis.joint_decompose
+    monkeypatch.setattr(analysis, "joint_decompose",
+                        lambda stack: joints.append(1) or real(stack))
     with pytest.raises(ValueError, match=r"^layer 2: all task vectors are zero, so its joint "
                                          r"rank is 0; model-level subspaces need a uniform"):
         collect_coefficients(experts, base, PivotConfig())
@@ -432,9 +437,3 @@ def test_one_warning_names_the_clamped_and_the_all_zero_layers(command):
     assert [str(w.message) for w in caught] == [
         "rank 64 exceeds the block rank limit of layer 1 (16), layer 3 (16); clamping; "
         "all task vectors are zero in layer 2: empty shared space"]
-
-
-def test_joint_decompose_warns_on_all_zero_deltas():
-    with pytest.warns(UserWarning, match="all task vectors are zero; layer has an empty shared"):
-        shared = joint_decompose([np.zeros((4, 3)), np.zeros((4, 3))])
-    assert shared.u.shape == (4, 0)

@@ -8,10 +8,13 @@ these breaks the benchmark, so each is pinned here.
 
 import dataclasses
 import inspect
+import sys
 
 import numpy as np
 
-from pivotmerge import cli, linalg, operators, pivot, scores, synth, tensorstore
+from pivotmerge import analysis, cli, linalg, operators, pivot, scores, synth, tensorstore
+
+STAGES = ("joint_decompose", "decouple", "filter_residuals", "merge_layer")
 
 
 def params(fn):
@@ -48,7 +51,10 @@ def test_observed_functions_keep_their_argument_names():
 
 def test_observed_results_keep_their_shape():
     gen = np.random.default_rng(5)
-    assert pivot.decouple([gen.standard_normal((4, 5))] * 2, 2).effective_rank == 2
+    coeffs = [gen.standard_normal((4, 5)) for _ in range(2)]
+    assert pivot.decouple(coeffs, 2).effective_rank == 2
+    # The harness reads the block shape from the bound argument after the call.
+    assert np.shape(coeffs[0]) == (4, 5)
     base, experts, _ = synth.generate(synth.SynthSpec.from_chain([4, 6], experts=3,
                                                                  core_rank=2))
     stack = pivot.task_vectors(experts, base.layers[0], 0)
@@ -60,3 +66,37 @@ def test_the_tracer_rebinds_these_names_at_their_importers():
     assert callable(cli.main)
     assert cli.pivot_merge is pivot.pivot_merge
     assert pivot.thin_svd is linalg.thin_svd
+
+
+def count_stage_calls(monkeypatch) -> dict:
+    """Count each stage's calls, wrapped wherever pivotmerge binds it, as the tracer does."""
+    calls = dict.fromkeys(STAGES, 0)
+    modules = [m for name, m in sys.modules.items()
+               if name == "pivotmerge" or name.startswith("pivotmerge.")]
+    for stage in STAGES:
+        real = getattr(pivot, stage)
+
+        def counting(*args, stage=stage, real=real, **kwargs):
+            calls[stage] += 1
+            return real(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, stage, None) is real:
+                monkeypatch.setattr(module, stage, counting)
+    return calls
+
+
+def test_the_kernel_and_the_collectors_reach_every_stage_through_module_attributes(monkeypatch):
+    # Three layers of 8 x 7 and 8 x 9 blocks with N = 3, all cut below full rank at rank 2.
+    spec = synth.SynthSpec.from_chain([6, 8, 8, 8], experts=3, core_rank=2, seed=4)
+    base, experts, _ = synth.generate(spec)
+    table = scores.ScoreTable(expert_ids=tuple(ck.id for ck in experts),
+                              scores=[[0.0] * spec.layers for _ in experts])
+    config = pivot.PivotConfig(rank=2)
+    calls = count_stage_calls(monkeypatch)
+    pivot.pivot_merge(experts, base, table, config)
+    assert calls == dict.fromkeys(STAGES, 3)
+    for collect in (analysis.collect_residuals, analysis.collect_coefficients):
+        calls.update(dict.fromkeys(STAGES, 0))
+        collect(experts, base, config)
+        assert calls == {**dict.fromkeys(STAGES, 3), "merge_layer": 0}

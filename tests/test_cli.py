@@ -704,7 +704,7 @@ def test_failed_gram_eigensolve_fails_naming_the_shape_without_output(synth_dir,
     monkeypatch.setattr(np.linalg, "eigh", fail)
     gen = np.random.default_rng(3)
     with pytest.raises(NumericalError, match=r"failed to converge on shape \(12, 24\)"):
-        joint_decompose([gen.standard_normal((12, 8)) for _ in range(3)])
+        joint_decompose(np.stack([gen.standard_normal((12, 8)) for _ in range(3)], axis=1))
     out = tmp_path / "merged.tensors"
     diag = tmp_path / "diag.json"
     code = main(["merge", "--method", "pivot", "--base", str(synth_dir / "base.tensors")]

@@ -41,9 +41,9 @@ def uniform_table(experts, num_layers, beta=0.05):
 # --- task vectors ---------------------------------------------------------
 
 
-def layer_deltas_of(experts, base, li):
-    """Layer li's deltas as a list of (d_out, w) matrices, from `task_vectors`' stack."""
-    return list(np.moveaxis(task_vectors(experts, base.layers[li], li), 1, 0))
+def stacked(deltas):
+    """A (d_out, N, w) delta stack, as `task_vectors` returns it, from N (d_out, w) deltas."""
+    return np.stack(deltas, axis=1)
 
 
 def test_task_vectors_zero_for_identical(rng):
@@ -96,18 +96,18 @@ def test_task_vectors_shape_mismatch(rng, matrix):
 
 def test_joint_decompose_identical_blocks(rng):
     d = rng.standard_normal((6, 4))
-    shared = joint_decompose([d, d, d])
-    for block in shared.coeffs[1:]:
-        np.testing.assert_allclose(block, shared.coeffs[0], atol=1e-10)
+    _, coeffs = joint_decompose(stacked([d, d, d]))
+    for block in coeffs[1:]:
+        np.testing.assert_allclose(block, coeffs[0], atol=1e-10)
 
 
 def test_joint_decompose_single_matches_thin_svd(rng):
     d = rng.standard_normal((5, 3))
-    shared = joint_decompose([d])
+    shared, coeffs = joint_decompose(stacked([d]))
     f = thin_svd(d)
     np.testing.assert_allclose(shared.u, f.u, atol=1e-12)
     np.testing.assert_allclose(shared.s, f.s, atol=1e-12)
-    np.testing.assert_allclose(shared.coeffs[0], f.vt, atol=1e-12)
+    np.testing.assert_allclose(coeffs[0], f.vt, atol=1e-12)
 
 
 def record_svd_shapes(monkeypatch):
@@ -143,11 +143,11 @@ def test_joint_decompose_wide_well_conditioned_uses_gram(monkeypatch):
     ref = thin_svd(concat)
     deltas = np.split(concat, 3, axis=1)
     shapes = record_svd_shapes(monkeypatch)
-    shared = joint_decompose(deltas)
+    shared, coeffs = joint_decompose(stacked(deltas))
     assert shapes == []
     np.testing.assert_allclose(shared.u, ref.u, rtol=0, atol=1e-10)
     np.testing.assert_allclose(shared.s, ref.s, rtol=1e-10, atol=0)
-    for delta, block in zip(deltas, shared.coeffs):
+    for delta, block in zip(deltas, coeffs):
         np.testing.assert_allclose((shared.u * shared.s) @ block, delta, rtol=0, atol=1e-10)
 
 
@@ -157,7 +157,7 @@ def test_joint_decompose_wide_ill_conditioned_refines_the_gram_tail(monkeypatch)
     concat = planted_wide(10.0, 1e-4)
     ref = thin_svd(concat)
     shapes = record_svd_shapes(monkeypatch)
-    shared = joint_decompose(np.split(concat, 3, axis=1))
+    shared = joint_decompose(stacked(np.split(concat, 3, axis=1)))[0]
     assert shapes == [(7, 24)]
     np.testing.assert_allclose(shared.u, ref.u, rtol=0, atol=1e-12)
     np.testing.assert_allclose(shared.s, ref.s, rtol=0, atol=1e-12)
@@ -181,7 +181,7 @@ def test_joint_decompose_wide_gram_route_handles_rank_deficiency_and_scale(monke
     shapes = record_svd_shapes(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        shared = joint_decompose(deltas)
+        shared = joint_decompose(stacked(deltas))[0]
     assert shapes == tail_svd
     assert np.isfinite(shared.u).all() and np.isfinite(shared.s).all()
     np.testing.assert_allclose(shared.s, ref.s, rtol=0, atol=1e-12 * ref.s[0])
@@ -214,7 +214,7 @@ def test_joint_decompose_gram_route_matches_thin_svd(spectrum, tail):
     ref = thin_svd(concat / scale)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        shared = joint_decompose(np.split(concat, 3, axis=1))
+        shared = joint_decompose(stacked(np.split(concat, 3, axis=1)))[0]
     assert shared.joint_tail == tail
     live = int(np.count_nonzero(ref.s > 1e-8))
     np.testing.assert_allclose(shared.s[:live] / scale, ref.s[:live], rtol=1e-10, atol=0)
@@ -231,24 +231,14 @@ def test_joint_decompose_rejects_non_finite_deltas(shape, bad):
     delta = np.ones(shape)
     delta[0, 0] = bad
     with pytest.raises(ValueError, match="contains NaN or Inf"):
-        joint_decompose([delta, delta + 1.0])
-
-
-@pytest.mark.parametrize("deltas, message", [
-    ([np.ones(3)], r"delta 0 has shape \(3,\), expected a 2-D \(3,\)"),
-    ([np.ones((2, 3, 4)), np.ones((2, 3, 4))], r"delta 0 has shape \(2, 3, 4\), expected a 2-D"),
-    ([np.ones((4, 3)), np.ones(3)], r"delta 1 has shape \(3,\), expected a 2-D \(4, 3\)"),
-], ids=["1d-first", "3d-first", "1d-second"])
-def test_joint_decompose_rejects_a_delta_that_is_not_2d(deltas, message):
-    with pytest.raises(ValueError, match=message):
-        joint_decompose(deltas)
+        joint_decompose(stacked([delta, delta + 1.0]))
 
 
 def test_joint_decompose_tall_keeps_direct_svd(rng, monkeypatch):
     deltas = [rng.standard_normal((30, 6)) for _ in range(2)]
     ref = thin_svd(np.concatenate(deltas, axis=1))
     shapes = record_svd_shapes(monkeypatch)
-    shared = joint_decompose(deltas)
+    shared = joint_decompose(stacked(deltas))[0]
     assert shapes == [(30, 12)]
     np.testing.assert_array_equal(shared.u, ref.u)
     np.testing.assert_array_equal(shared.s, ref.s)
@@ -256,26 +246,29 @@ def test_joint_decompose_tall_keeps_direct_svd(rng, monkeypatch):
 
 def test_stage_chain_cores_bitwise_repeatable(rng):
     deltas = [rng.standard_normal((40, 41)) for _ in range(3)]
-    first = decouple(joint_decompose(deltas).coeffs, 8)
-    second = decouple(joint_decompose([d.copy() for d in deltas]).coeffs, 8)
+    first = decouple(joint_decompose(stacked(deltas))[1], 8)
+    second = decouple(joint_decompose(stacked(deltas))[1], 8)
     for a, b in zip(first.cores, second.cores):
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(pivot._dense(a), pivot._dense(b))
 
 
 def test_joint_decompose_per_expert_reconstruction(rng):
     deltas = [rng.standard_normal((8, 5)) for _ in range(3)]
-    shared = joint_decompose(deltas)
-    for delta, block in zip(deltas, shared.coeffs):
+    shared, coeffs = joint_decompose(stacked(deltas))
+    for delta, block in zip(deltas, coeffs):
         recon = (shared.u * shared.s) @ block
         assert rel_error(recon, delta) <= 1e-8
 
 
-def test_joint_decompose_all_zero_flagged():
-    with pytest.warns(UserWarning, match="zero"):
-        shared = joint_decompose([np.zeros((4, 3)), np.zeros((4, 3))])
+def test_joint_decompose_all_zero_has_an_empty_shared_space():
+    # No warning here: `merge` and `analyze` name every all-zero layer in one warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shared, coeffs = joint_decompose(np.zeros((4, 2, 3)))
     assert shared.s.size == 0
     assert shared.u.shape == (4, 0)
-    assert all(c.shape == (0, 3) for c in shared.coeffs)
+    assert shared.joint_tail is None
+    assert len(coeffs) == 2 and all(c.shape == (0, 3) for c in coeffs)
 
 
 # --- decoupling --------------------------------------------------------------
@@ -288,10 +281,16 @@ def forbid_svd(monkeypatch):
     monkeypatch.setattr(linalg, "thin_svd", fail)
 
 
-def assert_whole_block_cores(blocks, dec):
-    for block, core, resid in zip(blocks, dec.cores, dec.residuals):
+def decouple_copies(blocks, rank):
+    """`decouple` on copies of `blocks`: its result and the residuals it wrote."""
+    residuals = [b.copy() for b in blocks]
+    return decouple(residuals, rank), residuals
+
+
+def assert_whole_block_cores(blocks, dec, residuals):
+    assert dec.core_route == ["full"] * len(blocks)
+    for block, core, resid in zip(blocks, dec.cores, residuals):
         np.testing.assert_array_equal(core, block)
-        assert core is not block and not np.shares_memory(core, block)
         assert resid.shape == block.shape and not resid.any()
 
 
@@ -301,9 +300,9 @@ def test_decouple_full_rank_residual_zero(rng, monkeypatch):
     blocks = [rng.standard_normal((4, 3)), rng.standard_normal((4, 3))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dec = decouple(blocks, rank=3)
+        dec, residuals = decouple_copies(blocks, rank=3)
     assert dec.effective_rank == 3
-    assert_whole_block_cores(blocks, dec)
+    assert_whole_block_cores(blocks, dec, residuals)
 
 
 def test_decouple_below_full_rank_truncates(rng, monkeypatch):
@@ -316,11 +315,11 @@ def test_decouple_below_full_rank_truncates(rng, monkeypatch):
 
     monkeypatch.setattr(pivot, "_rank_factors", counting)
     blocks = [rng.standard_normal((5, 4)) for _ in range(3)]
-    dec = decouple(blocks, rank=3)
+    dec = decouple_copies(blocks, rank=3)[0]
     assert calls == [3, 3, 3]
     assert dec.effective_rank == 3
     for block, core in zip(blocks, dec.cores):
-        np.testing.assert_array_equal(core, truncate_rank(block, 3))
+        np.testing.assert_array_equal(pivot._dense(core), truncate_rank(block, 3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -331,41 +330,32 @@ def test_decouple_below_full_rank_rejects_a_non_finite_entry(rng, bad):
         decouple(blocks, rank=2)
 
 
-@pytest.mark.parametrize("blocks, shape", [
-    ([np.ones((4, 3)), np.ones((5, 3))], r"\(5, 3\)"),
-    ([np.ones((4, 3)), np.ones(3)], r"\(3,\)")])
-def test_decouple_rejects_a_mismatched_block(blocks, shape):
-    with pytest.raises(ValueError, match=rf"coefficient block 1 has shape {shape}, "
-                                         r"expected a 2-D \(4, 3\)"):
-        decouple(blocks, rank=2)
-    with pytest.raises(ValueError, match="need at least one coefficient block"):
-        decouple([], rank=2)
-
-
 def test_decouple_diagonal_example():
-    block = np.diag([3.0, 2.0, 1.0])
-    dec = decouple([block], rank=1)
-    np.testing.assert_allclose(dec.cores[0], np.diag([3.0, 0.0, 0.0]), atol=1e-12)
-    np.testing.assert_allclose(dec.residuals[0], np.diag([0.0, 2.0, 1.0]), atol=1e-12)
+    dec, residuals = decouple_copies([np.diag([3.0, 2.0, 1.0])], rank=1)
+    np.testing.assert_allclose(pivot._dense(dec.cores[0]), np.diag([3.0, 0.0, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(residuals[0], np.diag([0.0, 2.0, 1.0]), atol=1e-12)
 
 
 def test_decouple_exact_split_and_rank(rng):
     blocks = [rng.standard_normal((6, 5)) for _ in range(3)]
-    dec = decouple(blocks, rank=2)
-    for block, core, resid in zip(blocks, dec.cores, dec.residuals):
+    dec, residuals = decouple_copies(blocks, rank=2)
+    for block, core, resid in zip(blocks, dec.cores, residuals):
+        core = pivot._dense(core)
         np.testing.assert_allclose(core + resid, block, rtol=0, atol=1e-12)
         s = np.linalg.svd(core, compute_uv=False)
         assert np.sum(s > 1e-10 * s[0]) <= 2
 
 
-def test_decouple_clamps_rank_with_warning(rng, monkeypatch):
+def test_decouple_clamps_rank_to_the_block_rank_limit(rng, monkeypatch):
+    # No warning here: `merge` and `analyze` name every clamped layer in one warning.
     forbid_svd(monkeypatch)
     for shape in [(4, 3), (3, 4)]:
         blocks = [rng.standard_normal(shape), rng.standard_normal(shape)]
-        with pytest.warns(UserWarning, match="clamp"):
-            dec = decouple(blocks, rank=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec, residuals = decouple_copies(blocks, rank=64)
         assert dec.effective_rank == 3
-        assert_whole_block_cores(blocks, dec)
+        assert_whole_block_cores(blocks, dec, residuals)
 
 
 # --- residual filtering -------------------------------------------------------
@@ -374,8 +364,7 @@ def test_decouple_clamps_rank_with_warning(rng, monkeypatch):
 def test_filter_identical_residuals(rng):
     b = rng.standard_normal((5, 4))
     b[2] = 0.0  # one exactly-zero row
-    filtered, mask, consist, tau = filter_residuals([b.copy(), b.copy(), b.copy()],
-                                                    gamma=20.0, rho=0.5)
+    mask, consist, tau, _ = filter_residuals([b.copy(), b.copy(), b.copy()], gamma=20.0, rho=0.5)
     assert set(np.round(consist, 9)) <= {0.0, 1.0}
     assert consist[2] == 0.0
     # the median consistency is 1 here, so rows at full agreement sit at tau
@@ -390,7 +379,7 @@ def test_filter_consistent_rows_pass_when_majority_is_noise(rng):
     shared = rng.standard_normal((2, 6))
     for m in mats:
         m[:2] = shared
-    filtered, mask, consist, tau = filter_residuals(mats, gamma=20.0, rho=0.5)
+    mask, consist, tau, _ = filter_residuals(mats, gamma=20.0, rho=0.5)
     assert tau <= 0.5
     np.testing.assert_allclose(consist[:2], [1.0, 1.0], atol=1e-12)
     assert np.all(mask[:2] >= 0.999)  # sigmoid(20 * (1 - tau))
@@ -398,7 +387,7 @@ def test_filter_consistent_rows_pass_when_majority_is_noise(rng):
 
 def test_filter_mask_half_at_threshold(rng):
     residuals = [rng.standard_normal((6, 4)) for _ in range(3)]
-    _, mask, consist, tau = filter_residuals(residuals, gamma=20.0, rho=0.5)
+    mask, consist, tau, _ = filter_residuals(residuals, gamma=20.0, rho=0.5)
     at_tau = consist == tau
     assert at_tau.any()
     assert np.all(mask[at_tau] == 0.5)
@@ -406,7 +395,7 @@ def test_filter_mask_half_at_threshold(rng):
 
 def test_filter_mask_monotone(rng):
     residuals = [rng.standard_normal((8, 5)) for _ in range(4)]
-    _, mask, consist, _ = filter_residuals(residuals, gamma=20.0, rho=0.5)
+    mask, consist, _, _ = filter_residuals(residuals, gamma=20.0, rho=0.5)
     order = np.argsort(consist)
     assert np.all(np.diff(mask[order]) >= 0)
 
@@ -422,15 +411,18 @@ def test_filter_l1_compensation_hand_example():
 
 def test_filter_preserves_l1_mass(rng):
     residuals = [rng.standard_normal((7, 5)) for _ in range(3)]
-    filtered, _, _, _ = filter_residuals(residuals, gamma=20.0, rho=0.5)
+    filtered = [r.copy() for r in residuals]
+    filter_residuals(filtered, gamma=20.0, rho=0.5)
     for before, after in zip(residuals, filtered):
         assert abs(np.abs(after).sum() - np.abs(before).sum()) <= 1e-9 * np.abs(before).sum()
 
 
 def test_filter_single_expert_passthrough(rng):
     b = rng.standard_normal((4, 3))
-    filtered, mask, consist, tau = filter_residuals([b], gamma=20.0, rho=0.5)
+    filtered = [b.copy()]
+    mask, consist, tau, kept = filter_residuals(filtered, gamma=20.0, rho=0.5)
     np.testing.assert_array_equal(filtered[0], b)
+    assert kept == [1.0]
     np.testing.assert_array_equal(mask, np.ones(4))
     assert tau is None
 
@@ -440,12 +432,14 @@ def test_filter_near_zero_mass_skips_compensation():
     zero = np.zeros((2, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        filtered, _, _, _ = filter_residuals([zero, zero.copy()], gamma=20.0, rho=0.5)
+        filtered = [zero.copy(), zero.copy()]
+        filter_residuals(filtered, gamma=20.0, rho=0.5)
     np.testing.assert_array_equal(filtered[0], zero)
-    # a tiny nonzero residual whose masked mass is below 1e-12 is masked, not rescaled
+    # a tiny nonzero residual whose masked mass is below ZERO_NORM is masked, not rescaled
     tiny = np.full((2, 2), 1e-14)
+    filtered = [tiny.copy(), tiny.copy()]
     with pytest.warns(UserWarning, match="mass"):
-        filtered, mask, _, _ = filter_residuals([tiny, tiny.copy()], gamma=20.0, rho=0.5)
+        mask = filter_residuals(filtered, gamma=20.0, rho=0.5)[0]
     np.testing.assert_array_equal(filtered[0], mask[:, None] * tiny)
 
 
@@ -464,8 +458,8 @@ def test_filter_on_zero_residuals_gives_the_bits_of_the_pass(monkeypatch, n, k):
         consist, mask, tau = np.ones(k), np.ones(k), None
     passes = []
     monkeypatch.setattr(pivot, "_consistencies", lambda mats: passes.append(mats))
-    filtered, got_mask, got_consist, got_tau = filter_residuals(zeros, gamma=20.0, rho=0.5)
-    kept = pivot._filter_owned([z.copy() for z in zeros], 20.0, 0.5)[3]
+    filtered = [z.copy() for z in zeros]
+    got_mask, got_consist, got_tau, kept = filter_residuals(filtered, gamma=20.0, rho=0.5)
     assert passes == []
     np.testing.assert_array_equal(bits(got_consist), bits(consist))
     np.testing.assert_array_equal(bits(got_mask), bits(mask))
@@ -493,7 +487,7 @@ def test_filter_consistencies_match_gathered_unit_rows(rng):
     gram = np.einsum("ikw,jkw->kij", unit, unit)
     pair_sum = gram.sum(axis=(1, 2)) - np.einsum("kii->k", gram)
     want = np.clip(pair_sum / (4 * 3), -1.0, 1.0)
-    _, _, consistencies, _ = filter_residuals(mats, gamma=20.0, rho=0.5)
+    consistencies = filter_residuals(mats, gamma=20.0, rho=0.5)[1]
     np.testing.assert_array_equal(consistencies, want)
 
 
@@ -516,36 +510,26 @@ def test_filter_consistencies_match_stacked_form_across_row_chunks(n, k, w):
     mats = [gen.standard_normal((k, w)) for _ in range(n)]
     mats[0][1] = 0.0
     mats[-1][k - 1] = 1e-13
-    _, _, consistencies, _ = filter_residuals(mats, gamma=20.0, rho=0.5)
-    np.testing.assert_array_equal(consistencies, _stacked_consistencies(mats))
+    want = _stacked_consistencies(mats)
+    consistencies = filter_residuals(mats, gamma=20.0, rho=0.5)[1]
+    np.testing.assert_array_equal(consistencies, want)
 
 
-def test_filter_rejects_mismatched_residual_shapes(rng):
-    with pytest.raises(ValueError, match="residual 1 has shape"):
-        filter_residuals([rng.standard_normal((4, 3)), rng.standard_normal((5, 3))], 20.0, 0.5)
-
-
-def test_stage_functions_leave_their_inputs_unchanged(rng):
-    # the kernel frees each block set after its stage; no stage reuses its inputs in place
-    def snapshot(arrays):
-        return [a.tobytes() for a in arrays]
-
-    deltas = [rng.standard_normal((12, 9)) for _ in range(3)]
-    before = snapshot(deltas)
-    shared = joint_decompose(deltas)
-    assert snapshot(deltas) == before
-    before = snapshot(shared.coeffs)
-    dec = decouple(shared.coeffs, 3)
-    assert snapshot(shared.coeffs) == before
-    assert all(r.any() for r in dec.residuals)
-    before = snapshot(dec.residuals)
-    filtered = filter_residuals(dec.residuals, 20.0, 0.5)[0]
-    assert snapshot(dec.residuals) == before
-    before = snapshot([shared.s, *dec.cores, *filtered])
-    for op in (MergeOperator.ties(1.0), MergeOperator.ties(0.3),
-               MergeOperator.dare_ties(0.3, 0.5, seed=2), MergeOperator.average()):
-        merge_layer(shared.s, dec.cores, filtered, [0.2, 0.3, 0.5], op)
-        assert snapshot([shared.s, *dec.cores, *filtered]) == before
+def test_stage_functions_overwrite_the_blocks_they_are_given(rng):
+    # Each stage works in the storage of the per-expert blocks it is given; none copies them.
+    shared, coeffs = joint_decompose(stacked([rng.standard_normal((12, 9)) for _ in range(3)]))
+    blocks = [c.copy() for c in coeffs]
+    storage = coeffs[:]
+    dec = decouple(coeffs, 3)
+    assert all(r is b for r, b in zip(coeffs, storage))
+    for block, core, resid in zip(blocks, dec.cores, coeffs):
+        np.testing.assert_array_equal(resid, block - pivot._dense(core))
+    raw = [r.copy() for r in coeffs]
+    filter_residuals(coeffs, 20.0, 0.5)
+    assert all(r is b for r, b in zip(coeffs, storage))
+    assert any((r != f).any() for r, f in zip(raw, coeffs))
+    merged = merge_layer(shared.s, dec.cores, coeffs, [0.2, 0.3, 0.5], MergeOperator.ties(1.0))
+    assert dec.cores == [] and coeffs == [] and merged.shape == (12, 9)
 
 
 # --- layer merge and reconstruction ------------------------------------------
@@ -553,17 +537,19 @@ def test_stage_functions_leave_their_inputs_unchanged(rng):
 
 def _decomposed_layer(rng, n=3, d=8, w=5, rank=2):
     deltas = [rng.standard_normal((d, w)) for _ in range(n)]
-    shared = joint_decompose(deltas)
-    dec = decouple(shared.coeffs, rank)
-    return shared, dec.cores, filter_residuals(dec.residuals, 20.0, 0.5)[0]
+    shared, coeffs = joint_decompose(stacked(deltas))
+    cores = decouple(coeffs, rank).cores
+    filter_residuals(coeffs, 20.0, 0.5)
+    return shared, cores, coeffs
 
 
 def test_merge_layer_single_expert_passthrough(rng):
     deltas = [rng.standard_normal((6, 4))]
-    shared = joint_decompose(deltas)
-    dec = decouple(shared.coeffs, 2)
-    merged = merge_layer(shared.s, dec.cores, dec.residuals, [1.0], MergeOperator.ties(1.0))
-    np.testing.assert_allclose(merged, shared.coeffs[0], atol=1e-10)
+    shared, coeffs = joint_decompose(stacked(deltas))
+    want = coeffs[0].copy()
+    cores = decouple(coeffs, 2).cores
+    merged = merge_layer(shared.s, cores, coeffs, [1.0], MergeOperator.ties(1.0))
+    np.testing.assert_allclose(merged, want, atol=1e-10)
 
 
 def test_merge_layer_identical_experts(rng):
@@ -571,17 +557,17 @@ def test_merge_layer_identical_experts(rng):
     # partial-rank core split is arbitrary; at full rank the residual vanishes
     # and the merge must reproduce the common input.
     d = rng.standard_normal((6, 4))
-    shared = joint_decompose([d, d, d])
-    dec = decouple(shared.coeffs, 4)
-    filtered = filter_residuals(dec.residuals, 20.0, 0.5)[0]
-    merged = merge_layer(shared.s, dec.cores, filtered, [1 / 3] * 3, MergeOperator.ties(1.0))
+    shared, coeffs = joint_decompose(stacked([d, d, d]))
+    cores = decouple(coeffs, 4).cores
+    filter_residuals(coeffs, 20.0, 0.5)
+    merged = merge_layer(shared.s, cores, coeffs, [1 / 3] * 3, MergeOperator.ties(1.0))
     assert rel_error((shared.u * shared.s) @ merged, d) <= 1e-8
 
 
 def test_merge_layer_linear_inner_is_mean(rng):
     shared, cores, filtered = _decomposed_layer(rng)
+    expected = np.mean([pivot._dense(a) + b for a, b in zip(cores, filtered)], axis=0)
     merged = merge_layer(shared.s, cores, filtered, [1 / 3] * 3, MergeOperator.average())
-    expected = np.mean([a + b for a, b in zip(cores, filtered)], axis=0)
     np.testing.assert_allclose(merged, expected, atol=1e-12)
 
 
@@ -603,8 +589,8 @@ def test_merge_layer_matches_merging_scaled_copies(op, n):
         merged = merge_weighted(op, [col * b for b in blocks], weights)
         return np.divide(merged, col, out=np.zeros_like(merged), where=col > 0.0)
 
-    got = merge_layer(s, cores, filtered, alphas, op)
     want = scaled_merge(cores, alphas) + scaled_merge(filtered, [1.0] * n)
+    got = merge_layer(s, cores, filtered, alphas, op)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     assert not got[-1].any()
 
@@ -616,15 +602,13 @@ def test_merge_layer_rejects_a_spectrum_overflow_naming_the_input(op):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="ties input 1 contains NaN or Inf"):
-            merge_layer(np.full(3, 1e10), blocks, blocks, [0.5, 0.5], op)
-    assert blocks[1][0, 0] == 1e300
+            merge_layer(np.full(3, 1e10), [b.copy() for b in blocks], blocks, [0.5, 0.5], op)
 
 
 def test_reconstruct_zero_coeffs_returns_base(rng):
     base = make_checkpoint("base", rng, [4, 6])
-    deltas = [rng.standard_normal((6, 5))]
-    shared = joint_decompose(deltas)
-    out = reconstruct(shared, np.zeros_like(shared.coeffs[0]), base.layers[0])
+    shared, coeffs = joint_decompose(rng.standard_normal((6, 1, 5)))
+    out = reconstruct(shared, np.zeros_like(coeffs[0]), base.layers[0])
     np.testing.assert_allclose(out.weight, base.layers[0].weight, atol=1e-12)
     np.testing.assert_allclose(out.bias, base.layers[0].bias, atol=1e-12)
 
@@ -632,9 +616,8 @@ def test_reconstruct_zero_coeffs_returns_base(rng):
 def test_reconstruct_roundtrip_single_expert(rng):
     base = make_checkpoint("base", rng, [4, 6])
     expert = make_checkpoint("e", rng, [4, 6])
-    deltas = layer_deltas_of([expert], base, 0)
-    shared = joint_decompose(deltas)
-    out = reconstruct(shared, shared.coeffs[0], base.layers[0])
+    shared, coeffs = joint_decompose(task_vectors([expert], base.layers[0], 0))
+    out = reconstruct(shared, coeffs[0], base.layers[0])
     assert rel_error(out.weight, expert.layers[0].weight) <= 1e-8
     assert rel_error(out.bias, expert.layers[0].bias) <= 1e-8
 
@@ -848,12 +831,12 @@ def test_pivot_merge_matches_the_public_stage_chain_bit_for_bit(monkeypatch, op,
         warnings.simplefilter("ignore")
         merged, diagnostics = pivot_merge(experts, base, table, config)
         assert shapes == joint_svd
-        shared = joint_decompose(layer_deltas_of(experts, base, 0))
-        dec = decouple(shared.coeffs, rank)
-        filtered, mask, consistencies, tau = filter_residuals(dec.residuals, config.gamma,
-                                                              config.rho)
+        shared, coeffs = joint_decompose(task_vectors(experts, base.layers[0], 0))
+        dec = decouple(coeffs, rank)
+        mask, consistencies, tau, _ = filter_residuals(coeffs, config.gamma, config.rho)
+    full_rank = dec.effective_rank == min(coeffs[0].shape)
     alphas = layer_weights(score_increments(table.rows_for(table.expert_ids, 1)), 0.05)[:, 0]
-    merged_coeffs = merge_layer(shared.s, dec.cores, filtered, alphas, op)
+    merged_coeffs = merge_layer(shared.s, dec.cores, coeffs, alphas, op)
     want = reconstruct(shared, merged_coeffs, base.layers[0])
     np.testing.assert_array_equal(merged.layers[0].matrix.view(np.uint64),
                                   want.matrix.view(np.uint64))
@@ -863,7 +846,7 @@ def test_pivot_merge_matches_the_public_stage_chain_bit_for_bit(monkeypatch, op,
     assert (record["tau"] is None) == (tau is None)
     if tau is not None:
         assert bits(record["tau"]) == bits(tau)
-    if dec.effective_rank == min(dec.residuals[0].shape):
+    if full_rank:
         assert record["residual_mass_kept"] == [None] * len(experts)
 
 
@@ -896,7 +879,7 @@ def test_layer_records_report_the_joint_tail(case, tail):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         record = pivot_merge(experts, base, table, PivotConfig(rank=4))[1]["layers"][0]
-        shared = joint_decompose(layer_deltas_of(experts, base, 0))
+        shared = joint_decompose(task_vectors(experts, base.layers[0], 0))[0]
     assert record["joint_tail"] == shared.joint_tail == tail
     if tail:
         assert np.count_nonzero(shared.s > linalg.RANK_RTOL * shared.s[0]) == 20
@@ -917,20 +900,24 @@ def test_layer_records_report_core_energy_and_residual_mass_kept(n, rank, route)
                    for _ in range(2)]
         stages = []
         for li in range(base.num_layers):
-            shared = joint_decompose(layer_deltas_of(experts, base, li))
-            dec = decouple(shared.coeffs, rank)
-            mask = filter_residuals(dec.residuals, config.gamma, config.rho)[1]
-            stages.append((shared.coeffs, dec, mask))
+            residuals = joint_decompose(task_vectors(experts, base.layers[li], li))[1]
+            blocks = [b.copy() for b in residuals]
+            dec = decouple(residuals, rank)
+            mask = filter_residuals([r.copy() for r in residuals], config.gamma, config.rho)[0]
+            stages.append((blocks, dec, residuals, mask))
 
     def fields(layers):
         return [(r["core_energy"], r["residual_mass_kept"], r["core_route"]) for r in layers]
 
     assert fields(records[0]) == fields(records[1])
     assert [r["core_route"] for r in records[0]] == [[route] * n] * base.num_layers
-    for record, (coeffs, dec, mask) in zip(records[0], stages):
+    for record, (blocks, dec, residuals, mask) in zip(records[0], stages):
+        assert record["core_energy"] == dec.core_energy
+        assert record["core_route"] == dec.core_route
         for energy, kept, block, core, resid in zip(record["core_energy"],
                                                     record["residual_mass_kept"],
-                                                    coeffs, dec.cores, dec.residuals):
+                                                    blocks, dec.cores, residuals):
+            core = pivot._dense(core)
             assert abs(energy - np.sum(core ** 2) / np.sum(block ** 2)) <= 1e-12
             if resid.any():
                 masked = np.abs(resid * mask[:, None]).sum() / np.abs(resid).sum()
@@ -1012,11 +999,11 @@ def test_pivot_merge_is_equivariant_under_power_of_two_scaling(op, rank):
 
 
 def test_pivot_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rank must be >= 1, got 0"):
         PivotConfig(rank=0)
     with pytest.raises(ValueError):
         PivotConfig(gamma=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"rho must be in \(0, 1\), got 1.0"):
         PivotConfig(rho=1.0)
     with pytest.raises(ValueError):
         PivotConfig(beta=-0.1)
@@ -1028,21 +1015,9 @@ def test_pivot_config_validation():
     assert not PivotConfig(inner=MergeOperator.average()).inner.magnitude_based
 
 
-@pytest.mark.parametrize("gamma, rho, message", [(np.inf, 0.5, "gamma must be positive"),
-                                                 (20.0, 1.0, r"rho must be in \(0, 1\)")])
-def test_filter_residuals_checks_its_settings(rng, gamma, rho, message):
-    with pytest.raises(ValueError, match=message):
-        filter_residuals([rng.standard_normal((4, 3)) for _ in range(2)], gamma, rho)
-
-
-def test_decouple_checks_its_rank(rng):
-    with pytest.raises(ValueError, match="rank must be >= 1, got 0"):
-        decouple([rng.standard_normal((4, 3)) for _ in range(2)], 0)
-
-
 def test_mask_values_strictly_positive(rng):
     residuals = [rng.standard_normal((10, 6)) for _ in range(3)]
-    _, mask, _, _ = filter_residuals(residuals, gamma=20.0, rho=0.5)
+    mask = filter_residuals(residuals, gamma=20.0, rho=0.5)[0]
     assert np.all(mask > 0.0)
     assert np.all(mask <= 1.0)
 
