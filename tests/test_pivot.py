@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -271,6 +272,20 @@ def test_joint_decompose_all_zero_has_an_empty_shared_space():
     assert len(coeffs) == 2 and all(c.shape == (0, 3) for c in coeffs)
 
 
+@pytest.mark.parametrize("d_out, n, w, scale", [(6, 3, 4, 1.0), (30, 2, 6, 1.0), (4, 2, 3, 0.0)],
+                         ids=["wide-gram", "tall-svd", "all-zero"])
+def test_joint_decompose_keeps_no_reference_to_the_stack(rng, d_out, n, w, scale):
+    # The kernel passes its only reference, so the stack is freed on return;
+    # each block has storage of its own, which `decouple` then overwrites.
+    stack = rng.standard_normal((d_out, n, w)) * scale
+    ref = weakref.ref(stack)
+    _, coeffs = joint_decompose(stack)
+    del stack
+    assert ref() is None
+    assert len(coeffs) == n and all(c.flags.writeable for c in coeffs)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(coeffs) for b in coeffs[i + 1:])
+
+
 # --- decoupling --------------------------------------------------------------
 
 
@@ -358,6 +373,15 @@ def test_decouple_clamps_rank_to_the_block_rank_limit(rng, monkeypatch):
         assert_whole_block_cores(blocks, dec, residuals)
 
 
+def test_decouple_at_full_rank_hands_the_given_blocks_over_as_cores(rng):
+    coeffs = [rng.standard_normal((4, 3)) for _ in range(2)]
+    given = coeffs[:]
+    dec = decouple(coeffs, 3)
+    assert all(core is block for core, block in zip(dec.cores, given))
+    assert all(r is not b and r.shape == (4, 3) and not r.any() for r, b in zip(coeffs, given))
+    assert not np.shares_memory(coeffs[0], coeffs[1])
+
+
 # --- residual filtering -------------------------------------------------------
 
 
@@ -441,6 +465,20 @@ def test_filter_near_zero_mass_skips_compensation():
     with pytest.warns(UserWarning, match="mass"):
         mask = filter_residuals(filtered, gamma=20.0, rho=0.5)[0]
     np.testing.assert_array_equal(filtered[0], mask[:, None] * tiny)
+
+
+def test_filter_compensates_a_masked_mass_just_above_zero_norm():
+    # Equal rows give equal consistencies, so tau is one of them and the mask is 0.5;
+    # the masked mass 2e-12 is above ZERO_NORM, so the L1 mass is restored exactly.
+    small = np.full((2, 2), 1e-12)
+    filtered = [small.copy(), small.copy()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask, _, _, kept = filter_residuals(filtered, gamma=20.0, rho=0.5)
+    np.testing.assert_array_equal(mask, [0.5, 0.5])
+    assert kept == [0.5, 0.5]
+    for block in filtered:
+        np.testing.assert_array_equal(block, small)
 
 
 @pytest.mark.parametrize("n, k", [(1, 6), (2, 6), (5, 6), (3, 0)])
@@ -714,6 +752,38 @@ def test_pivot_merge_well_conditioned_wide_layer_factors_without_svd_or_qr(rng, 
     merged, _ = pivot_merge(experts, base, uniform_table(experts, 1), PivotConfig(rank=8))
     assert calls == []
     assert np.isfinite(merged.layers[0].matrix).all()
+
+
+@pytest.mark.parametrize("rank, full", [(2, False), (5, True)], ids=["below-full", "full"])
+def test_the_kernel_frees_the_merged_blocks_before_reconstructing(rng, monkeypatch, rank, full):
+    # Stage results are unpacked into the kernel's lists, so once the merge
+    # empties them no result object keeps a residual (or, below full rank, a
+    # core) alive. The full-rank branch merges the cores it still holds.
+    base = make_checkpoint("base", rng, [6, 5])
+    experts = [make_checkpoint(f"e{i}", rng, [6, 5]) for i in range(3)]
+    refs = {}
+    alive = []
+    real_decouple, real_reconstruct = pivot.decouple, pivot.reconstruct
+
+    def decouple_tracked(coeffs, r):
+        dec = real_decouple(coeffs, r)
+        refs["residuals"] = [weakref.ref(b) for b in coeffs]
+        refs["cores"] = [weakref.ref(a) for c in dec.cores
+                         for a in (c if isinstance(c, tuple) else (c,))]
+        return dec
+
+    def reconstruct_tracked(shared, merged_coeffs, base_layer):
+        alive.append({name: sum(r() is not None for r in rs) for name, rs in refs.items()})
+        return real_reconstruct(shared, merged_coeffs, base_layer)
+
+    monkeypatch.setattr(pivot, "decouple", decouple_tracked)
+    monkeypatch.setattr(pivot, "reconstruct", reconstruct_tracked)
+    # 3 experts' (5, 7) blocks: rank 5 is full rank
+    _, diag = pivot_merge(experts, base, uniform_table(experts, 1), PivotConfig(rank=rank))
+    assert diag["layers"][0]["core_route"] == (["full"] * 3 if full else ["eig"] * 3)
+    assert len(alive) == 1 and alive[0]["residuals"] == 0
+    if not full:
+        assert alive[0]["cores"] == 0
 
 
 def test_pivot_merge_peak_memory_stays_under_sixteen_layer_blocks(rng):

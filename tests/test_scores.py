@@ -25,6 +25,15 @@ def test_increments_constant():
     np.testing.assert_array_equal(score_increments([0.4, 0.4]), [0.4, 0.0])
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 1000])
+def test_threshold_at_the_extreme_ratios_is_the_largest_or_the_smallest_value(m):
+    # 1 - rho rounds to 1.0 for the smallest ratios, so floor(m * (1 - rho)) is m, never more
+    values = np.random.default_rng(m).permutation(np.linspace(-1.0, 1.0, m))
+    for rho in (5e-324, 1e-17):
+        assert threshold_from_ratio(values, rho) == values.max()
+    assert threshold_from_ratio(values, np.nextafter(1.0, 0.0)) == values.min()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
                 min_size=1, max_size=8))
