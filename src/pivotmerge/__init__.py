@@ -38,15 +38,7 @@ from .linalg import (
     thin_svd,
     truncate_rank,
 )
-from .operators import (
-    MergeOperator,
-    dare,
-    merge_checkpoint_deltas,
-    merge_weighted,
-    task_arithmetic,
-    ties,
-    weight_average,
-)
+from .operators import MergeOperator, merge_checkpoint_deltas, merge_weighted
 from .pivot import (
     DecoupledLayer,
     PivotConfig,

@@ -34,7 +34,8 @@ changes no output.
 header is checked before any layer is computed, and each kernel reads each
 layer of each input once, when it needs it. A fault in a layer's bytes (a
 NaN or Inf, or a file cut after it was opened) exits 1 naming the file and
-the layer or tensor; nothing is written then.
+the layer or tensor; nothing is written then. Running out of memory exits
+1 with one line, `error: out of memory: <message>`, and writes nothing.
 """
 
 from __future__ import annotations
@@ -382,6 +383,9 @@ def main(argv=None) -> int:
             return args.handler(args.parser, args)
     except (ValueError, ContainerError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,10 +1,13 @@
 """Baseline merge operators and the generic weighted-merge dispatcher.
 
-All operators consume a list of equal-shape float64 matrices (task-vector
-deltas) plus per-input weights. `merge_weighted` first rescales the weights
-to sum to N, which keeps the overall parameter magnitude after merging
-unchanged, and then applies the selected operator. A single input is always
-returned unchanged.
+`merge_weighted` is the one boundary of the operators: it checks each input
+once and then runs the selected kernel on the checked values. It takes a
+list of equal-shape matrices (task-vector deltas) as float64 and per-input
+weights that are finite and non-negative with a positive, finite sum, and
+rescales the weights to sum to N, which keeps the overall parameter
+magnitude after merging unchanged. A single input is always returned
+unchanged. The kernels `weight_average`, `task_arithmetic`, `ties` and
+`dare` check nothing themselves.
 
 TIES semantics, pinned for reproducibility:
 
@@ -14,8 +17,8 @@ TIES semantics, pinned for reproducibility:
   keep lower flat indices. The kept set is found by a linear-time selection
   of the cutoff magnitude, not a sort, and is exactly the set a stable sort
   on descending magnitude gives;
-* inputs containing NaN or Inf are rejected with a ValueError naming the
-  input;
+* inputs containing NaN or Inf (for dare-ties, after dropping) are rejected
+  by `merge_weighted` with a ValueError naming the input;
 * the per-entry sign is elected as the sign of the weighted sum of trimmed
   values; a weighted sum of exactly zero yields output 0;
 * the output entry is the weighted mean of trimmed values whose sign matches
@@ -115,53 +118,22 @@ class MergeOperator:
                              drop_rate=drop_rate, seed=seed)
 
 
-def _as_stack(mats: Sequence) -> list[np.ndarray]:
-    if len(mats) == 0:
-        raise ValueError("need at least one matrix to merge")
-    arrs = [np.asarray(m, dtype=np.float64) for m in mats]
-    shape = arrs[0].shape
-    for i, a in enumerate(arrs):
-        if a.shape != shape:
-            raise ValueError(f"shape mismatch: input 0 is {shape}, input {i} is {a.shape}")
-    return arrs
-
-
-def _validated_weights(weights: Sequence[float], n: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise ValueError(f"expected {n} weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-        raise ValueError("weights must be finite and non-negative")
-    if w.sum() <= 0.0:
-        raise ValueError("at least one weight must be positive")
-    return w
-
-
-def normalize_weights(weights: Sequence[float], n: int) -> np.ndarray:
-    """Rescale non-negative weights so they sum to n."""
-    w = _validated_weights(weights, n)
-    return w * (float(n) / w.sum())
-
-
-def weight_average(mats: Sequence, weights: Sequence[float]) -> np.ndarray:
+def weight_average(mats: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
     """Weighted mean, exact for identical inputs under any weights."""
-    arrs = _as_stack(mats)
-    w = _validated_weights(weights, len(arrs))
     # Computed as m0 + sum(w_i * (m_i - m0)) / sum(w) so identical inputs
     # reproduce the input bit-for-bit.
-    base = arrs[0]
+    base = mats[0]
     acc = np.zeros_like(base)
-    for wi, a in zip(w[1:], arrs[1:]):
+    for wi, a in zip(weights[1:], mats[1:]):
         acc += wi * (a - base)
-    return base + acc / w.sum()
+    return base + acc / weights.sum()
 
 
-def task_arithmetic(mats: Sequence, weights: Sequence[float], scale: float) -> np.ndarray:
+def task_arithmetic(mats: Sequence[np.ndarray], weights: Sequence[float],
+                    scale: float) -> np.ndarray:
     """Scaled weighted sum of task vectors: scale * sum_i w_i * M_i."""
-    arrs = _as_stack(mats)
-    w = _validated_weights(weights, len(arrs))
-    out = np.zeros_like(arrs[0])
-    for wi, a in zip(w, arrs):
+    out = np.zeros_like(mats[0])
+    for wi, a in zip(weights, mats):
         out += wi * a
     # An overflow becomes Inf, which the merged Layer rejects with one error.
     with np.errstate(over="ignore"):
@@ -222,15 +194,9 @@ def _merge_chunk(w: np.ndarray, flats: list[np.ndarray], kept: np.ndarray | None
     np.divide(num, den, out=out[cols], where=live)
 
 
-def ties(mats: Sequence, weights: Sequence[float], trim_fraction: float) -> np.ndarray:
+def ties(mats: Sequence[np.ndarray], weights: np.ndarray, trim_fraction: float) -> np.ndarray:
     """Trim-elect-merge: see the module docstring for the pinned semantics."""
-    MergeOperator.ties(trim_fraction)  # the range check
-    arrs = _as_stack(mats)
-    w = _validated_weights(weights, len(arrs))
-    for i, a in enumerate(arrs):
-        if not np.isfinite(a).all():
-            raise ValueError(f"ties input {i} contains NaN or Inf")
-    flats = [a.ravel() for a in arrs]
+    flats = [a.ravel() for a in mats]
     n_entries = flats[0].size
 
     keep = _trim_keep_count(trim_fraction, n_entries)
@@ -241,43 +207,62 @@ def ties(mats: Sequence, weights: Sequence[float], trim_fraction: float) -> np.n
     n_chunks = max(1, n_entries // _CHUNK)
     for k in range(n_chunks):
         stop = n_entries if k == n_chunks - 1 else (k + 1) * _CHUNK
-        _merge_chunk(w, flats, kept, slice(k * _CHUNK, stop), out)
-    return out.reshape(arrs[0].shape)
+        _merge_chunk(weights, flats, kept, slice(k * _CHUNK, stop), out)
+    return out.reshape(mats[0].shape)
 
 
-def dare(mat, drop_rate: float, seed: int, stream: int = 0) -> np.ndarray:
+def dare(mat: np.ndarray, drop_rate: float, seed: int, stream: int = 0) -> np.ndarray:
     """Drop entries with probability `drop_rate`, rescale survivors by 1/(1-p).
 
     The dropout pattern is a pure function of (seed, stream, entry index).
     """
-    MergeOperator.dare_ties(1.0, drop_rate, seed)  # the range check
-    arr = np.asarray(mat, dtype=np.float64)
     if drop_rate == 0.0:
-        return arr.copy()
-    u = philox(seed, stream).random(arr.size).reshape(arr.shape)
-    return np.where(u < drop_rate, 0.0, arr / (1.0 - drop_rate))
+        return mat.copy()
+    u = philox(seed, stream).random(mat.size).reshape(mat.shape)
+    return np.where(u < drop_rate, 0.0, mat / (1.0 - drop_rate))
 
 
 def merge_weighted(op: MergeOperator, mats: Sequence, weights: Sequence[float]) -> np.ndarray:
-    """Normalize weights to sum to N and dispatch.
+    """Check the inputs once, rescale the weights to sum to N and run the operator's kernel.
 
     A single input is returned unchanged regardless of the operator.
     """
-    arrs = _as_stack(mats)
+    if len(mats) == 0:
+        raise ValueError("need at least one matrix to merge")
+    arrs = [np.asarray(m, dtype=np.float64) for m in mats]
+    shape = arrs[0].shape
+    for i, a in enumerate(arrs):
+        if a.shape != shape:
+            raise ValueError(f"shape mismatch: input 0 is {shape}, input {i} is {a.shape}")
     n = len(arrs)
-    w = normalize_weights(weights, n)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError(f"expected {n} weights, got shape {w.shape}")
+    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+        raise ValueError("weights must be finite and non-negative")
+    with np.errstate(over="ignore"):
+        total = w.sum()
+        if total <= 0.0:
+            raise ValueError("at least one weight must be positive")
+        if total == math.inf:
+            raise ValueError("the weights' sum overflows float64")
+        scale = float(n) / total
+    if scale == math.inf:
+        raise ValueError(f"the weights' sum {float(total):.3g} is too small to rescale to {n}")
+    w = w * scale
     if n == 1:
         return arrs[0].copy()
     if op.kind == "weight_average":
         return weight_average(arrs, w)
     if op.kind == "task_arithmetic":
         return task_arithmetic(arrs, w, op.scale)
-    if op.kind == "ties":
-        return ties(arrs, w, op.trim_fraction)
+    # What is left is ties or dare_ties; the TIES kernel reads the dropped inputs.
     if op.kind == "dare_ties":
-        dropped = [dare(a, op.drop_rate, op.seed, stream=i) for i, a in enumerate(arrs)]
-        return ties(dropped, w, op.trim_fraction)
-    raise ValueError(f"unknown operator kind {op.kind!r}")
+        arrs = [dare(a, op.drop_rate, op.seed, stream=i) for i, a in enumerate(arrs)]
+    for i, a in enumerate(arrs):
+        if not np.isfinite(a).all():
+            raise ValueError(f"ties input {i} contains NaN or Inf")
+    return ties(arrs, w, op.trim_fraction)
 
 
 def merge_checkpoint_deltas(experts: Sequence[ProjectorCheckpoint],

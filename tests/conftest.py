@@ -12,6 +12,20 @@ from pivotmerge.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def pytest_collection_modifyitems(items):
+    """An unexpected UserWarning fails a test in this directory.
+
+    A test that expects one says which, with `pytest.warns` or a `filterwarnings`
+    mark; those marks are applied after this one, so they take precedence. The
+    filter is not in pyproject.toml because that would apply it to the
+    benchmark's own tests as well.
+    """
+    here = Path(__file__).parent
+    for item in items:
+        if item.path.is_relative_to(here):
+            item.add_marker(pytest.mark.filterwarnings("error::UserWarning"), append=False)
+
+
 def rel_error(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

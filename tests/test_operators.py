@@ -6,17 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pivotmerge import (
-    MergeOperator,
-    dare,
-    merge_checkpoint_deltas,
-    merge_weighted,
-    task_arithmetic,
-    ties,
-    weight_average,
-)
+from pivotmerge import MergeOperator, merge_checkpoint_deltas, merge_weighted
 from pivotmerge import operators
-from pivotmerge.operators import _CHUNK, _trim_keep_count, _trim_mask
+from pivotmerge.operators import _CHUNK, _trim_keep_count, _trim_mask, dare, task_arithmetic, ties
 from conftest import make_checkpoint
 from ties_oracle import kept_indices, ties_reference
 from ties_stacked import stacked_dare_ties, stacked_ties
@@ -46,15 +38,54 @@ def test_operator_params_present_iff_required():
         MergeOperator(kind="nonsense")
 
 
-# --- merge_weighted dispatcher ------------------------------------------
+# --- merge_weighted: the one boundary -------------------------------------
 
-
-@pytest.mark.parametrize("op", [
+ALL_KINDS = [
     MergeOperator.average(),
     MergeOperator.arithmetic(0.25),
     MergeOperator.ties(0.5),
     MergeOperator.dare_ties(0.5, 0.7, seed=9),
-])
+]
+TWO = [np.ones((2, 2)), 2.0 * np.ones((2, 2))]
+# Inputs the boundary rejects under every operator: (mats, weights, message).
+MALFORMED = {
+    "no input": ([], [], "need at least one matrix to merge"),
+    "mismatched shapes": ([np.eye(2), np.eye(3)], [1.0, 1.0],
+                          r"shape mismatch: input 0 is \(2, 2\), input 1 is \(3, 3\)"),
+    "wrong weight count": (TWO, [1.0, 1.0, 1.0], r"expected 2 weights, got shape \(3,\)"),
+    "negative weight": (TWO, [1.0, -1.0], "weights must be finite and non-negative"),
+    "nan weight": (TWO, [1.0, np.nan], "weights must be finite and non-negative"),
+    "all-zero weights": (TWO, [0.0, 0.0], "at least one weight must be positive"),
+    "overflowing weight sum": (TWO, [1e308, 1e308], "the weights' sum overflows float64"),
+    "subnormal weight sum": (TWO, [5e-324, 0.0],
+                             "the weights' sum 4.94e-324 is too small to rescale to 2"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("op", ALL_KINDS, ids=lambda op: op.kind)
+def test_the_boundary_rejects_malformed_inputs_under_every_operator(op, case):
+    mats, weights, message = MALFORMED[case]
+    with pytest.raises(ValueError, match=message):
+        merge_weighted(op, mats, weights)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dare_ties_checks_finiteness_after_dropping(bad):
+    op = MergeOperator.dare_ties(1.0, 0.5, seed=9)
+    survives = dare(np.ones((4, 4)), op.drop_rate, op.seed, stream=1) != 0.0
+    assert survives.any() and not survives.all()
+    dropped_bad = np.ones((4, 4))
+    dropped_bad[~survives] = bad
+    merged = merge_weighted(op, [np.ones((4, 4)), dropped_bad], [1.0, 1.0])
+    assert np.isfinite(merged).all()
+    kept_bad = np.ones((4, 4))
+    kept_bad[survives] = bad
+    with pytest.raises(ValueError, match="ties input 1 contains NaN or Inf"):
+        merge_weighted(op, [np.ones((4, 4)), kept_bad], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("op", ALL_KINDS, ids=lambda op: op.kind)
 def test_singleton_returns_input_unchanged(op, rng):
     m = rng.standard_normal((3, 4))
     np.testing.assert_array_equal(merge_weighted(op, [m], [2.5]), m)
@@ -72,31 +103,18 @@ def test_zero_weight_excluded(rng):
     np.testing.assert_allclose(out, a)
 
 
-def test_all_zero_weights_rejected():
-    with pytest.raises(ValueError, match="positive"):
-        merge_weighted(MergeOperator.average(), [np.eye(2), np.eye(2)], [0.0, 0.0])
-
-
-def test_negative_weights_rejected():
-    with pytest.raises(ValueError, match="non-negative"):
-        merge_weighted(MergeOperator.average(), [np.eye(2), np.eye(2)], [1.0, -1.0])
-
-
-def test_shape_mismatch_rejected():
-    with pytest.raises(ValueError, match="shape"):
-        merge_weighted(MergeOperator.average(), [np.eye(2), np.eye(3)], [1.0, 1.0])
-
-
 # --- weight_average -----------------------------------------------------
+
+AVERAGE = MergeOperator.average()
 
 
 def test_weight_average_mean():
-    out = weight_average([np.array([[2.0]]), np.array([[4.0]])], [1.0, 1.0])
+    out = merge_weighted(AVERAGE, [np.array([[2.0]]), np.array([[4.0]])], [1.0, 1.0])
     np.testing.assert_array_equal(out, [[3.0]])
 
 
 def test_weight_average_weighted():
-    out = weight_average([np.array([[0.0]]), np.array([[4.0]])], [1.0, 3.0])
+    out = merge_weighted(AVERAGE, [np.array([[0.0]]), np.array([[4.0]])], [1.0, 3.0])
     np.testing.assert_array_equal(out, [[3.0]])
 
 
@@ -106,7 +124,7 @@ def test_weight_average_weighted():
        st.integers(min_value=0, max_value=2**31 - 1))
 def test_weight_average_idempotent_exactly(weights, seed):
     m = np.random.default_rng(seed).standard_normal((2, 3))
-    out = weight_average([m] * len(weights), weights)
+    out = merge_weighted(AVERAGE, [m] * len(weights), weights)
     np.testing.assert_array_equal(out, m)
 
 
@@ -116,9 +134,9 @@ def test_weight_average_permutation_equivariant(seed):
     gen = np.random.default_rng(seed)
     mats = [gen.standard_normal((2, 2)) for _ in range(3)]
     weights = list(gen.uniform(0.1, 2.0, size=3))
-    base = weight_average(mats, weights)
+    base = merge_weighted(AVERAGE, mats, weights)
     perm = [2, 0, 1]
-    out = weight_average([mats[i] for i in perm], [weights[i] for i in perm])
+    out = merge_weighted(AVERAGE, [mats[i] for i in perm], [weights[i] for i in perm])
     np.testing.assert_allclose(out, base, rtol=1e-12, atol=1e-15)
 
 
@@ -145,23 +163,23 @@ def test_task_arithmetic_single_identity():
 
 def test_ties_single_input_full_trim(rng):
     m = rng.standard_normal((3, 3))
-    np.testing.assert_array_equal(ties([m], [1.0], 1.0), m)
+    np.testing.assert_array_equal(ties([m], np.ones(1), 1.0), m)
 
 
 def test_ties_hand_example():
-    out = ties([np.array([[2.0, -3.0]]), np.array([[3.0, -1.0]])], [1.0, 1.0], 1.0)
+    out = ties([np.array([[2.0, -3.0]]), np.array([[3.0, -1.0]])], np.ones(2), 1.0)
     np.testing.assert_array_equal(out, [[2.5, -2.0]])
 
 
 def test_ties_sign_tie_gives_zero():
-    out = ties([np.array([[1.0]]), np.array([[-1.0]])], [1.0, 1.0], 1.0)
+    out = ties([np.array([[1.0]]), np.array([[-1.0]])], np.ones(2), 1.0)
     np.testing.assert_array_equal(out, [[0.0]])
 
 
 def test_ties_output_sign_matches_election(rng):
     mats = [rng.standard_normal((4, 4)) for _ in range(3)]
     weights = [1.0, 1.0, 1.0]
-    out = ties(mats, weights, 0.5)
+    out = ties(mats, np.asarray(weights), 0.5)
     # Recompute the election from the documented trim rule.
     ref = np.asarray(ties_reference([m.tolist() for m in mats], weights, 0.5))
     np.testing.assert_allclose(out, ref, rtol=0, atol=0)
@@ -169,19 +187,19 @@ def test_ties_output_sign_matches_election(rng):
 
 def test_ties_trim_keeps_top_magnitudes():
     m = np.array([[4.0, -0.1], [0.2, 0.3]])
-    out = ties([m], [1.0], 0.25)  # keeps exactly one entry of the four
+    out = ties([m], np.ones(1), 0.25)  # keeps exactly one entry of the four
     np.testing.assert_array_equal(out, [[4.0, 0.0], [0.0, 0.0]])
 
 
 def test_ties_trim_tie_prefers_lower_flat_index():
     m = np.array([[1.0, 1.0], [1.0, 1.0]])
-    out = ties([m], [1.0], 0.5)
+    out = ties([m], np.ones(1), 0.5)
     np.testing.assert_array_equal(out, [[1.0, 1.0], [0.0, 0.0]])
 
 
 def test_ties_identical_inputs_uniform_weights(rng):
     m = rng.standard_normal((3, 2))
-    out = ties([m, m, m], [1.0, 1.0, 1.0], 1.0)
+    out = ties([m, m, m], np.ones(3), 1.0)
     np.testing.assert_allclose(out, m, rtol=1e-15, atol=0)
 
 
@@ -203,10 +221,10 @@ def test_ties_matches_oracle_on_random_instances(seed, trim):
 
 def test_ties_permutation_equivariant(rng):
     mats = [rng.standard_normal((2, 3)) for _ in range(4)]
-    weights = [0.5, 1.5, 1.0, 2.0]
+    weights = np.array([0.5, 1.5, 1.0, 2.0])
     base = ties(mats, weights, 0.5)
     perm = [3, 1, 0, 2]
-    out = ties([mats[i] for i in perm], [weights[i] for i in perm], 0.5)
+    out = ties([mats[i] for i in perm], weights[perm], 0.5)
     np.testing.assert_array_equal(out, base)
 
 
@@ -225,13 +243,13 @@ def test_task_arithmetic_permutation_equivariant(rng):
        st.integers(min_value=0, max_value=2**31 - 1))
 def test_ties_identical_inputs_any_weights(weights, seed):
     m = np.random.default_rng(seed).standard_normal((2, 3))
-    out = ties([m] * len(weights), weights, 1.0)
+    out = ties([m] * len(weights), np.asarray(weights), 1.0)
     np.testing.assert_allclose(out, m, rtol=1e-14, atol=0)
 
 
 def test_ties_entries_have_elected_sign_or_zero(rng):
     mats = [rng.standard_normal((4, 5)) for _ in range(4)]
-    weights = [1.0, 0.5, 2.0, 1.5]
+    weights = np.array([1.0, 0.5, 2.0, 1.5])
     for trim in (1.0, 0.5):
         out = ties(mats, weights, trim).ravel()
         flat = np.stack([m.ravel() for m in mats])
@@ -239,7 +257,7 @@ def test_ties_entries_have_elected_sign_or_zero(rng):
         kept = np.zeros_like(flat, dtype=bool)
         order = np.argsort(-np.abs(flat), axis=1, kind="stable")
         kept[np.arange(4)[:, None], order[:, :keep]] = True
-        elected = np.sign(np.asarray(weights) @ np.where(kept, flat, 0.0))
+        elected = np.sign(weights @ np.where(kept, flat, 0.0))
         assert np.all((out == 0.0) | (np.sign(out) == elected))
 
 
@@ -260,7 +278,7 @@ def test_ties_trim_matches_oracle_on_tie_heavy_inputs(n_inputs, rows, cols, trim
     for row, kept in zip(flat, mask):
         assert set(np.flatnonzero(kept)) == kept_indices(row.tolist(), trim)
     want = np.asarray(ties_reference([m.tolist() for m in mats], [1.0] * n_inputs, trim))
-    np.testing.assert_array_equal(ties(mats, [1.0] * n_inputs, trim), want)
+    np.testing.assert_array_equal(ties(mats, np.ones(n_inputs), trim), want)
 
 
 def _stable_argsort_mask(flat, keep):
@@ -277,7 +295,7 @@ def test_ties_trim_matches_stable_argsort_on_1m_entries():
     mats = [np.round(gen.standard_normal((512, 1024)) * 64.0) / 64.0 for _ in range(2)]
     flat = np.stack([m.ravel() for m in mats])
     assert flat.size >= 1_000_000
-    weights = [0.75, 1.25]
+    weights = np.array([0.75, 1.25])
     for trim in (0.2, 0.5):
         ref = _stable_argsort_mask(flat, _trim_keep_count(trim, flat.shape[1]))
         np.testing.assert_array_equal(_trim_mask(flat, _trim_keep_count(trim, flat.shape[1])), ref)
@@ -293,7 +311,7 @@ def test_ties_rejects_non_finite_inputs(bad, trim):
     worse = good.copy()
     worse[0, 0] = bad
     with pytest.raises(ValueError, match="ties input 1 contains NaN or Inf"):
-        ties([good, worse], [1.0, 1.0], trim)
+        merge_weighted(MergeOperator.ties(trim), [good, worse], [1.0, 1.0])
 
 
 # --- chunked elect and merge ----------------------------------------------
@@ -354,7 +372,7 @@ def test_chunk_boundary_inputs_put_the_cutoff_inside_the_tie_run():
 @pytest.mark.parametrize("n_inputs", [2, 5])
 def test_chunked_ties_matches_stacked_formulation(n_inputs, trim):
     mats, zero_sum = _chunk_boundary_inputs(n_inputs)
-    weights = [1.0] * n_inputs
+    weights = np.ones(n_inputs)
     got = ties(mats, weights, trim)
     np.testing.assert_array_equal(_bytes(got), _bytes(stacked_ties(mats, weights, trim)))
     assert not got.ravel()[zero_sum].any()
@@ -376,7 +394,7 @@ def test_ties_bytes_do_not_depend_on_the_chunk_width(width, monkeypatch):
     # The pivot kernel merges blocks pre-scaled row-wise by the spectrum.
     s = np.random.default_rng(17).uniform(0.5, 4.0, CHUNKED_SHAPE[0])
     scaled = [s[:, None] * m for m in mats]
-    weights = [0.5, 1.0, 2.0, 1.0, 0.5]
+    weights = np.array([0.5, 1.0, 2.0, 1.0, 0.5])
     calls = [(trim, inputs) for trim in (1.0, 0.2) for inputs in (mats, scaled)]
     want = [ties(inputs, weights, trim) for trim, inputs in calls]
     monkeypatch.setattr(operators, "_CHUNK", width)
@@ -404,7 +422,7 @@ def _signed_zero_and_subnormal_inputs(n_entries):
 @pytest.mark.parametrize("trim", [1.0, 0.5])
 def test_ties_matches_stacked_on_signed_zeros_subnormals_and_zero_weights(offset, trim):
     mats = _signed_zero_and_subnormal_inputs(_CHUNK + offset)
-    for weights in ([0.0, 0.3, 1.7, 0.9], [1.0, 0.0, 0.0, 2.5]):
+    for weights in (np.array([0.0, 0.3, 1.7, 0.9]), np.array([1.0, 0.0, 0.0, 2.5])):
         np.testing.assert_array_equal(_bytes(ties(mats, weights, trim)),
                                       _bytes(stacked_ties(mats, weights, trim)))
 
@@ -417,7 +435,7 @@ def test_ties_peak_memory_stays_under_four_inputs():
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        got = ties(mats, [1.0] * 4, 0.2)
+        got = ties(mats, np.ones(4), 0.2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -436,7 +454,7 @@ def test_sparse_ties_scans_ties_one_chunk_at_a_time():
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        got = ties(mats, [1.0] * 4, 0.2)
+        got = ties(mats, np.ones(4), 0.2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -474,11 +492,6 @@ def test_dare_mean_preserved():
     se = 2.0 * np.sqrt(0.5 * 0.5 / m.size)
     assert abs(out.mean() - 1.0) <= 3.0 * se
     assert set(np.unique(out)) <= {0.0, 2.0}
-
-
-def test_dare_invalid_rate():
-    with pytest.raises(ValueError):
-        dare(np.ones((2, 2)), 1.0, seed=0)
 
 
 def test_dare_ties_composition_deterministic(rng):

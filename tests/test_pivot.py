@@ -682,7 +682,9 @@ def test_pivot_merge_identical_experts_idempotent(rng):
     for ck in copies:  # same layers, distinct ids
         object.__setattr__(ck, "layers", expert.layers)
     # default rank clamps to the full block rank on layers this small
-    merged, _ = pivot_merge(copies, base, uniform_table(copies, 2), PivotConfig())
+    with pytest.warns(UserWarning, match=r"rank 64 exceeds the block rank limit of layer 1 \(4\), "
+                                         r"layer 2 \(4\); clamping"):
+        merged, _ = pivot_merge(copies, base, uniform_table(copies, 2), PivotConfig())
     assert checkpoint_rel_error(merged, expert) <= 1e-8
 
 

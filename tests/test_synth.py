@@ -69,6 +69,7 @@ def test_expert_ids_sort_lexicographically():
     assert ids[0] == "expert01"
 
 
+@pytest.mark.filterwarnings("ignore:rank 64 exceeds the block rank limit:UserWarning")
 def test_degenerate_spec_all_methods_recover_core():
     spec = spec_from(residual_scale=0.0, noise_scale=0.0, experts=3)
     base, experts, _ = generate(spec)

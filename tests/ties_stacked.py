@@ -9,8 +9,7 @@ with the library.
 
 import numpy as np
 
-from pivotmerge import dare
-from pivotmerge.operators import normalize_weights
+from pivotmerge.operators import dare
 
 
 def stacked_ties(mats, weights, trim_fraction):
@@ -39,6 +38,7 @@ def stacked_ties(mats, weights, trim_fraction):
 
 def stacked_dare_ties(mats, weights, trim_fraction, drop_rate, seed):
     """`merge_weighted` with a dare_ties operator, through the stacked formulation."""
-    w = normalize_weights(weights, len(mats))
+    w = np.asarray(weights, dtype=np.float64)
+    w = w * (float(len(mats)) / w.sum())
     dropped = [dare(m, drop_rate, seed, stream=i) for i, m in enumerate(mats)]
     return stacked_ties(dropped, w, trim_fraction)
