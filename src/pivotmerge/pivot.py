@@ -6,10 +6,9 @@ Each projector layer is merged independently through five stages:
    on bias-augmented matrices;
 2. joint decomposition: the left singular vectors U and spectrum S of the
    column-wise concatenation of all deltas, and one coefficient block per
-   expert projected through them. A wide concatenation takes U and S from
-   its Gram matrix's eigenpairs, refining the tail by a Rayleigh-Ritz step
-   when the GRAM_COND_RTOL certificate fails; a tall or square one takes its
-   thin SVD;
+   expert projected through them. U and S come from the eigenpairs of the
+   concatenation's smaller Gram matrix, with the tail refined by a
+   Rayleigh-Ritz step when the GRAM_COND_RTOL certificate fails;
 3. decoupling: each coefficient block splits into a rank-r core (its best
    rank-r approximation, from the smaller Gram matrix's top r + 1
    eigenpairs, which LAPACK's dsyevr computes alone) plus a residual. A
@@ -41,12 +40,13 @@ needs a block afterwards passes a copy. Counted in layer blocks with N
 experts: `task_vectors` fills one (d_out, N * w) concatenation expert by
 expert, and the joint step factors it as it is and projects each
 coefficient block from its delta's column slice, 2N + 1 blocks with U at
-the peak. Decoupling forms each residual in its coefficient block's storage
-and keeps each core as rank-r factors (left, right); filtering scores one
-row chunk of every expert at a time and rescales each residual in place;
-the merge takes the filtered branch first and multiplies the cores out only
-after dropping the filtered blocks. Each of those stages peaks below N + 4
-blocks. At full rank the zero residuals are dropped after filtering, and
+the peak, plus a d_out^2 Gram matrix when it is wide or an (N * w)^2 one
+when it is tall. Decoupling forms each residual in its coefficient block's
+storage and keeps each core as rank-r factors (left, right); filtering
+scores one row chunk of every expert at a time and rescales each residual
+in place; the merge takes the filtered branch first and multiplies the
+cores out only after dropping the filtered blocks. Each of those stages
+peaks below N + 4 blocks. At full rank the zero residuals are dropped after filtering, and
 the merge holds the N cores and one merged block. LAPACK workspace and
 allocator retention are not traced allocations, so resident memory, not
 tracemalloc, sizes the gain.
@@ -65,11 +65,11 @@ from .linalg import (RANK_RTOL, ZERO_NORM, _canonical_signs, _gram_certified, _g
                      _rank_factors, sigmoid, thin_svd)
 from .operators import MergeOperator, merge_weighted
 from .scores import ScoreTable, _check_beta, layer_weights, score_increments, threshold_from_ratio
-from .tensorstore import Layer, ProjectorCheckpoint, add_delta, sorted_experts
+from .tensorstore import Layer, ProjectorCheckpoint, add_delta, layer_deltas, sorted_experts
 
 # Entries per expert in one row chunk of the residual filter's unit rows.
 _FILTER_CHUNK = 1 << 16
-# An uncertified wide concatenation's Gram eigenvectors with lambda <= _TAIL_RTOL *
+# An uncertified concatenation's Gram eigenvectors with lambda <= _TAIL_RTOL *
 # lambda_max form the tail that the Rayleigh-Ritz step refines; the head's singular
 # values sqrt(lambda) keep a relative error of about eps / (2 * _TAIL_RTOL).
 _TAIL_RTOL = 1e-4
@@ -81,7 +81,7 @@ class SharedSpaceLayer:
 
     u: np.ndarray                    # (d_out, k)
     s: np.ndarray                    # (k,)
-    joint_tail: int | None = None    # b on the wide Gram route; None for an SVD or zero layer
+    joint_tail: int | None = None    # the Rayleigh-Ritz tail size b; None for a zero layer
 
 
 class DecoupledLayer(NamedTuple):
@@ -122,17 +122,12 @@ def task_vectors(experts: Sequence[ProjectorCheckpoint], base_layer: Layer,
                  layer_index: int) -> np.ndarray:
     """One layer's (d_out, N, w) augmented delta stack against `base_layer`, experts as given.
 
-    Each delta is written into its slice, and each expert's layer is read
-    once and dropped once its delta is written.
+    Each delta is written into its slice by `tensorstore.layer_deltas`, which
+    names the expert and the layer of a bad shape or an overflowing delta.
     """
-    base_mat = base_layer.matrix
-    stack = np.empty((base_mat.shape[0], len(experts), base_mat.shape[1]))
-    for i, ck in enumerate(experts):
-        mat = ck.layers[layer_index].matrix
-        if mat.shape != base_mat.shape:  # np.subtract would broadcast a (d_out, 1) matrix
-            raise ValueError(f"expert {ck.id!r} layer {layer_index + 1} has shape {mat.shape}")
-        np.subtract(mat, base_mat, out=stack[:, i])
-        del mat  # freed before the next expert's layer is read
+    d_out, width = base_layer.matrix.shape
+    stack = np.empty((d_out, len(experts), width))
+    layer_deltas(experts, base_layer, layer_index, out=stack)
     return stack
 
 
@@ -141,22 +136,22 @@ def joint_decompose(stack: np.ndarray) -> tuple[SharedSpaceLayer, list[np.ndarra
 
     `stack` is the (d_out, N, w) delta stack of `task_vectors`, whose
     reshape to (d_out, N * w) is the concatenation C; it is factored as it
-    is. Only U and S are computed. A wide C (N * w > d_out) takes them from one
-    eigh of its Gram matrix C C^T, exactly power-of-two scaled when needed
-    (`linalg._gram_eigh`): S = sqrt(lambda), U the eigenvectors, signs as in
-    thin_svd. lambda_min > GRAM_COND_RTOL * lambda_max certifies every
-    singular value to about 1e-10 relative, and b = 0. Otherwise the b
-    eigenvectors U_t with lambda <= _TAIL_RTOL * lambda_max are rotated by
-    the left factor of thin_svd(U_t^T C), b x N * w, whose singular values
-    replace theirs (Rayleigh-Ritz; Parlett, The Symmetric Eigenvalue Problem,
-    ch. 11). b is kept as `joint_tail`. A tall or square C takes its thin
-    SVD. No (k, N * w) right factor is formed. Each block is inv(S) U^T D_i,
-    a pure function of (U, S, D_i), so bit-identical deltas give bit-identical
-    blocks even where the spectrum is degenerate. Rows at numerically-zero
-    singular values carry no reconstruction content and are set to zero.
-    Each block is projected from its delta's slice of the stack, which a
-    caller that passes its only reference frees on return. All-zero deltas
-    give k = 0.
+    is. Only U and S are computed, from one eigh of the smaller Gram matrix
+    of G = 2^-shift C (`linalg._gram_eigh`): G G^T when C is wide
+    (N * w > d_out), U its eigenvectors; G^T G when it is tall or square,
+    U = G V / sqrt(lambda). S = 2^shift sqrt(lambda), signs as in thin_svd.
+    lambda_min > GRAM_COND_RTOL * lambda_max certifies every singular value
+    to about 1e-10 relative, and b = 0. Otherwise the b eigenpairs with
+    lambda <= _TAIL_RTOL * lambda_max take U and S from one thin SVD
+    (Rayleigh-Ritz; Parlett, The Symmetric Eigenvalue Problem, ch. 11): of
+    U_t^T C when C is wide, rotating U_t; of C V_t when it is tall
+    (`_complement`). b is kept as `joint_tail`. No (k, N * w) right factor
+    is formed. Each block is inv(S) U^T D_i, a pure function of (U, S, D_i),
+    so bit-identical deltas give bit-identical blocks even where the
+    spectrum is degenerate. Rows at numerically-zero singular values carry
+    no reconstruction content and are set to zero. Each block is projected
+    from its delta's slice of the stack, which a caller that passes its only
+    reference frees on return. All-zero deltas give k = 0.
     """
     d_out, n, width = stack.shape
     if not stack.any():
@@ -174,20 +169,29 @@ def joint_decompose(stack: np.ndarray) -> tuple[SharedSpaceLayer, list[np.ndarra
     return SharedSpaceLayer(u=u, s=s, joint_tail=tail), coeffs
 
 
-def _left_factors(concat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """U, S and the tail size b (None for a tall or square thin SVD) of the concatenation."""
-    if concat.shape[1] <= concat.shape[0]:
-        factors = thin_svd(concat)
-        return factors.u, factors.s, None
-    evals, evecs, shift, _ = _gram_eigh(concat, wide=True)
+def _left_factors(concat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """U, S and the tail size b of a non-zero concatenation, from its smaller Gram matrix."""
+    wide = concat.shape[1] > concat.shape[0]
+    evals, evecs, shift, _ = _gram_eigh(concat, wide)
     b = 0 if _gram_certified(evals) else int(np.count_nonzero(evals <= _TAIL_RTOL * evals[-1]))
-    u = evecs[:, b:][:, ::-1]
-    s = np.ldexp(np.sqrt(evals[b:][::-1]), shift)
+    head, root = evecs[:, b:][:, ::-1], np.sqrt(evals[b:][::-1])
+    u = head if wide else (np.ldexp(concat, -shift) if shift else concat) @ (head / root)
+    s = np.ldexp(root, shift)
     if b:
-        tail = thin_svd(evecs[:, :b].T @ concat)
-        u = np.concatenate([u, evecs[:, :b] @ tail.u], axis=1)
+        tail = thin_svd(evecs[:, :b].T @ concat if wide else concat @ evecs[:, :b])
+        u = np.concatenate([u, evecs[:, :b] @ tail.u if wide else _complement(u, tail.u)], axis=1)
         s = np.concatenate([s, tail.s])
     return u * _canonical_signs(u), s, b
+
+
+def _complement(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """`tail`'s columns made orthonormal to `head`'s, where C V_t's rounding or zeros left them.
+
+    Two projections ("twice is enough"; Parlett, ch. 6) and a QR keep live columns to rounding.
+    """
+    for _ in range(2):
+        tail = tail - head @ (head.T @ tail)
+    return np.linalg.qr(tail)[0]
 
 
 def decouple(coeffs: list[np.ndarray], rank: int) -> DecoupledLayer:

@@ -432,14 +432,29 @@ def sorted_experts(experts: Sequence[ProjectorCheckpoint],
     return ordered
 
 
-def layer_deltas(experts: Sequence[ProjectorCheckpoint], base_layer: Layer,
-                 layer_index: int) -> list[np.ndarray]:
+def layer_deltas(experts: Sequence[ProjectorCheckpoint], base_layer: Layer, layer_index: int,
+                 out: np.ndarray | None = None) -> list[np.ndarray]:
     """Augmented deltas (expert minus `base_layer`) of one 0-based layer, in the given expert order.
 
-    Each expert's layer is read once. The caller reads the base layer, so a
-    caller that needs it again does not read it twice.
+    Delta i is written into out[:, i] when a (d_out, N, w) `out` is given.
+    Each expert's layer is read once and dropped once its delta is written;
+    the caller reads the base layer. A layer of another shape (np.subtract
+    would broadcast a (d_out, 1) matrix) or a delta that overflows float64
+    raises ValueError naming the expert and the layer.
     """
-    return [ck.layers[layer_index].matrix - base_layer.matrix for ck in experts]
+    deltas = []
+    for i, ck in enumerate(experts):
+        mat, name = ck.layers[layer_index].matrix, f"expert {ck.id!r} layer {layer_index + 1}"
+        if mat.shape != base_layer.matrix.shape:
+            raise ValueError(f"{name} has shape {mat.shape}")
+        try:
+            with np.errstate(over="raise"):
+                deltas.append(np.subtract(mat, base_layer.matrix,
+                                          out=None if out is None else out[:, i]))
+        except FloatingPointError:
+            raise ValueError(f"{name}: task vector overflows float64") from None
+        del mat  # freed before the next expert's layer is read
+    return deltas
 
 
 @contextlib.contextmanager

@@ -460,6 +460,26 @@ def test_a_bad_last_layer_fails_after_layer_one_without_output(synth_dir, tmp_pa
         assert [p.name for p in out.iterdir()] == ["summary.json"]
 
 
+@pytest.mark.parametrize("command", [*cli.METHODS, "residual-sim", "principal-angles"])
+def test_an_overflowing_task_vector_names_its_expert_and_layer(synth_dir, tmp_path, capsys,
+                                                               command):
+    # expert02's layer-2 entry minus the base's is 3e308, past float64's range;
+    # every other expert's delta there is finite.
+    for stem, value in (("base", -1.5e308), ("expert02", 1.5e308)):
+        path = synth_dir / f"{stem}.tensors"
+        tensors = read_container(path)
+        tensors["layer.2.weight"][0, 0] = value
+        write_container(path, tensors)
+    out, diag = tmp_path / "out", tmp_path / "diag.json"
+    args = command_args(command, synth_dir, out)
+    if args[0] == "merge":
+        args += ["--diagnostics", str(diag)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: expert 'expert02' layer 2: task vector overflows float64\n")
+    assert not out.exists() and not diag.exists()
+
+
 # One stage per command, patched where its caller looks it up: `analysis` imports its
 # stages by name, `pivot` and `operators` call their own module's functions.
 OUT_OF_MEMORY_STAGES = [("pivot", pivot, "joint_decompose"), ("ties", operators, "ties"),

@@ -164,28 +164,37 @@ def test_joint_decompose_wide_ill_conditioned_refines_the_gram_tail(monkeypatch)
     np.testing.assert_allclose(shared.s, ref.s, rtol=0, atol=1e-12)
 
 
-def wide_blocks(scale):
+def gaussian_blocks(scale, d_out):
     gen = np.random.default_rng(9)
-    return [gen.standard_normal((12, 8)) * scale for _ in range(3)]
+    return [gen.standard_normal((d_out, 8)) * scale for _ in range(3)]
 
 
-@pytest.mark.parametrize("deltas, tail_svd", [
-    ([wide_blocks(1.0)[0]] * 3, [(4, 24)]),
-    (wide_blocks(1e160), []),
-    (wide_blocks(1e-160), []),
-], ids=["rank-deficient", "scaled-1e160", "scaled-1e-160"])
-def test_joint_decompose_wide_gram_route_handles_rank_deficiency_and_scale(monkeypatch, deltas,
-                                                                           tail_svd):
-    # A rank-8 C refines its 4 null directions; entries far from 1 are scaled by
-    # an exact power of two before the Gram matrix is formed, so it is certified.
-    ref = thin_svd(np.concatenate(deltas, axis=1))
+@pytest.mark.parametrize("d_out", [12, 40, 24], ids=["wide", "tall", "square"])
+@pytest.mark.parametrize("scale, rank_deficient", [(1.0, True), (1e160, False), (1e-160, False)],
+                         ids=["rank-deficient", "scaled-1e160", "scaled-1e-160"])
+def test_joint_decompose_gram_route_handles_rank_deficiency_and_scale(monkeypatch, d_out, scale,
+                                                                      rank_deficient):
+    # A rank-8 C refines its null directions in one tail SVD: the 4 of a 12 x 24
+    # C's Gram C C^T, the 16 of a 40 x 24 or 24 x 24 C's C^T C. Entries far from
+    # 1 are scaled by an exact power of two before the Gram matrix is formed, so
+    # it is certified and no SVD runs.
+    deltas = gaussian_blocks(scale, d_out)
+    if rank_deficient:
+        deltas = [deltas[0]] * 3
+    concat = np.concatenate(deltas, axis=1)
+    ref = np.linalg.svd(concat / scale, compute_uv=False)
     shapes = record_svd_shapes(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         shared = joint_decompose(stacked(deltas))[0]
-    assert shapes == tail_svd
+    null = min(concat.shape) - 8 if rank_deficient else 0
+    assert shared.joint_tail == null
+    assert shapes == ([] if not null else [(null, 24)] if d_out == 12 else [(d_out, null)])
     assert np.isfinite(shared.u).all() and np.isfinite(shared.s).all()
-    np.testing.assert_allclose(shared.s, ref.s, rtol=0, atol=1e-12 * ref.s[0])
+    assert np.linalg.norm(shared.u.T @ shared.u - np.eye(min(concat.shape)), 2) <= 1e-12
+    np.testing.assert_allclose(shared.s / scale, ref, rtol=0, atol=1e-12 * ref[0])
+    unit = concat / scale
+    assert np.linalg.norm(unit - shared.u @ (shared.u.T @ unit)) <= 1e-13 * np.linalg.norm(unit)
 
 
 def gram_spectrum(tail_ratios, scale=1.0):
@@ -235,14 +244,35 @@ def test_joint_decompose_rejects_non_finite_deltas(shape, bad):
         joint_decompose(stacked([delta, delta + 1.0]))
 
 
-def test_joint_decompose_tall_keeps_direct_svd(rng, monkeypatch):
-    deltas = [rng.standard_normal((30, 6)) for _ in range(2)]
-    ref = thin_svd(np.concatenate(deltas, axis=1))
+@pytest.mark.parametrize("d_out", [30, 12], ids=["tall", "square"])
+def test_joint_decompose_tall_certified_takes_no_svd(rng, monkeypatch, d_out):
+    # A certified tall or square C takes U = C V / S from the eigenpairs of C^T C
+    # alone; U is orthonormal and S is the SVD's to 1e-9 relative.
+    deltas = [rng.standard_normal((d_out, 6)) for _ in range(2)]
+    concat = np.concatenate(deltas, axis=1)
+    ref = thin_svd(concat)
     shapes = record_svd_shapes(monkeypatch)
-    shared = joint_decompose(stacked(deltas))[0]
-    assert shapes == [(30, 12)]
-    np.testing.assert_array_equal(shared.u, ref.u)
-    np.testing.assert_array_equal(shared.s, ref.s)
+    shared, coeffs = joint_decompose(stacked(deltas))
+    assert shapes == []
+    assert shared.joint_tail == 0
+    assert np.linalg.norm(shared.u.T @ shared.u - np.eye(12), 2) <= 1e-9
+    np.testing.assert_allclose(shared.s, np.linalg.svd(concat, compute_uv=False),
+                               rtol=1e-9, atol=0)
+    np.testing.assert_allclose(shared.u, ref.u, rtol=0, atol=1e-9)
+    for delta, block in zip(deltas, coeffs):
+        assert rel_error((shared.u * shared.s) @ block, delta) <= 1e-12
+
+
+def test_joint_decompose_tall_with_zero_deltas_keeps_u_orthonormal(rng):
+    # An expert whose delta is zero makes C V exactly zero on its columns; the
+    # tail's left factors are still completed to an orthonormal U.
+    delta = rng.standard_normal((24, 4))
+    shared, coeffs = joint_decompose(stacked([delta, np.zeros((24, 4)), np.zeros((24, 4))]))
+    assert shared.joint_tail == 8
+    assert np.count_nonzero(shared.s) == 4
+    assert np.linalg.norm(shared.u.T @ shared.u - np.eye(12), 2) <= 1e-12
+    assert rel_error((shared.u * shared.s) @ coeffs[0], delta) <= 1e-12
+    assert not coeffs[1].any() and not coeffs[2].any()
 
 
 def test_stage_chain_cores_bitwise_repeatable(rng):
@@ -273,7 +303,7 @@ def test_joint_decompose_all_zero_has_an_empty_shared_space():
 
 
 @pytest.mark.parametrize("d_out, n, w, scale", [(6, 3, 4, 1.0), (30, 2, 6, 1.0), (4, 2, 3, 0.0)],
-                         ids=["wide-gram", "tall-svd", "all-zero"])
+                         ids=["wide-gram", "tall-gram", "all-zero"])
 def test_joint_decompose_keeps_no_reference_to_the_stack(rng, d_out, n, w, scale):
     # The kernel passes its only reference, so the stack is freed on return;
     # each block has storage of its own, which `decouple` then overwrites.
@@ -704,7 +734,7 @@ def test_pivot_merge_matches_straight_line_oracle(rng):
     # a random 3-layer chain on the certified Gram route, at rank 3 and at rank 64
     # (every cut full rank, every residual zero); one layer whose uncertified Gram
     # eigenpairs take the Rayleigh-Ritz tail; one tall layer, a 20 x 15 concatenation
-    # on the thin-SVD route, at rank 5 = w (below w its cut is tied, so the
+    # on the certified C^T C route, at rank 5 = w (below w its cut is tied, so the
     # oracle's SVD would pick an arbitrary core)
     base = make_checkpoint("base", rng, [4, 7, 5, 6])
     experts = [make_checkpoint(f"e{i}", rng, [4, 7, 5, 6]) for i in range(3)]
@@ -714,7 +744,7 @@ def test_pivot_merge_matches_straight_line_oracle(rng):
     tall_experts = [make_checkpoint(f"e{i}", rng, [4, 20]) for i in range(3)]
     cases = [(base, experts, scores, [0, 0, 0], 3),
              (tail_base, _gram_tail_experts(tail_base, 3, rng), scores[:, :1], [6], 3),
-             (tall_base, tall_experts, scores[:, :1], [None], 5),
+             (tall_base, tall_experts, scores[:, :1], [0], 5),
              (base, experts, scores, [0, 0, 0], 64)]
     for base, experts, scores, tails, rank in cases:
         config = PivotConfig(rank=rank, gamma=20.0, rho=0.5)
@@ -884,9 +914,9 @@ def bits(values):
                                 MergeOperator.average(), MergeOperator.arithmetic(0.7)],
                          ids=["ties-1.0", "ties-0.2", "dare-ties", "average", "arithmetic"])
 @pytest.mark.parametrize("case, rank, joint_svd", [
-    ("wide", 4, []), ("tall", 2, [(40, 12)]), ("gram-tail", 4, [(4, 30)]),
-    ("full-rank", 64, []), ("single", 4, [(24, 17)]), ("all-zero", 4, []),
-    ("full-rank-single", 64, [(8, 4)]), ("all-zero-single", 4, [])])
+    ("wide", 4, []), ("tall", 2, []), ("gram-tail", 4, [(4, 30)]),
+    ("full-rank", 64, []), ("single", 4, []), ("all-zero", 4, []),
+    ("full-rank-single", 64, []), ("all-zero-single", 4, [])])
 def test_pivot_merge_matches_the_public_stage_chain_bit_for_bit(monkeypatch, op, case, rank,
                                                                  joint_svd):
     # The kernel skips the residual merge at full rank; the public chain
@@ -941,11 +971,11 @@ def test_a_full_rank_layer_skips_the_residual_filter_and_merge(monkeypatch, case
     assert calls.count("merge_weighted") == merges
 
 
-@pytest.mark.parametrize("case, tail", [("wide", 0), ("gram-tail", 4), ("tall", None),
-                                        ("single", None), ("all-zero", None)])
+@pytest.mark.parametrize("case, tail", [("wide", 0), ("gram-tail", 4), ("tall", 0),
+                                        ("single", 0), ("all-zero", None)])
 def test_layer_records_report_the_joint_tail(case, tail):
-    # b directions refined by the Rayleigh-Ritz step on the wide Gram route, 0 when
-    # certified; null for a tall or square layer's thin SVD and an all-zero layer
+    # b directions refined by the Rayleigh-Ritz step, 0 when the Gram eigenpairs
+    # are certified, wide or tall; null for an all-zero layer
     base, experts = _single_layer_case(case, np.random.default_rng(41))
     table = uniform_table(experts, 1)
     with warnings.catch_warnings():
@@ -1049,12 +1079,13 @@ def test_pivot_merge_zero_deltas_returns_base(rng):
 @pytest.mark.parametrize("op", [MergeOperator.ties(1.0), MergeOperator.ties(0.3),
                                 MergeOperator.dare_ties(1.0, 0.5), MergeOperator.average()],
                          ids=["ties-1.0", "ties-0.3", "dare-ties", "average"])
-@pytest.mark.parametrize("rank", [2, 9], ids=["wide", "full-rank"])
-def test_pivot_merge_is_equivariant_under_power_of_two_scaling(op, rank):
+@pytest.mark.parametrize("chain, rank", [([8, 16, 16], 2), ([8, 16, 16], 9), ([3, 16], 4)],
+                         ids=["wide", "full-rank", "tall"])
+def test_pivot_merge_is_equivariant_under_power_of_two_scaling(op, chain, rank):
     # At 2^-45 every joint singular value is below 1e-12 and the merge is the
     # scaled merge bit for bit; at 2^-400 the Gram step rescales, so it
-    # agrees to rounding.
-    _, experts, _ = generate(SynthSpec.from_chain([8, 16, 16], experts=3, core_rank=2, seed=1))
+    # agrees to rounding. The tall chain's 16 x 12 concatenation takes C^T C.
+    _, experts, _ = generate(SynthSpec.from_chain(chain, experts=3, core_rank=2, seed=1))
     base = zero_checkpoint(experts[0])
     table = uniform_table(experts, base.num_layers)
     config = PivotConfig(rank=rank, inner=op)
