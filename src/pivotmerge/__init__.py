@@ -25,7 +25,6 @@ if "numpy" not in sys.modules:
 from .analysis import (
     emit_report,
     mean_offdiagonal,
-    model_subspace,
     pairwise_principal_angles,
     residual_similarity,
 )

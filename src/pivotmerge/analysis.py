@@ -6,11 +6,13 @@ subspaces. Model-level subspaces are built by horizontally concatenating a
 model's per-layer matrices (this requires a uniform row count across layers)
 and orthonormalizing.
 
-Both measurements read one collector pass (`_collect`). It calls the merge
-kernel's stage functions layer by layer, in the kernel's order, and keeps only
-what the report reads: the raw and filtered residuals, or the raw deltas
-and the filtered coefficients. Each model's parts are then joined one model
-at a time.
+Each measurement has its own collector, one loop over the layers that calls
+the merge kernel's stage functions in the kernel's order, experts in id order
+as in the merge. Each layer's delta stack is dropped after the joint step, so
+only one layer's deltas are alive at a time; decoupling and filtering then
+overwrite the blocks. After the loop one warning names every clamped and
+every all-zero layer (`pivot._warn_ranks`), and each model's parts are joined
+one model at a time (`_join`), with no other reference to a layer's blocks left.
 """
 
 from __future__ import annotations
@@ -83,22 +85,6 @@ def pairwise_principal_angles(sources: Sequence) -> np.ndarray:
     return out
 
 
-def model_subspace(layer_mats: Sequence) -> np.ndarray:
-    """Horizontally concatenate a model's per-layer matrices into one subspace source."""
-    mats = [np.asarray(m, dtype=np.float64) for m in layer_mats]
-    if not mats:
-        raise ValueError("need at least one layer matrix")
-    _require_uniform_rows(m.shape[0] for m in mats)
-    return np.hstack(mats)
-
-
-def _require_uniform_rows(rows) -> None:
-    rows = sorted(set(rows))
-    if len(rows) != 1:
-        raise ValueError(
-            f"model-level subspaces need a uniform row count across layers, got {rows}")
-
-
 def mean_offdiagonal(matrix: np.ndarray) -> float | None:
     """Mean of the off-diagonal entries, NaNs skipped; None when none is finite."""
     m = np.asarray(matrix, dtype=np.float64)
@@ -111,87 +97,24 @@ def collect_residuals(experts: Sequence[ProjectorCheckpoint], base: ProjectorChe
                       ) -> tuple[list[np.ndarray], list[np.ndarray], list[dict]]:
     """Per-model flattened residuals before and after filtering, plus per-layer filter stats.
 
-    Residual vectors concatenate all layers per model, in the pass of
-    `_collect`: only each layer's raw and filtered residuals outlive its
-    decomposition.
-    """
-    raw_parts, filt_parts, layer_stats = _collect(experts, base, config, sources=False)
-    return _join(raw_parts, np.concatenate), _join(filt_parts, np.concatenate), layer_stats
-
-
-def collect_coefficients(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
-                         config: PivotConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-model subspace sources: raw deltas and filtered coefficients (core + residual).
-
-    Each source concatenates all layers per model (`model_subspace`), in the
-    pass of `_collect`. A chain whose layers differ in d_out or in the joint
-    rank min(d_out, N * (d_in + bias)) (a tall layer) is rejected before any
-    layer is decomposed; an all-zero layer (joint rank 0) is rejected, by
-    name, once its joint step is done.
-    """
-    raw_parts, filt_parts, _ = _collect(experts, base, config, sources=True)
-    return _join(raw_parts, model_subspace), _join(filt_parts, model_subspace)
-
-
-def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
-             config: PivotConfig, sources: bool
-             ) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]], list[dict]]:
-    """The one per-layer pass behind both analysis modes: per-model parts and filter stats.
-
-    Experts are handled in lexicographic id order, matching the merge. Each
-    layer's delta stack (`pivot.task_vectors`) goes through the joint step
-    (`pivot.joint_decompose`) and is dropped with U, so only one layer's deltas
-    are alive at a time; then decoupling (`pivot.decouple`) and filtering
-    (`pivot.filter_residuals`) overwrite the blocks. Without
-    `sources` (residual-sim) the cores go, each model keeps a flattened copy
-    of its raw residual, and the residuals are filtered in place. With
-    `sources` (principal-angles) each model keeps a copy of its layer's
-    slice of the stack as the raw part; each residual is filtered in
-    place, then becomes core + filtered in place, and the cores go. After
-    the pass one warning names every layer whose block rank limit clamped
-    the rank and every all-zero layer (`pivot._warn_ranks`).
+    Each layer's deltas are factored and dropped with U, and the cores go
+    after decoupling. Each model keeps a flattened copy of its raw residual,
+    then the residuals are filtered in place and kept as the filtered parts.
+    Residual vectors concatenate all layers per model.
     """
     ordered = sorted_experts(experts, base)
-    if sources:
-        shapes = [(d_out, d_in + base.has_bias) for d_out, d_in in base.layer_shapes()]
-        _require_uniform_rows(d_out for d_out, _ in shapes)
-        ranks = [min(d_out, len(ordered) * width) for d_out, width in shapes]
-        if len(set(ranks)) > 1:
-            tall = [f"layer {li} of shape {shape}" for li, shape in enumerate(shapes, start=1)
-                    if ranks[li - 1] < shape[0]]
-            raise ValueError("model-level subspaces need a uniform joint rank min(d_out, N * (d_in"
-                             f" + bias)) across layers, got {ranks}; tall: {', '.join(tall)}")
     raw_parts = [[] for _ in ordered]
     filt_parts = [[] for _ in ordered]
     layer_stats = []
     effective_ranks = []
     for li in range(base.num_layers):
-        stack = task_vectors(ordered, base.layers[li], li)
-        if sources:
-            for i, parts in enumerate(raw_parts):
-                parts.append(stack[:, i].copy())
-        blocks = joint_decompose(stack)[1]
-        del stack
-        if sources and not blocks[0].shape[0]:
-            raise ValueError(f"layer {li + 1}: all task vectors are zero, so its joint rank is 0;"
-                             " model-level subspaces need a uniform joint rank across layers")
-        cores, effective_rank = decouple(blocks, config.rank)[:2]
-        effective_ranks.append(effective_rank)
-        if sources:
-            mask, _, tau, _ = filter_residuals(blocks, config.gamma, config.rho)
-            for core, block in zip(cores, blocks):
-                # IEEE addition commutes: the bits of core + block.
-                block += _dense(core)
-            del cores
-            for parts, block in zip(filt_parts, blocks):
-                parts.append(block)
-        else:
-            del cores
-            for parts, block in zip(raw_parts, blocks):
-                parts.append(block.ravel().copy())
-            mask, _, tau, _ = filter_residuals(blocks, config.gamma, config.rho)
-            for parts, block in zip(filt_parts, blocks):
-                parts.append(block.ravel())
+        blocks = joint_decompose(task_vectors(ordered, base.layers[li], li))[1]
+        effective_ranks.append(decouple(blocks, config.rank).effective_rank)
+        for parts, block in zip(raw_parts, blocks):
+            parts.append(block.ravel().copy())
+        mask, _, tau, _ = filter_residuals(blocks, config.gamma, config.rho)
+        for parts, block in zip(filt_parts, blocks):
+            parts.append(block.ravel())
         layer_stats.append({
             "layer": li + 1,
             "tau": None if tau is None else float(tau),
@@ -200,7 +123,58 @@ def _collect(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
             "mask_max": float(mask.max()) if mask.size else None,
         })
     _warn_ranks(config.rank, effective_ranks)
-    return raw_parts, filt_parts, layer_stats
+    # No local may hold a layer's blocks while the models are joined.
+    del blocks, block, parts
+    return _join(raw_parts, np.concatenate), _join(filt_parts, np.concatenate), layer_stats
+
+
+def collect_coefficients(experts: Sequence[ProjectorCheckpoint], base: ProjectorCheckpoint,
+                         config: PivotConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-model subspace sources: raw deltas and filtered coefficients (core + residual).
+
+    Each model keeps a copy of its slice of each layer's deltas as the raw
+    part. Each residual is filtered in place, then becomes core + filtered
+    in place as the filtered part. Each source concatenates all layers per
+    model. A chain whose layers differ in d_out or in the joint rank
+    min(d_out, N * (d_in + bias)) (a tall layer) is rejected before any
+    layer is decomposed; an all-zero layer (joint rank 0) is rejected, by
+    name, once its joint step is done.
+    """
+    ordered = sorted_experts(experts, base)
+    shapes = [(d_out, d_in + base.has_bias) for d_out, d_in in base.layer_shapes()]
+    rows = sorted({d_out for d_out, _ in shapes})
+    if len(rows) > 1:
+        raise ValueError(
+            f"model-level subspaces need a uniform row count across layers, got {rows}")
+    ranks = [min(d_out, len(ordered) * width) for d_out, width in shapes]
+    if len(set(ranks)) > 1:
+        tall = [f"layer {li} of shape {shape}" for li, shape in enumerate(shapes, start=1)
+                if ranks[li - 1] < shape[0]]
+        raise ValueError("model-level subspaces need a uniform joint rank min(d_out, N * (d_in"
+                         f" + bias)) across layers, got {ranks}; tall: {', '.join(tall)}")
+    raw_parts = [[] for _ in ordered]
+    filt_parts = [[] for _ in ordered]
+    effective_ranks = []
+    for li in range(base.num_layers):
+        stack = task_vectors(ordered, base.layers[li], li)
+        for i, parts in enumerate(raw_parts):
+            parts.append(stack[:, i].copy())
+        blocks = joint_decompose(stack)[1]
+        del stack
+        if not blocks[0].shape[0]:
+            raise ValueError(f"layer {li + 1}: all task vectors are zero, so its joint rank is 0;"
+                             " model-level subspaces need a uniform joint rank across layers")
+        cores, effective_rank = decouple(blocks, config.rank)[:2]
+        effective_ranks.append(effective_rank)
+        filter_residuals(blocks, config.gamma, config.rho)
+        for parts, block in zip(filt_parts, blocks):
+            # IEEE addition commutes: the bits of core + block.
+            block += _dense(cores.pop(0))
+            parts.append(block)
+    _warn_ranks(config.rank, effective_ranks)
+    # No local may hold a layer's blocks while the models are joined.
+    del blocks, block, parts
+    return _join(raw_parts, np.hstack), _join(filt_parts, np.hstack)
 
 
 def _join(model_parts: list[list[np.ndarray]], join) -> list[np.ndarray]:

@@ -34,7 +34,7 @@ kernel scales the cores and filtered blocks it owns in place, so no scaled
 copy is formed, and then runs the plain operator.
 
 Working set: each stage is one function that overwrites or consumes the
-per-expert blocks it is given; the merge kernel and the analysis collector
+per-expert blocks it is given; the merge kernel and both analysis collectors
 call them in order on settings PivotConfig has checked, and a caller that
 needs a block afterwards passes a copy. Counted in layer blocks with N
 experts: `task_vectors` fills one (d_out, N * w) concatenation expert by

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from pivotmerge import (
     emit_report,
     generate,
     mean_offdiagonal,
-    model_subspace,
     pairwise_principal_angles,
     pivot_merge,
     residual_similarity,
@@ -124,13 +124,6 @@ def test_pairwise_angles_orthonormalize_each_source_once(monkeypatch):
     assert len(calls) == 3
     for called, source in zip(calls, [sources[0], sources[2], sources[3]]):
         np.testing.assert_array_equal(called, source)
-
-
-def test_model_subspace_requires_uniform_rows():
-    with pytest.raises(ValueError, match="row count"):
-        model_subspace([np.ones((3, 2)), np.ones((4, 2))])
-    out = model_subspace([np.ones((3, 2)), np.zeros((3, 4))])
-    assert out.shape == (3, 6)
 
 
 def test_crf_increases_flattened_similarity():
@@ -256,6 +249,35 @@ def check_one_layer_of_deltas_at_a_time(monkeypatch, collect):
                 filt[i], np.hstack([_dense(c[i]) + f[i] for c, _, f in layers]))
 
 
+def test_collect_residuals_frees_each_models_parts_as_it_joins_them(monkeypatch):
+    check_parts_freed_as_joined(monkeypatch, collect_residuals)
+
+
+def test_collect_coefficients_frees_each_models_parts_as_it_joins_them(monkeypatch):
+    check_parts_freed_as_joined(monkeypatch, collect_coefficients)
+
+
+def check_parts_freed_as_joined(monkeypatch, collect):
+    # A local left holding a layer's blocks (or a model's part list) keeps those
+    # parts alive next to the joined outputs.
+    spec = SynthSpec.from_chain([6, 8, 8, 8], experts=3, core_rank=2, seed=4)
+    base, experts, _ = generate(spec)
+    real_join = analysis._join
+    joins = []
+
+    def joining(model_parts, join):
+        # A flattened residual is a view: its block is what a local could hold.
+        refs = [weakref.ref(p if p.base is None else p.base)
+                for parts in model_parts for p in parts]
+        out = real_join(model_parts, join)
+        joins.append((len(refs), sum(ref() is not None for ref in refs)))
+        return out
+
+    monkeypatch.setattr(analysis, "_join", joining)
+    collect(experts, base, PivotConfig(rank=2))
+    assert joins == [(3 * 3, 0), (3 * 3, 0)]
+
+
 def test_collect_residuals_holds_its_output_about_once():
     # Eight 64x65 layers: the blocks of all layers and the concatenated vectors
     # were alive together at the end, a peak of 2.09x the returned vectors.
@@ -307,8 +329,8 @@ def test_collect_coefficients_matches_the_stagewise_formula():
         coeff_layers.append([_dense(a) + b for a, b in zip(cores, filtered)])
     assert len(raw) == len(filt) == len(experts)
     for i, (r, f) in enumerate(zip(raw, filt)):
-        np.testing.assert_array_equal(r, model_subspace([s[:, i] for s in stacks]))
-        np.testing.assert_array_equal(f, model_subspace([c[i] for c in coeff_layers]))
+        np.testing.assert_array_equal(r, np.hstack([s[:, i] for s in stacks]))
+        np.testing.assert_array_equal(f, np.hstack([c[i] for c in coeff_layers]))
 
 
 def test_collect_coefficients_rejects_non_uniform_rows_before_decomposing(monkeypatch):

@@ -421,7 +421,7 @@ def test_a_clamped_rank_prints_one_warning_naming_every_layer(synth_dir, tmp_pat
     ("expert03", "layer.2.bias", np.nan),
     ("base", "layer.2.weight", np.inf),
 ], ids=["expert-bias-nan", "base-weight-inf"])
-@pytest.mark.parametrize("command", ["pivot", "ties", "residual-sim"])
+@pytest.mark.parametrize("command", ["pivot", "ties", "residual-sim", "principal-angles"])
 def test_a_bad_last_layer_fails_after_layer_one_without_output(synth_dir, tmp_path, capsys,
                                                               tensor_reads, command, victim,
                                                               name, bad):
